@@ -71,8 +71,6 @@ from .realization import (
 from .absorber import AbsorberResult, canonicalize_stationary, dual_system, verify_absorber
 from .estimation import (
     QFIReport,
-    TangentData,
-    tangent_data,
     coherent_qfi,
     destabilized_scaling_check,
     ensemble_coupling_profile,

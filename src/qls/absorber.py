@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Delta, du_blocks, flat_adjoint, jmat, williamson
+from .algebra import Delta, flat_adjoint, williamson
 from .model import QLSystem, check_pr, default_grid, gauge_transform, is_hurwitz, series_product
 from .stationary import (
     GM_TOL,
@@ -65,19 +65,6 @@ def canonicalize_stationary(sys, gm_tol=GM_TOL):
     }
 
 
-def _one_mode_dual(sys):
-    """Closed-form dual of a one-mode system: C2 from swapped scaled couplings."""
-    Cm, Cp = du_blocks(sys.C)
-    r = np.linalg.norm(Cm) / np.linalg.norm(Cp)
-    C2m = -r * Cp
-    C2p = -Cp if r == 0 else -(1.0 / r) * Cm
-    A2 = jmat(1) @ sys.A.conj() @ jmat(1)
-    C2 = Delta(C2m, C2p)
-    Om2 = 1j * jmat(1) @ (A2 + 0.5 * flat_adjoint(C2) @ C2)
-    om, op = du_blocks(Om2)
-    return QLSystem.from_blocks(C2m, C2p, 0.5 * (om + om.conj().T), 0.5 * (op + op.T))
-
-
 def dual_system(sys, gm_tol=GM_TOL):
     """Coherent quantum absorber of a globally minimal, Hurwitz system (vacuum input).
 
@@ -112,11 +99,9 @@ def dual_system(sys, gm_tol=GM_TOL):
         raise RuntimeError("dual coupling does not assemble to a doubled-up matrix")
     QPinv = Q @ np.linalg.inv(P)
     A2 = QPinv @ A1 @ PQinv + flat_adjoint(C2) @ C1 @ PQinv
-    Om2 = 1j * jmat(n) @ (A2 + 0.5 * flat_adjoint(C2) @ C2)
-    om, op = du_blocks(Om2)
-    dual = QLSystem.from_blocks(C2m, C2p, 0.5 * (om + om.conj().T), 0.5 * (op + op.T))
-    if not check_pr(dual.A, dual.C, tol=1e-7):
+    if not check_pr(A2, C2, tol=1e-7):
         raise RuntimeError("dual system violates physical realizability")
+    dual = QLSystem.from_drift(A2, C2)
     combined = series_product(sys1, dual)
     report = verify_absorber(sys1, dual)
     return AbsorberResult(

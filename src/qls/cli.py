@@ -8,6 +8,8 @@ result file is left behind on failure.
 """
 
 import argparse
+import dataclasses
+import json
 import sys
 
 import numpy as np
@@ -63,8 +65,6 @@ def _grid(sys, spec):
     if spec is None or spec == "auto":
         return default_grid(sys)
     if isinstance(spec, str):
-        import json
-
         try:
             spec = json.loads(spec)
         except json.JSONDecodeError as exc:
@@ -153,7 +153,7 @@ def cmd_realize_ps(args):
     _emit(args, {
         "system": qio.system_to_json(sys_),
         "T3bT3": qio.matrix_to_json(details["T3bT3"]),
-        "spectrum": [qio.complex_to_pair(z) for z in np.sort_complex(np.linalg.eigvals(sys_.A))],
+        "spectrum": [qio.complex_to_pair(z) for z in np.sort_complex(sys_.poles)],
     })
 
 
@@ -198,9 +198,7 @@ def cmd_absorber(args):
 def cmd_qfi(args):
     family = qio.family_from_json(qio.load_json(args.family))
     if args.fd_step is not None:
-        from .model import ParamFamily
-
-        family = ParamFamily(evaluate=family.evaluate, fd_step=args.fd_step)
+        family = dataclasses.replace(family, fd_step=args.fd_step)
     sys0 = family.evaluate(args.theta)
     V = _load_input(args.input, sys0.m)
     if args.method == "time":

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import solve_sylvester
 
-from .algebra import Delta, du_blocks, flat_adjoint, jmat
+from .algebra import jmat
 from .model import ParamFamily, QLSystem, is_hurwitz, spectral_gap, transfer_function
 from .stationary import InputCovariance, power_spectrum, solve_lyapunov
 
@@ -36,20 +36,6 @@ class QFIReport:
     value: float
     method: str
     diagnostics: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class TangentData:
-    """Finite-difference derivatives (dC, dOmega) of a family at theta0."""
-
-    dC: np.ndarray
-    dOmega: np.ndarray
-
-
-def tangent_data(family, theta0):
-    """Central-difference TangentData of a family at theta0."""
-    dC, dOm = family.derivatives(theta0)
-    return TangentData(dC=dC, dOmega=dOm)
 
 
 def _fold_scattering(sys, V):
@@ -156,7 +142,7 @@ def stationary_qfi_rate_freq(family, theta0, V, rtol=1e-6, omega_max=None):
 
     A = sys0.A
     W = omega_max if omega_max is not None else 1e3 * max(1.0, np.linalg.norm(A))
-    features = sorted(set(np.round(np.linalg.eigvals(A).imag, 10)))
+    features = sorted(set(np.round(sys0.poles.imag, 10)))
     points = [p for p in features if -W < p < W]
     val, err = quad(f, -W, W, points=points, limit=300, epsrel=rtol, epsabs=1e-12)
     tail_coeff = f(W) * W**4
@@ -193,8 +179,7 @@ def stationary_qfi_rate_time(family, theta0, V):
     sys0, V = _fold_scattering(sys0, V)
     if not is_hurwitz(sys0):
         raise ValueError("family must be Hurwitz at theta0")
-    tangent = tangent_data(family, theta0)
-    dC, dOm = tangent.dC, tangent.dOmega
+    dC, dOm = family.derivatives(theta0)
     C, A = sys0.C, sys0.A
     m, n = sys0.m, sys0.n
     Jm, Jn = jmat(m), jmat(n)
@@ -221,25 +206,18 @@ def gauge_tangent_family(sys, R, V=None):
     """Family moving along the unidentifiable gauge direction generated by R.
 
     R must be Hermitian and doubled-up; the tangent dC = -i C J R,
-    dA = i [J R, A] changes nothing observable, so any QFI rate along this
-    family vanishes.  Returns a ParamFamily centred at theta = 0.
+    dOmega = i (R J Omega - Omega J R), i.e. dA = i [J R, A], changes nothing
+    observable, so any QFI rate along this family vanishes.  Returns a
+    ParamFamily centred at theta = 0.
     """
     R = np.asarray(R, dtype=complex)
-    n = sys.n
-    Jn = jmat(n)
-    C0, Om0, A0 = sys.C, sys.Omega, sys.A
+    Jn = jmat(sys.n)
+    C0, Om0 = sys.C, sys.Omega
     dC = -1j * C0 @ Jn @ R
-    dA = 1j * (Jn @ R @ A0 - A0 @ Jn @ R)
-    dOm = 1j * Jn @ (dA + 0.5 * (flat_adjoint(dC) @ C0 + flat_adjoint(C0) @ dC))
-    om, op = du_blocks(dOm)
-    dOm = Delta(0.5 * (om + om.conj().T), 0.5 * (op + op.T))
+    dOm = 1j * (R @ Jn @ Om0 - Om0 @ Jn @ R)
 
     def evaluate(theta):
-        Cm, Cp = du_blocks(C0 + theta * dC)
-        Om = Om0 + theta * dOm
-        om_, op_ = du_blocks(Om)
-        return QLSystem.from_blocks(Cm, Cp, 0.5 * (om_ + om_.conj().T), 0.5 * (op_ + op_.T),
-                                    S=sys.S)
+        return QLSystem(S=sys.S, C=C0 + theta * dC, Omega=Om0 + theta * dOm)
 
     return ParamFamily(evaluate=evaluate, fd_step=1e-6)
 

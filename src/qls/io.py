@@ -18,10 +18,10 @@ import json
 
 import numpy as np
 
+from .algebra import Delta, du_blocks
 from .model import ParamFamily, QLSystem, StateSpace
 from .realization import RationalMatrixFunction
 from .stationary import InputCovariance
-from .algebra import du_blocks
 
 
 def complex_to_pair(z):
@@ -64,8 +64,6 @@ def system_from_json(data):
     Sm, Sp = block(data["S"])
     Cm, Cp = block(data["C"])
     Om, Op = block(data["Omega"])
-    from .algebra import Delta
-
     return QLSystem(S=Delta(Sm, Sp), C=Delta(Cm, Cp), Omega=Delta(Om, Op))
 
 
@@ -117,8 +115,6 @@ def family_from_json(data):
     for dep in deps:
         if dep["target"] not in _FAMILY_TARGETS:
             raise ValueError(f"unknown dependency target {dep['target']!r}")
-
-    from .algebra import Delta
 
     def evaluate(theta):
         blocks = {

@@ -17,6 +17,7 @@ C -> C T^b, J Omega -> T J Omega T^b.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -41,7 +42,9 @@ class QLSystem:
     """A quantum linear system (S, C, Omega) in the doubled-up representation.
 
     Validated at construction: S symplectic, C and Omega doubled-up,
-    Omega_- Hermitian and Omega_+ symmetric.  Instances are immutable.
+    Omega_- Hermitian and Omega_+ symmetric.  Instances are immutable: S, C
+    and Omega are read-only private copies, so the cached drift ``A`` and
+    its ``poles`` can never go stale.
     """
 
     S: np.ndarray
@@ -49,12 +52,9 @@ class QLSystem:
     Omega: np.ndarray
 
     def __post_init__(self):
-        S = np.asarray(self.S, dtype=complex)
-        C = np.asarray(self.C, dtype=complex)
-        Om = np.asarray(self.Omega, dtype=complex)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "Omega", Om)
+        for name in ("S", "C", "Omega"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        S, C, Om = self.S, self.C, self.Omega
         if C.shape != (S.shape[0], Om.shape[0]):
             raise ValueError(
                 f"incompatible shapes: S {S.shape}, C {C.shape}, Omega {Om.shape}"
@@ -82,10 +82,19 @@ class QLSystem:
         """Field channel count."""
         return self.S.shape[0] // 2
 
-    @property
+    @cached_property
     def A(self):
-        """Drift matrix -1/2 C^b C - i J Omega."""
-        return drift_matrix(self)
+        """Drift matrix -1/2 C^b C - i J Omega (cached, read-only)."""
+        A = -0.5 * flat_adjoint(self.C) @ self.C - 1j * jmat(self.n) @ self.Omega
+        A.flags.writeable = False
+        return A
+
+    @cached_property
+    def poles(self):
+        """Eigenvalues of the drift matrix (cached, read-only)."""
+        lam = np.linalg.eigvals(self.A)
+        lam.flags.writeable = False
+        return lam
 
     @property
     def is_passive(self):
@@ -111,8 +120,29 @@ class QLSystem:
         C = Delta(C_minus, C_plus)
         Om = Delta(Omega_minus, Omega_plus)
         if S is None:
-            S = np.eye(C.shape[0], dtype=complex)
-        return QLSystem(S=np.asarray(S, dtype=complex), C=C, Omega=Om)
+            S = np.eye(C.shape[0])
+        return QLSystem(S=S, C=C, Omega=Om)
+
+    @staticmethod
+    def from_drift(A, C, S=None):
+        """Build the system with drift A and coupling C (S defaults to 1).
+
+        C is projected onto its doubled-up blocks and Omega is recovered from
+        the realizability identity Omega = i J (A + 1/2 C^b C), with its
+        blocks symmetrised against rounding.
+        """
+        C = Delta(*du_blocks(C))
+        om, op = du_blocks(1j * jmat(C.shape[1] // 2) @ (A + 0.5 * flat_adjoint(C) @ C))
+        if S is None:
+            S = np.eye(C.shape[0])
+        return QLSystem(S=S, C=C, Omega=Delta(0.5 * (om + om.conj().T), 0.5 * (op + op.T)))
+
+
+def _frozen(M):
+    """Read-only complex copy of M."""
+    M = np.array(M, dtype=complex)
+    M.flags.writeable = False
+    return M
 
 
 @dataclass(frozen=True)
@@ -140,12 +170,6 @@ class StateSpace:
         return self.D + self.C @ X
 
 
-def drift_matrix(sys):
-    """Drift matrix A = -1/2 C^b C - i J Omega of a QLSystem."""
-    n = sys.n
-    return -0.5 * flat_adjoint(sys.C) @ sys.C - 1j * jmat(n) @ sys.Omega
-
-
 def check_pr(A, C, tol=TOL_NUM):
     """Physical realizability: || A + A^b + C^b C || <= tol (relative)."""
     A = np.asarray(A, dtype=complex)
@@ -163,7 +187,7 @@ def transfer_function(sys, s):
     """
     A = sys.A
     n2 = A.shape[0]
-    eigs = np.linalg.eigvals(A)
+    eigs = sys.poles
     if n2 and np.min(np.abs(eigs - s)) < 1e-12 * max(1.0, np.max(np.abs(eigs))):
         raise ValueError(f"s = {s} is a pole of the transfer function")
     if n2 == 0:
@@ -212,22 +236,12 @@ def is_minimal(sys, rank_tol=RANK_TOL):
 
 def is_hurwitz(sys, stab_tol=STAB_TOL):
     """True iff every eigenvalue of A satisfies Re(lambda) < -stab_tol."""
-    return bool(np.max(np.linalg.eigvals(sys.A).real) < -stab_tol)
+    return bool(np.max(sys.poles.real) < -stab_tol)
 
 
 def spectral_gap(sys):
     """min |Re(lambda)| over the spectrum of A; 1/gap is the stabilisation time."""
-    return float(np.min(np.abs(np.linalg.eigvals(sys.A).real)))
-
-
-def _omega_from_drift(A, C):
-    """Recover Omega = i J (A + 1/2 C^b C), symmetrising away numerical noise."""
-    n = A.shape[0] // 2
-    Om = 1j * jmat(n) @ (A + 0.5 * flat_adjoint(C) @ C)
-    om, op = du_blocks(Om)
-    om = 0.5 * (om + om.conj().T)
-    op = 0.5 * (op + op.T)
-    return Delta(om, op)
+    return float(np.min(np.abs(sys.poles.real)))
 
 
 def series_product(first, second):
@@ -260,7 +274,7 @@ def series_product(first, second):
         ]
     )
     A = Delta(Am, Ap)
-    return QLSystem(S=S, C=C, Omega=_omega_from_drift(A, C))
+    return QLSystem.from_drift(A, C, S)
 
 
 def concatenate(a, b):
@@ -291,14 +305,8 @@ def gauge_transform(sys, T, tol=TOL_NUM):
     T = np.asarray(T, dtype=complex)
     if not is_symplectic(T, tol=max(tol, 1e-7)):
         raise ValueError("gauge transformation must be symplectic")
-    n = sys.n
-    J = jmat(n)
-    C2 = sys.C @ flat_adjoint(T)
-    JOm2 = T @ J @ sys.Omega @ flat_adjoint(T)
-    Om2 = J @ JOm2
-    om, op = du_blocks(Om2)
-    Om2 = Delta(0.5 * (om + om.conj().T), 0.5 * (op + op.T))
-    return QLSystem(S=sys.S, C=C2, Omega=Om2)
+    Tb = flat_adjoint(T)
+    return QLSystem.from_drift(T @ (sys.A @ Tb), sys.C @ Tb, sys.S)
 
 
 def default_grid(sys, points=41, avoid=1e-6):
@@ -312,11 +320,10 @@ def default_grid(sys, points=41, avoid=1e-6):
     top = max(np.linalg.norm(A), 10 * gap)
     w = np.logspace(np.log10(1e-2 * gap), np.log10(1e2 * top), points // 2)
     omegas = np.concatenate([-w[::-1], [0.0], w])
-    eigs = np.linalg.eigvals(A)
     out = []
     for om in omegas:
         s = -1j * om
-        if np.min(np.abs(eigs - s)) < avoid:
+        if np.min(np.abs(sys.poles - s)) < avoid:
             s -= avoid * 1j
         out.append(s)
     return np.array(out)

@@ -29,6 +29,7 @@ from .algebra import (
     factor_flat_gram,
     flat_adjoint,
     gramian_flat,
+    is_doubled_up,
     jmat,
     sigma_swap,
 )
@@ -38,7 +39,7 @@ from .model import (
     series_product,
     transfer_function,
 )
-from .stationary import InputCovariance, power_spectrum, vacuum_covariance
+from .stationary import InputCovariance, _vacuum_rotated, power_spectrum, vacuum_covariance
 
 POLE_MATCH_TOL = 1e-6   # absolute pole-location matching
 RESIDUE_EPS = 1e-5      # radius for residue extraction by limit evaluation
@@ -105,8 +106,7 @@ def rational_from_callable(f, poles, constant):
 
 def tf_as_rational(sys):
     """Pole/residue form of the transfer function, poles read off eig(A)."""
-    poles = np.linalg.eigvals(sys.A)
-    return rational_from_callable(lambda s: transfer_function(sys, s), poles, sys.S)
+    return rational_from_callable(lambda s: transfer_function(sys, s), sys.poles, sys.S)
 
 
 def ps_as_rational(sys, V):
@@ -115,10 +115,8 @@ def ps_as_rational(sys, V):
     Poles are eig(A) together with the mirrored set -conj(eig(A)); the
     constant term is the scattering floor S V_vac S^b.
     """
-    from .stationary import _vacuum_rotated  # local import to avoid a cycle
-
     rotated, _ = _vacuum_rotated(sys, V)
-    lam = np.linalg.eigvals(rotated.A)
+    lam = rotated.poles
     poles = np.concatenate([lam, -lam.conj()])
     vac = InputCovariance.vacuum(sys.m)
     J = jmat(sys.m)
@@ -460,8 +458,6 @@ def physical_from_classical(ss, tol=1e-8):
     """
     A0, B0, C0, D = ss.A, ss.B, ss.C, ss.D
     for M, name in ((A0, "A"), (B0, "B"), (C0, "C")):
-        from .algebra import is_doubled_up
-
         if M.size and not is_doubled_up(M, tol=1e-7):
             raise ValueError(f"{name} block of the realization is not doubled-up")
     if A0.size and np.max(np.linalg.eigvals(A0).real) >= 0:
@@ -479,14 +475,7 @@ def physical_from_classical(ss, tol=1e-8):
         raise IdentificationError(
             f"realization is not a physical transfer function (B defect {defect:.2e})"
         )
-    A = T0 @ A0 @ T0inv
-    C = C0 @ T0inv
-    n = A.shape[0] // 2
-    Om = 1j * jmat(n) @ (A + 0.5 * flat_adjoint(C) @ C)
-    om, op = du_blocks(Om)
-    Om = Delta(0.5 * (om + om.conj().T), 0.5 * (op + op.T))
-    Cm, Cp = du_blocks(C)
-    return QLSystem.from_blocks(Cm, Cp, du_blocks(Om)[0], du_blocks(Om)[1], S=S)
+    return QLSystem.from_drift(T0 @ A0 @ T0inv, C0 @ T0inv, S)
 
 
 def _match_scale(target, candidate, what):
@@ -540,8 +529,6 @@ def ps_realize(ps, return_details=False):
 
     m2 = ps.shape[0]
     Sig = sigma_swap(m2 // 2)
-    Jm = jmat(m2 // 2)
-    Jn2 = jmat(n)
 
     C2_first, B1_first = [], []
     for i, lam_i in enumerate(lam):
@@ -555,7 +542,7 @@ def ps_realize(ps, return_details=False):
         _match_scale(Sig @ col.conj(), colW, "stable mirror")
         # canonical column scale: unit diagonal entry, falling back to a
         # real-positive leading entry when the diagonal vanishes
-        if abs(col[i, 0]) > 1e-8 * np.linalg.norm(col):
+        if i < col.shape[0] and abs(col[i, 0]) > 1e-8 * np.linalg.norm(col):
             col = col / col[i, 0]
         else:
             col = col * _canonical_row_phase(col.T) / np.linalg.norm(col)
@@ -581,11 +568,9 @@ def ps_realize(ps, return_details=False):
         raise IdentificationError("could not canonicalize B1 = -C2^b")
 
     # flat Gramians of the two physicality equations must now agree
-    M3 = solve_sylvester(A0.conj().T, A0, -(C2.conj().T @ Jm @ C2))
-    T3bT3 = Jn2 @ M3
-    Gmap = B1.conj().T @ Jn2  # output map of the (T1^b T1)^{-1} Gramian
-    M1 = solve_sylvester(A0.conj().T, A0, -(Gmap.conj().T @ Jm @ Gmap))
-    T1bT1_inv = Jn2 @ M1
+    T3bT3 = gramian_flat(A0, C2)
+    # output map B1^dag J of the (T1^b T1)^{-1} Gramian
+    T1bT1_inv = gramian_flat(A0, B1.conj().T @ jmat(n))
     if np.linalg.norm(T1bT1_inv - T3bT3) > 1e-6 * max(1.0, np.linalg.norm(T3bT3)):
         raise IdentificationError("input-side and output-side Gramians disagree beyond gauge")
 
@@ -605,11 +590,7 @@ def ps_realize(ps, return_details=False):
     ):
         raise IdentificationError("coupling matrices from the two routes disagree")
 
-    nsys = A.shape[0] // 2
-    Om = 1j * jmat(nsys) @ (A + 0.5 * flat_adjoint(C) @ C)
-    om, op = du_blocks(Om)
-    sys = QLSystem.from_blocks(du_blocks(C)[0], du_blocks(C)[1],
-                               0.5 * (om + om.conj().T), 0.5 * (op + op.T))
+    sys = QLSystem.from_drift(A, C)
     if return_details:
         return sys, {"A0": A0, "B1": B1, "C2": C2, "T3": T3, "T3bT3": T3bT3}
     return sys
@@ -705,9 +686,7 @@ def noisy_realize(ss, n_noise, rng=None, restarts=50, tol=1e-8):
     Tinv = np.linalg.inv(T)
     A = T @ A0 @ Tinv
     Cfull = np.vstack([C0, C1]) @ Tinv
-    Om = 1j * (A + 0.5 * Cfull.conj().T @ Cfull)
-    Om = 0.5 * (Om + Om.conj().T)
-    sys = QLSystem.passive(np.eye(m1 + n_noise), Cfull, Om)
+    sys = QLSystem.from_drift(Delta(A), Delta(Cfull))
     pr = np.linalg.norm(A + A.conj().T + Cfull.conj().T @ Cfull)
     if pr > 1e-7 * max(1.0, np.linalg.norm(A)):
         raise IdentificationError(f"passive PR violated after extension ({pr:.2e})")

@@ -238,28 +238,21 @@ def pure_mixed_split(sys, V, gm_tol=GM_TOL):
     Om, Op = du_blocks(canon.Omega)
     all_ch = list(range(sys.m))
 
-    def component(modes, passive):
+    def component(modes, passive, S):
         if not modes:
             return None
         cm = submatrix(Cm, all_ch, modes)
         om = submatrix(Om, modes, modes)
-        om = 0.5 * (om + om.conj().T)
         if passive:
-            return QLSystem.from_blocks(cm, np.zeros_like(cm), om, np.zeros_like(om), S=canon.S)
+            return QLSystem.from_blocks(cm, np.zeros_like(cm), om, np.zeros_like(om), S=S)
         cp = submatrix(Cp, all_ch, modes)
         op = submatrix(Op, modes, modes)
-        op = 0.5 * (op + op.T)
-        return QLSystem.from_blocks(cm, cp, om, op, S=canon.S)
+        return QLSystem.from_blocks(cm, cp, om, op, S=S)
 
-    pure_sys = component(pure_modes, passive=True)
-    mixed_sys = component(mixed_modes, passive=False)
-    if pure_sys is not None and mixed_sys is not None:
-        # scattering sits on the first cascade stage (the pure one); the
-        # second stage must then carry S = 1 so the composite reproduces S.
-        mm, mp = du_blocks(mixed_sys.C)
-        om, op = du_blocks(mixed_sys.Omega)
-        eye = np.eye(2 * sys.m, dtype=complex)
-        mixed_sys = QLSystem.from_blocks(mm, mp, om, op, S=eye)
+    pure_sys = component(pure_modes, passive=True, S=canon.S)
+    # scattering sits on the first cascade stage (the pure one); the second
+    # stage must then carry S = 1 so the composite reproduces S.
+    mixed_sys = component(mixed_modes, passive=False, S=None if pure_modes else canon.S)
     return {
         "pure": pure_sys,
         "mixed": mixed_sys,

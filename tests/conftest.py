@@ -50,13 +50,7 @@ def absorber_two_mode_example():
         ],
         dtype=complex,
     )
-    from qls.algebra import du_blocks, flat_adjoint, jmat
-
-    Om = 1j * jmat(2) @ (A + 0.5 * flat_adjoint(C) @ C)
-    om, op = du_blocks(Om)
-    return QLSystem.from_blocks(
-        du_blocks(C)[0], du_blocks(C)[1], 0.5 * (om + om.conj().T), 0.5 * (op + op.T)
-    )
+    return QLSystem.from_drift(A, C)
 
 
 def gm2_system(x):

@@ -8,7 +8,7 @@ from qls.cli import main
 from qls.model import tf_equal
 from qls.realization import ps_as_rational, tf_as_rational
 from qls.sampling import random_pure_input, random_qlsystem
-from qls.stationary import InputCovariance
+from qls.stationary import InputCovariance, power_spectrum
 
 from conftest import absorber_two_mode_example, active_one_mode_example, cavity, two_mode_cascade_example
 
@@ -142,6 +142,19 @@ class TestCli:
         data = json.load(open(out))
         T3bT3 = qio.matrix_from_json(data["T3bT3"])
         assert np.allclose(T3bT3, -0.2054 * np.eye(2), atol=5e-5)
+
+    def test_realize_ps_three_modes_one_channel(self, workdir, rng):
+        vac = InputCovariance.vacuum(1)
+        sys = random_qlsystem(rng, 3, 1)
+        while np.min(np.abs(sys.poles.imag)) < 5e-2:
+            sys = random_qlsystem(rng, 3, 1)
+        p = write(workdir / "ps.json", qio.rational_to_json(ps_as_rational(sys, vac)))
+        out = str(workdir / "rec.json")
+        assert main(["realize-ps", p, "-o", out]) == 0
+        rec = qio.system_from_json(json.load(open(out))["system"])
+        assert rec.n == 3
+        for s in (0.3j, -2.0j, 1.5 - 0.7j):
+            assert np.linalg.norm(power_spectrum(rec, vac, s) - power_spectrum(sys, vac, s)) < 1e-6
 
     def test_realize_ps_bad_data_exits_3(self, workdir, capsys):
         bad = {

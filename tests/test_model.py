@@ -19,7 +19,7 @@ from qls.model import (
 )
 from qls.sampling import random_qlsystem, random_symplectic
 
-from conftest import cavity, dpa, eigs_close
+from conftest import cavity, dpa, eigs_close, two_mode_cascade_example
 
 
 class TestDriftMatrix:
@@ -34,6 +34,28 @@ class TestDriftMatrix:
     def test_dpa(self):
         sys = dpa(kappa=3.0, eps=1.0)
         assert np.allclose(sys.A, Delta([[-1.5]], [[0.5]]))
+
+    def test_cached_with_poles(self, rng):
+        sys = random_qlsystem(rng, 2, 1)
+        assert sys.A is sys.A
+        assert sys.poles is sys.poles
+        assert eigs_close(sys.poles, np.linalg.eigvals(sys.A), atol=1e-12)
+
+
+class TestFromDrift:
+    def test_roundtrip(self, rng):
+        systems = [random_qlsystem(rng, n, m) for n, m in ((1, 1), (2, 1), (2, 2), (3, 2))]
+        for sys in systems + [two_mode_cascade_example()]:
+            out = QLSystem.from_drift(sys.A, sys.C, sys.S)
+            assert np.linalg.norm(out.Omega - sys.Omega) <= 1e-12 * max(1.0, np.linalg.norm(sys.Omega))
+            assert np.array_equal(out.C, sys.C)
+            assert np.array_equal(out.S, sys.S)
+
+    def test_passive_stays_passive(self, rng):
+        sys = random_qlsystem(rng, 2, 1, passive=True)
+        out = QLSystem.from_drift(sys.A, sys.C)
+        assert out.is_passive
+        assert np.array_equal(out.S, np.eye(2))
 
 
 class TestCheckPR:
@@ -278,3 +300,16 @@ class TestValidation:
                 C=Delta([[1.0]], [[0.0]]),
                 Omega=Delta([[0.0]], [[0.0]]),
             )
+
+    def test_arrays_read_only(self, rng):
+        sys = random_qlsystem(rng, 2, 1)
+        for M in (sys.S, sys.C, sys.Omega, sys.A, sys.poles):
+            with pytest.raises(ValueError):
+                M[0, ...] = 0.0
+
+    def test_caller_array_is_copied(self):
+        C = Delta([[1.0]], [[0.0]])
+        sys = QLSystem(S=np.eye(2, dtype=complex), C=C, Omega=Delta([[0.5]], [[0.0]]))
+        C[:] = 0.0
+        assert np.allclose(sys.A, Delta([[-0.5 - 0.5j]], [[0.0]]))
+        assert np.array_equal(sys.C, Delta([[1.0]], [[0.0]]))

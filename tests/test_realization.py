@@ -255,9 +255,9 @@ class TestPsRealize:
         vac = InputCovariance.vacuum(1)
         done = 0
         while done < 5:
-            sys = random_qlsystem(rng, int(rng.integers(1, 3)), 1)
-            eigs = np.linalg.eigvals(sys.A)
-            if np.min(np.abs(eigs.imag)) < 5e-2:
+            # n = 3 > 2m exercises the fallback column scaling
+            sys = random_qlsystem(rng, int(rng.integers(1, 4)), 1)
+            if np.min(np.abs(sys.poles.imag)) < 5e-2:
                 continue
             if not is_globally_minimal(sys, vac):
                 continue
