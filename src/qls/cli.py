@@ -25,10 +25,10 @@ from .absorber import dual_system
 from .model import (
     check_pr,
     default_grid,
+    freq_response,
     is_hurwitz,
     is_minimal,
     spectral_gap,
-    transfer_function,
 )
 from .realization import (
     IdentificationError,
@@ -91,7 +91,7 @@ def cmd_validate(args):
         "passive": bool(sys_.is_passive),
         "spectral_gap": float(spectral_gap(sys_)),
         "fpr_residual": float(
-            max(flat_unitary_residual(transfer_function(sys_, s)) for s in default_grid(sys_, 11))
+            max(flat_unitary_residual(X) for X in freq_response(sys_, default_grid(sys_, 11)))
         ),
     }
     _emit(args, payload)
@@ -100,7 +100,7 @@ def cmd_validate(args):
 def cmd_tf(args):
     sys_ = _load_system(args.system)
     grid = _grid(sys_, args.grid)
-    values = [qio.matrix_to_json(transfer_function(sys_, s)) for s in grid]
+    values = [qio.matrix_to_json(X) for X in freq_response(sys_, grid)]
     _emit(args, {"grid": [qio.complex_to_pair(s) for s in grid], "values": values})
 
 
@@ -108,7 +108,7 @@ def cmd_ps(args):
     sys_ = _load_system(args.system)
     V = _load_input(args.input, sys_.m)
     grid = _grid(sys_, args.grid)
-    values = [qio.matrix_to_json(power_spectrum(sys_, V, s)) for s in grid]
+    values = [qio.matrix_to_json(Psi) for Psi in power_spectrum(sys_, V, grid)]
     _emit(args, {"grid": [qio.complex_to_pair(s) for s in grid], "values": values})
 
 

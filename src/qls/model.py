@@ -37,14 +37,14 @@ RANK_TOL = 1e-10   # relative singular-value cutoff for rank decisions
 STAB_TOL = 1e-12   # strict-inequality margin for the Hurwitz test
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QLSystem:
     """A quantum linear system (S, C, Omega) in the doubled-up representation.
 
     Validated at construction: S symplectic, C and Omega doubled-up,
     Omega_- Hermitian and Omega_+ symmetric.  Instances are immutable: S, C
     and Omega are read-only private copies, so the cached drift ``A`` and
-    its ``poles`` can never go stale.
+    its ``poles`` can never go stale.  Equality and hashing are by identity.
     """
 
     S: np.ndarray
@@ -145,9 +145,9 @@ def _frozen(M):
     return M
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpace:
-    """A plain (A, B, C, D) quadruple; possibly non-physical."""
+    """A plain (A, B, C, D) quadruple; possibly non-physical.  Compared by identity."""
 
     A: np.ndarray
     B: np.ndarray
@@ -179,21 +179,50 @@ def check_pr(A, C, tol=TOL_NUM):
     return np.linalg.norm(resid) / scale <= tol
 
 
+def freq_response(sys, s, tangent=None):
+    """Transfer function Xi(s) = (1 - C R C^b) S, R = (s - A)^{-1}, over a grid.
+
+    `s` is a sequence of K Laplace points; the result is a (K, 2m, 2m) stack
+    from one stacked solve.  Given a tangent (dS, dC, dOmega) of the system,
+    the exact derivative
+
+        dXi = -(dC R C^b + C R dA R C^b + C R dC^b) S + (1 - C R C^b) dS,
+        dA = -1/2 (dC^b C + C^b dC) - i J dOmega,
+
+    is returned too, as a second stack.  Raises ValueError when a grid point
+    is (numerically) on the spectrum of A.
+    """
+    s = np.asarray(s, dtype=complex).reshape(-1)
+    lam = sys.poles
+    if lam.size and s.size:
+        near = np.min(np.abs(s[:, None] - lam), axis=1) < 1e-12 * max(1.0, np.max(np.abs(lam)))
+        if near.any():
+            raise ValueError(f"s = {s[np.argmax(near)]} is a pole of the transfer function")
+    C, S = sys.C, sys.S
+    n2, m2 = C.shape[1], C.shape[0]
+    Cb = flat_adjoint(C)
+    M = s[:, None, None] * np.eye(n2) - sys.A
+    eye = np.eye(m2, dtype=complex)
+    if tangent is None:
+        X = np.linalg.solve(M, np.broadcast_to(Cb, (len(s), n2, m2)))
+        return (eye - C @ X) @ S
+    dS, dC, dOm = tangent
+    R = np.linalg.solve(M, np.broadcast_to(np.eye(n2, dtype=complex), M.shape))
+    X = R @ Cb
+    dCb = flat_adjoint(dC)
+    dA = -0.5 * (dCb @ C + Cb @ dC) - 1j * jmat(n2 // 2) @ dOm
+    G = eye - C @ X
+    dG = -(dC @ X + C @ (R @ (dA @ X + dCb)))
+    return G @ S, dG @ S + G @ dS
+
+
 def transfer_function(sys, s):
-    """Transfer function Xi(s) = (1 - C (s - A)^{-1} C^b) S.
+    """Transfer function Xi(s) at one point: the single-point case of `freq_response`.
 
     Scattering multiplies from the right so that Xi -> S as |s| -> inf.
     Raises ValueError when s is (numerically) on the spectrum of A.
     """
-    A = sys.A
-    n2 = A.shape[0]
-    eigs = sys.poles
-    if n2 and np.min(np.abs(eigs - s)) < 1e-12 * max(1.0, np.max(np.abs(eigs))):
-        raise ValueError(f"s = {s} is a pole of the transfer function")
-    if n2 == 0:
-        return sys.S.copy()
-    X = np.linalg.solve(s * np.eye(n2) - A, flat_adjoint(sys.C))
-    return (np.eye(sys.S.shape[0], dtype=complex) - sys.C @ X) @ sys.S
+    return freq_response(sys, [s])[0]
 
 
 def controllability_matrix(A, B):
@@ -319,14 +348,9 @@ def default_grid(sys, points=41, avoid=1e-6):
     gap = max(spectral_gap(sys), 1e-6)
     top = max(np.linalg.norm(A), 10 * gap)
     w = np.logspace(np.log10(1e-2 * gap), np.log10(1e2 * top), points // 2)
-    omegas = np.concatenate([-w[::-1], [0.0], w])
-    out = []
-    for om in omegas:
-        s = -1j * om
-        if np.min(np.abs(sys.poles - s)) < avoid:
-            s -= avoid * 1j
-        out.append(s)
-    return np.array(out)
+    s = -1j * np.concatenate([-w[::-1], [0.0], w])
+    s[np.min(np.abs(s[:, None] - sys.poles), axis=1) < avoid] -= avoid * 1j
+    return s
 
 
 def tf_equal(a, b, grid=None, tol=1e-8):
@@ -338,10 +362,8 @@ def tf_equal(a, b, grid=None, tol=1e-8):
         raise ValueError("channel counts differ")
     if grid is None:
         grid = np.concatenate([default_grid(a), default_grid(b)])
-    dev = 0.0
-    for s in grid:
-        dev = max(dev, np.linalg.norm(transfer_function(a, s) - transfer_function(b, s)))
-    return dev <= tol
+    diff = freq_response(a, grid) - freq_response(b, grid)
+    return float(np.max(np.linalg.norm(diff, axis=(1, 2)), initial=0.0)) <= tol
 
 
 @dataclass(frozen=True)
@@ -361,9 +383,11 @@ class ParamFamily:
         return 1e-6 * max(1.0, abs(theta))
 
     def derivatives(self, theta):
-        """Central finite differences (dC, dOmega) at theta."""
+        """Central finite differences (dS, dC, dOmega) at theta.
+
+        Two evaluations; exact up to rounding for families affine in theta,
+        such as those loaded from JSON.
+        """
         h = self.step(theta)
         hi, lo = self.evaluate(theta + h), self.evaluate(theta - h)
-        dC = (hi.C - lo.C) / (2 * h)
-        dOm = (hi.Omega - lo.Omega) / (2 * h)
-        return dC, dOm
+        return tuple((getattr(hi, k) - getattr(lo, k)) / (2 * h) for k in ("S", "C", "Omega"))

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_sylvester
-from scipy.optimize import least_squares
 
 from .algebra import (
     Delta,
@@ -619,6 +618,8 @@ def noisy_realize(ss, n_noise, rng=None, restarts=50, tol=1e-8):
     solved here as a linear system in H = C1^dag C1 followed by a PSD
     projection and a least-squares polish with seeded restarts.
     """
+    from scipy.optimize import least_squares  # ~0.2 s to import; only needed here
+
     A0, B0, C0 = ss.A, ss.B, ss.C
     n = A0.shape[0]
     m1 = C0.shape[0]

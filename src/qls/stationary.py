@@ -29,10 +29,10 @@ from .model import (
     QLSystem,
     StateSpace,
     controllability_matrix,
+    freq_response,
     gauge_transform,
     is_hurwitz,
     is_minimal,
-    transfer_function,
 )
 
 GM_TOL = 1e-7  # symplectic-eigenvalue threshold separating pure from thermal modes
@@ -45,12 +45,12 @@ def vacuum_covariance(m):
     return V
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InputCovariance:
     """Stationary Gaussian field state V(N, M) = [[N^T+1, M], [M^dag, N]].
 
     N must be Hermitian and M symmetric; the state must be physical
-    (V has nonnegative symplectic spectrum).
+    (V has nonnegative symplectic spectrum).  Compared by identity.
     """
 
     N: np.ndarray
@@ -129,11 +129,16 @@ def solve_lyapunov(sys, V):
 def power_spectrum(sys, V, s):
     """Power spectral density Psi_V(s) = Xi(s) V Xi(-s*)^dag.
 
-    Mixed inputs are accepted; s and -s* must lie off the spectrum of A.
+    `s` is one point or a 1-d grid; a grid gives a (K, 2m, 2m) stack.  On
+    the imaginary axis s = -s*, so Xi is evaluated once there.  Mixed inputs
+    are accepted; s and -s* must lie off the spectrum of A.
     """
-    X1 = transfer_function(sys, s)
-    X2 = transfer_function(sys, -np.conj(s))
-    return X1 @ V.matrix() @ X2.conj().T
+    s = np.asarray(s, dtype=complex)
+    X1 = freq_response(sys, s)
+    mirror = -s.conj()
+    X2 = X1 if np.array_equal(mirror, s) else freq_response(sys, mirror)
+    Psi = X1 @ V.matrix() @ X2.conj().transpose(0, 2, 1)
+    return Psi[0] if s.ndim == 0 else Psi
 
 
 def _vacuum_rotated(sys, V):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qls import QLSystem
+from qls import Delta, ParamFamily, QLSystem
 
 
 @pytest.fixture
@@ -59,6 +59,22 @@ def gm2_system(x):
         [[1.0]], [[0.0, 2.0 * np.sqrt(2.0)]],
         0.5 * np.array([[4.0 + x, 4.0 - x], [4.0 - x, 4.0 + x]]),
     )
+
+
+def squeezing_family(r0=0.3):
+    """One-mode system behind a theta-dependent squeezer S(theta), detuning 0.4 + theta.
+
+    Returns the family and its exact tangent (dS, dC, dOmega) at theta = 0.
+    """
+    def S(r):
+        return Delta([[np.cosh(r)]], [[np.sinh(r)]])
+
+    def evaluate(theta):
+        return QLSystem(S=S(r0 + theta), C=Delta([[1.1]], [[0.2]]),
+                        Omega=Delta([[0.4 + theta]], [[0.0]]))
+
+    dS = Delta([[np.sinh(r0)]], [[np.cosh(r0)]])
+    return ParamFamily(evaluate=evaluate), (dS, np.zeros((2, 2)), Delta([[1.0]], [[0.0]]))
 
 
 def squeezed_input(n_mean):

@@ -3,6 +3,7 @@ import pytest
 
 from qls.algebra import du_blocks
 from qls.estimation import (
+    _dpsi,
     coherent_qfi,
     destabilized_scaling_check,
     ensemble_coupling_profile,
@@ -14,9 +15,9 @@ from qls.estimation import (
 )
 from qls.model import ParamFamily, QLSystem
 from qls.sampling import random_hermitian_doubled_up, random_pure_input, random_qlsystem
-from qls.stationary import InputCovariance
+from qls.stationary import InputCovariance, power_spectrum
 
-from conftest import squeezed_input
+from conftest import squeezed_input, squeezing_family
 
 
 def cavity_omega_family(c):
@@ -122,7 +123,13 @@ class TestStationaryRates:
         V = squeezed_input(N)
         rep = stationary_qfi_rate_freq(fam, 0.0, V)
         target = 16.0 * N * (N + 1.0) / c**2
-        assert abs(rep.value - target) < 1e-3 * target
+        assert abs(rep.value - target) < 1e-8 * target
+
+    def test_narrow_peak_cavity_freq_domain(self):
+        c, N = 0.03, 0.8
+        rep = stationary_qfi_rate_freq(cavity_omega_family(c), 0.0, squeezed_input(N))
+        target = 16.0 * N * (N + 1.0) / c**2
+        assert abs(rep.value - target) < 1e-8 * target
 
     def test_passive_vacuum_rate_vanishes(self):
         fam = cavity_omega_family(1.3)
@@ -145,7 +152,50 @@ class TestStationaryRates:
             V = InputCovariance(*random_pure_input(rng, 1))
             ft = stationary_qfi_rate_time(fam, 0.0, V).value
             ff = stationary_qfi_rate_freq(fam, 0.0, V).value
-            assert abs(ft - ff) <= 1e-3 * max(abs(ft), 1e-9)
+            assert abs(ft - ff) <= 1e-8 * max(abs(ft), 1e-9)
+
+    def test_time_freq_agreement_two_channel_coupling_families(self, rng):
+        # C depends on theta and m = 2: the integrand decays only as 1/w^2
+        for n in (1, 2, 2):
+            fam = random_active_family(rng, n=n, m=2, vary_coupling=True)
+            V = InputCovariance(*random_pure_input(rng, 2))
+            ft = stationary_qfi_rate_time(fam, 0.0, V).value
+            ff = stationary_qfi_rate_freq(fam, 0.0, V).value
+            assert abs(ft - ff) <= 1e-8 * abs(ft)
+
+    def test_both_routes_take_three_evaluations(self, rng):
+        fam = random_active_family(rng, n=2, m=1)
+        calls = []
+
+        def counted(theta):
+            calls.append(theta)
+            return fam.evaluate(theta)
+
+        counting = ParamFamily(evaluate=counted, fd_step=fam.fd_step)
+        V = InputCovariance(*random_pure_input(rng, 1))
+        for route in (stationary_qfi_rate_time, stationary_qfi_rate_freq):
+            calls.clear()
+            route(counting, 0.0, V)
+            assert len(calls) == 3
+
+    def test_theta_dependent_scattering_dpsi(self):
+        fam, _ = squeezing_family()
+        V = squeezed_input(0.4)
+        omegas = np.linspace(-4.0, 4.0, 33)
+        h = 1e-5
+        dPsi, _ = _dpsi(fam.evaluate(0.0), V.matrix(), omegas, fam.derivatives(0.0))
+        fd = (power_spectrum(fam.evaluate(h), V, -1j * omegas)
+              - power_spectrum(fam.evaluate(-h), V, -1j * omegas)) / (2 * h)
+        assert np.max(np.abs(dPsi - fd)) <= 1e-8 * np.max(np.abs(fd))
+        with pytest.raises(ValueError, match="scattering"):
+            stationary_qfi_rate_time(fam, 0.0, V)
+
+    def test_freq_route_raises_when_not_converged(self):
+        # S(theta) squeezes a squeezed input: dPsi tends to a nonzero constant
+        # at large |w|, so the rate diverges and no rule can converge
+        fam, _ = squeezing_family()
+        with pytest.raises(RuntimeError, match="did not converge"):
+            stationary_qfi_rate_freq(fam, 0.0, squeezed_input(0.4))
 
     def test_rates_nonnegative(self, rng):
         for _ in range(5):

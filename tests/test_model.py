@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from qls.algebra import Delta, du_blocks, flat_unitary_residual, jmat
+from qls.algebra import Delta, du_blocks, flat_adjoint, flat_unitary_residual, jmat
 from qls.model import (
+    ParamFamily,
     QLSystem,
+    StateSpace,
     check_pr,
     concatenate,
     controllability_matrix,
     default_grid,
+    freq_response,
     gauge_transform,
     is_hurwitz,
     is_minimal,
@@ -17,9 +20,10 @@ from qls.model import (
     tf_equal,
     transfer_function,
 )
-from qls.sampling import random_qlsystem, random_symplectic
+from qls.sampling import random_pure_input, random_qlsystem, random_symplectic
+from qls.stationary import InputCovariance, power_spectrum
 
-from conftest import cavity, dpa, eigs_close, two_mode_cascade_example
+from conftest import cavity, dpa, eigs_close, squeezing_family, two_mode_cascade_example
 
 
 class TestDriftMatrix:
@@ -116,6 +120,68 @@ class TestTransferFunction:
             Xi = transfer_function(sys, -1j * 0.6)
             block = du_blocks(Xi)[0]
             assert np.linalg.norm(block @ block.conj().T - np.eye(2)) < 1e-10
+
+
+def per_point_tf(sys, s):
+    """The dense one-point formula (1 - C (s - A)^{-1} C^b) S."""
+    X = np.linalg.solve(s * np.eye(2 * sys.n) - sys.A, flat_adjoint(sys.C))
+    return (np.eye(2 * sys.m) - sys.C @ X) @ sys.S
+
+
+GRID = np.concatenate([-1j * np.linspace(-6.0, 6.0, 97), 0.4 + 1j * np.linspace(-3.0, 3.0, 11)])
+
+
+class TestFreqResponse:
+    def test_matches_per_point_loop(self, rng):
+        for n, m in ((1, 1), (2, 1), (3, 2)):
+            base = random_qlsystem(rng, n, m)
+            sys = QLSystem(S=random_symplectic(rng, m), C=base.C, Omega=base.Omega)
+            stack = freq_response(sys, GRID)
+            loop = np.array([per_point_tf(sys, s) for s in GRID])
+            assert stack.shape == (len(GRID), 2 * m, 2 * m)
+            assert np.max(np.abs(stack - loop)) <= 1e-12 * np.max(np.abs(loop))
+            for s, X in zip(GRID, stack):
+                assert np.array_equal(transfer_function(sys, s), X)
+
+    def test_power_spectrum_matches_per_point_loop(self, rng):
+        for n, m in ((1, 1), (2, 2)):
+            sys = random_qlsystem(rng, n, m)
+            V = InputCovariance(*random_pure_input(rng, m))
+            stack = power_spectrum(sys, V, GRID)
+            loop = np.array([
+                per_point_tf(sys, s) @ V.matrix() @ per_point_tf(sys, -np.conj(s)).conj().T
+                for s in GRID
+            ])
+            assert np.max(np.abs(stack - loop)) <= 1e-12 * np.max(np.abs(loop))
+            assert np.array_equal(power_spectrum(sys, V, GRID[3]), stack[3])
+
+    def test_tangent_matches_central_differences(self, rng):
+        base = random_qlsystem(rng, 2, 2)
+        dC = 0.3 * Delta(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
+        dOm = Delta(np.array([[0.5, 0.2j], [-0.2j, -0.1]]), np.array([[0.1, 0.3], [0.3, 0.0]]))
+
+        def at(theta):
+            return QLSystem(S=base.S, C=base.C + theta * dC, Omega=base.Omega + theta * dOm)
+
+        fam, tangent_s = squeezing_family()
+        for sys_at, tangent in ((at, (np.zeros((4, 4)), dC, dOm)), (fam.evaluate, tangent_s)):
+            h = 1e-5
+            Xi, dXi = freq_response(sys_at(0.0), GRID, tangent)
+            fd = (freq_response(sys_at(h), GRID) - freq_response(sys_at(-h), GRID)) / (2 * h)
+            plain = freq_response(sys_at(0.0), GRID)
+            assert np.max(np.abs(Xi - plain)) <= 1e-13 * np.max(np.abs(plain))
+            assert np.max(np.abs(dXi - fd)) <= 1e-8 * np.max(np.abs(fd))
+
+    def test_pole_check_names_the_point(self):
+        sys = cavity(2.0, 0.0)
+        with pytest.raises(ValueError, match=r"\(-1"):
+            freq_response(sys, [-0.5j, -1.0, 0.3])
+
+    def test_no_modes_and_empty_grid(self, rng):
+        S = random_symplectic(rng, 1)
+        sys = QLSystem(S=S, C=np.zeros((2, 0)), Omega=np.zeros((0, 0)))
+        assert np.array_equal(freq_response(sys, [0.1j, -2j]), np.array([S, S]))
+        assert freq_response(cavity(), []).shape == (0, 2, 2)
 
 
 class TestMinimalityStability:
@@ -306,6 +372,15 @@ class TestValidation:
         for M in (sys.S, sys.C, sys.Omega, sys.A, sys.poles):
             with pytest.raises(ValueError):
                 M[0, ...] = 0.0
+
+    def test_equality_and_hash_by_identity(self):
+        a, b = cavity(), cavity()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+        ss = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]], D=[[1.0]])
+        V = InputCovariance.vacuum(1)
+        assert ss == ss and hash(ss) == hash(ss)
+        assert V != InputCovariance.vacuum(1) and hash(V) == hash(V)
 
     def test_caller_array_is_copied(self):
         C = Delta([[1.0]], [[0.0]])
