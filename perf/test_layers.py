@@ -1,0 +1,104 @@
+"""Per-call cost of the package's layers, with pytest-benchmark.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest perf/test_layers.py \
+        --benchmark-json=layers.json
+
+This directory sits outside ``testpaths``, so the test suite does not
+collect it.  Only public names are used, so the same file also times older
+checkouts.  Inputs are seeded: one passive-plus-weakly-active system with n
+modes and one channel per size, a squeezed input and a generic flat Gram
+matrix.
+"""
+
+import numpy as np
+import pytest
+
+from qls import (
+    Delta,
+    InputCovariance,
+    QLSystem,
+    factor_flat_gram,
+    flat_adjoint,
+    is_hurwitz,
+    jmat,
+    ps_as_rational,
+    solve_lyapunov,
+    tf_as_rational,
+    williamson,
+)
+from qls.algebra import gramian_flat
+from qls.model import freq_response
+
+SIZES = (2, 8, 32)
+
+
+def _cplx(rng, shape, scale=1.0):
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _system(n, m=1):
+    """Seeded Hurwitz system: passive couplings plus 5 % active parts."""
+    rng = np.random.default_rng(n)
+    while True:
+        Om1 = _cplx(rng, (n, n))
+        Om2 = _cplx(rng, (n, n), 0.05)
+        sys = QLSystem.from_blocks(_cplx(rng, (m, n)), _cplx(rng, (m, n), 0.05),
+                                   0.5 * (Om1 + Om1.conj().T), 0.5 * (Om2 + Om2.T))
+        if is_hurwitz(sys):
+            return sys
+
+
+def _flat_gram(n):
+    """T^b T for a seeded doubled-up T near the identity: a generic input of factor_flat_gram."""
+    rng = np.random.default_rng(100 + n)
+    T = Delta(np.eye(n) + _cplx(rng, (n, n), 0.3 / np.sqrt(n)), _cplx(rng, (n, n), 0.2 / np.sqrt(n)))
+    return flat_adjoint(T) @ T
+
+
+INPUT = InputCovariance([[0.3]], [[np.sqrt(0.3 * 1.3) * np.exp(0.4j)]])  # pure squeezed
+
+
+@pytest.fixture(scope="module", params=SIZES, ids=lambda n: f"n{n}")
+def sys(request):
+    return _system(request.param)
+
+
+def test_jmat(benchmark, sys):
+    benchmark(jmat, sys.n)
+
+
+def test_flat_adjoint(benchmark, sys):
+    benchmark(flat_adjoint, sys.C)
+
+
+def test_qlsystem_construction(benchmark, sys):
+    benchmark(QLSystem, S=sys.S, C=sys.C, Omega=sys.Omega)
+
+
+def test_freq_response_per_point(benchmark, sys):
+    benchmark(freq_response, sys, [0.1 - 1.7j])
+
+
+def test_solve_lyapunov(benchmark, sys):
+    benchmark(solve_lyapunov, sys, INPUT)
+
+
+def test_gramian_flat(benchmark, sys):
+    benchmark(gramian_flat, sys.A, sys.C)
+
+
+def test_williamson(benchmark, sys):
+    P = solve_lyapunov(sys, INPUT).P
+    benchmark(williamson, P, sys.n)
+
+
+def test_factor_flat_gram(benchmark, sys):
+    benchmark(factor_flat_gram, _flat_gram(sys.n))
+
+
+def test_tf_as_rational(benchmark, sys):
+    benchmark(tf_as_rational, sys)
+
+
+def test_ps_as_rational(benchmark, sys):
+    benchmark(ps_as_rational, sys, INPUT)

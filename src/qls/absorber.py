@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Delta, flat_adjoint, williamson
+from .algebra import Delta, flat_adjoint
 from .model import QLSystem, check_pr, default_grid, gauge_transform, is_hurwitz, series_product
 from .stationary import (
     GM_TOL,
@@ -50,7 +50,7 @@ def canonicalize_stationary(sys, gm_tol=GM_TOL):
     if not is_hurwitz(sys):
         raise ValueError("system must be Hurwitz")
     state = solve_lyapunov(sys, InputCovariance.vacuum(sys.m))
-    res = williamson(state.P, sys.n)
+    res = state.normal_form
     scale = max(1.0, float(np.linalg.norm(state.P)))
     if np.min(res.symplectic_eigenvalues) <= gm_tol * scale:
         raise ValueError(

@@ -9,14 +9,14 @@ has the block form
 and the *flat adjoint* is M^b = J M^dag J with J = diag(1, -1) blockwise.
 Symplectic matrices are doubled-up with S^b S = 1; they preserve the
 canonical commutation relations.  This module also provides the Williamson
-normal form of a Gaussian covariance and the flat-Gram factorization
-T^b T = G used by every realization algorithm.
+normal form of a Gaussian covariance, the flat-Gram factorization
+T^b T = G used by every realization algorithm and ``lyap``, the package's
+one Lyapunov solver; only ``lyap`` needs (and imports) ``scipy.linalg``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig, solve_sylvester
 
 TOL_STRUCT = 1e-10  # relative, doubled-up structure checks
 TOL_NUM = 1e-8      # relative, algebraic residuals
@@ -80,7 +80,8 @@ def flat_adjoint(M):
     """Symplectic adjoint M^b = J_m M^dag J_n.  An involution on doubled-up matrices."""
     M = np.asarray(M, dtype=complex)
     n2, m2 = M.shape
-    return jmat(m2 // 2) @ M.conj().T @ jmat(n2 // 2)
+    sign_m, sign_n = (np.repeat([1.0, -1.0], k // 2) for k in (m2, n2))  # diagonals of J
+    return M.conj().T * np.outer(sign_m, sign_n)
 
 
 def is_symplectic(M, tol=TOL_NUM):
@@ -121,10 +122,14 @@ class WilliamsonResult:
 
     ``transform`` is symplectic and satisfies
     transform @ V @ transform.conj().T = diag(n_i + 1) (+) diag(n_i).
+    Both arrays are read-only, as results are cached and shared.
     """
 
     symplectic_eigenvalues: np.ndarray
     transform: np.ndarray
+
+    def __post_init__(self):
+        self.symplectic_eigenvalues.flags.writeable = self.transform.flags.writeable = False
 
 
 def williamson(V, n=None, tol=TOL_NUM):
@@ -151,7 +156,7 @@ def williamson(V, n=None, tol=TOL_NUM):
         raise ValueError(f"covariance shape {V.shape} does not match {n} modes")
     J = jmat(n)
     # eig(JV) = {n_i + 1, -n_i}; pair eigenvalues mu with 1 - mu' across the gap.
-    vals, vecs = eig(J @ V)
+    vals, vecs = np.linalg.eig(J @ V)
     order = np.argsort(vals.real)
     vals, vecs = vals[order], vecs[:, order]
     if np.linalg.norm(vals.imag) > 1e-6 * max(1.0, np.linalg.norm(vals.real)):
@@ -210,9 +215,13 @@ def vacuum_basis_transform(N, M, tol=TOL_NUM):
     nus = williamson(V, m).symplectic_eigenvalues
     if np.max(nus) > 1e-6 * max(1.0, np.linalg.norm(V)):
         raise ValueError(f"input covariance is mixed (max symplectic eigenvalue {np.max(nus):.3e})")
-    root = _herm_sqrt(N.T + np.eye(m))
-    S = Delta(root, M @ np.linalg.inv(_herm_sqrt(N.conj().T + np.eye(m))))
-    return S
+    return _vacuum_basis(N, M)
+
+
+def _vacuum_basis(N, M):
+    """The transform of ``vacuum_basis_transform`` without its purity check."""
+    eye = np.eye(N.shape[0])
+    return Delta(_herm_sqrt(N.T + eye), M @ np.linalg.inv(_herm_sqrt(N.conj().T + eye)))
 
 
 def _herm_sqrt(H):
@@ -273,7 +282,7 @@ def factor_flat_gram(G, tol=TOL_NUM):
             return np.sqrt(g) * np.eye(n2, dtype=complex)
         return Delta(np.zeros((n, n)), np.sqrt(-g) * np.eye(n))
 
-    vals, vecs = eig(G)
+    vals, vecs = np.linalg.eig(G)
     if np.min(np.abs(vals)) < 1e-12 * scale:
         raise ValueError("singular input")
     # semisimplicity: eigenvector matrix must be well conditioned relative to spectrum gaps
@@ -362,10 +371,28 @@ def factor_flat_gram(G, tol=TOL_NUM):
     return T
 
 
+def lyap(X, Q):
+    """Solve X M + M X^dag = Q by Bartels-Stewart (unique for Hurwitz X).
+
+    One Schur form X = U R U^dag, one LAPACK ``trsyl`` solve of
+    R Y + Y R^dag = U^dag Q U, and M = U Y U^dag.  Imports ``scipy.linalg``.
+    """
+    from scipy.linalg import get_lapack_funcs, schur
+
+    X = np.asarray(X)
+    if X.size == 0:
+        return np.zeros(np.shape(Q), dtype=complex)
+    R, U = schur(X, output="real")
+    F = np.dot(np.dot(U.conj().T, Q), U)
+    (trsyl,) = get_lapack_funcs(("trsyl",), (R, R, F))
+    Y, scale, _ = trsyl(R, R, F, tranb="C")
+    return np.dot(np.dot(U, scale * Y), U.conj().T)
+
+
 def gramian_flat(A0, C0):
     """The flat Gramian  int_0^inf J (C0 e^{A0 t})^dag J (C0 e^{A0 t}) dt.
 
-    Computed by solving the Sylvester form A0^dag M + M A0 + C0^dag J C0 = 0
+    Computed by solving the Lyapunov form A0^dag M + M A0 + C0^dag J C0 = 0
     and returning J M; valid for Hurwitz A0.
     """
     A0 = np.asarray(A0, dtype=complex)
@@ -373,5 +400,5 @@ def gramian_flat(A0, C0):
     n2 = A0.shape[0]
     Jn = jmat(n2 // 2)
     Jm = jmat(C0.shape[0] // 2)
-    M = solve_sylvester(A0.conj().T, A0, -(C0.conj().T @ Jm @ C0))
+    M = lyap(A0.conj().T, -(C0.conj().T @ Jm @ C0))
     return Jn @ M

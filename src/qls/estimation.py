@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_sylvester
 
-from .algebra import jmat
+from .algebra import jmat, lyap
 from .model import ParamFamily, QLSystem, freq_response, is_hurwitz, spectral_gap
 from .stationary import InputCovariance, solve_lyapunov
 
@@ -120,7 +119,10 @@ def squeezed_coherent_qfi(dlambda=None, L=None, E=1.0):
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(k):
-    return np.polynomial.legendre.leggauss(k)
+    """k Gauss-Legendre nodes and weights on [-1, 1] (cached and shared, so read-only)."""
+    x, w = np.polynomial.legendre.leggauss(k)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _panel_edges(poles, c):
@@ -226,7 +228,7 @@ def stationary_qfi_rate_time(family, theta0, V):
     m, n = sys0.m, sys0.n
     Jm, Jn = jmat(m), jmat(n)
     X = 0.5 * dOm + (dC.conj().T @ Jm @ C - C.conj().T @ Jm @ dC) / (4j)
-    B = solve_sylvester(A.conj().T, A, -X)
+    B = lyap(A.conj().T, -X)
     # along a pure gauge direction dC = -i C J R one finds B = R/2, so the
     # displacement generator D vanishes there, as it must
     D = dC + 2j * C @ Jn @ B

@@ -20,7 +20,6 @@ frequency data.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_sylvester
 
 from .algebra import (
     Delta,
@@ -30,11 +29,13 @@ from .algebra import (
     gramian_flat,
     is_doubled_up,
     jmat,
+    lyap,
     sigma_swap,
 )
 from .model import (
     QLSystem,
     StateSpace,
+    freq_response,
     series_product,
     transfer_function,
 )
@@ -87,25 +88,24 @@ class RationalMatrixFunction:
         return complex(self(s)[0, 0])
 
 
-def _residue_by_limit(f, pole, eps=RESIDUE_EPS):
-    """Residue of f at `pole` by averaging (s - p) f(s) on a small circle."""
-    acc = None
-    for theta in (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi):
-        s = pole + eps * np.exp(1j * theta)
-        val = (s - pole) * np.atleast_2d(np.asarray(f(s), dtype=complex))
-        acc = val if acc is None else acc + val
-    return acc / 4.0
-
-
 def rational_from_callable(f, poles, constant):
-    """Build a RationalMatrixFunction by limit evaluation at known pole locations."""
-    residues = [_residue_by_limit(f, p) for p in poles]
+    """Build a RationalMatrixFunction by limit evaluation at known pole locations.
+
+    Each residue averages (s - p) f(s) over four points on a circle of radius
+    RESIDUE_EPS around p; `f` maps a grid to a stack and is called once.
+    """
+    poles = np.asarray(poles, dtype=complex).reshape(-1)
+    offsets = [RESIDUE_EPS * np.exp(1j * t) for t in (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)]
+    s = (poles[:, None] + np.array(offsets)).ravel()
+    vals = (s - np.repeat(poles, 4))[:, None, None] * f(s)
+    vals = vals.reshape(len(poles), 4, *vals.shape[1:])
+    residues = (((vals[:, 0] + vals[:, 1]) + vals[:, 2]) + vals[:, 3]) / 4.0
     return RationalMatrixFunction(constant=constant, poles=tuple(poles), residues=residues)
 
 
 def tf_as_rational(sys):
     """Pole/residue form of the transfer function, poles read off eig(A)."""
-    return rational_from_callable(lambda s: transfer_function(sys, s), sys.poles, sys.S)
+    return rational_from_callable(lambda s: freq_response(sys, s), sys.poles, sys.S)
 
 
 def ps_as_rational(sys, V):
@@ -121,10 +121,7 @@ def ps_as_rational(sys, V):
     J = jmat(sys.m)
     const = rotated.S @ vacuum_covariance(sys.m) @ flat_adjoint(rotated.S)
 
-    def f(s):
-        return power_spectrum(rotated, vac, s) @ J
-
-    return rational_from_callable(f, poles, const)
+    return rational_from_callable(lambda s: power_spectrum(rotated, vac, s) @ J, poles, const)
 
 
 def _rank_one_factor(R, tol=1e-6):
@@ -601,7 +598,7 @@ def ps_realize(ps, return_details=False):
 
 def _lyap_noise(A0, Q):
     """Solve A0^dag M + M A0 + Q = 0."""
-    return solve_sylvester(A0.conj().T, A0, -Q)
+    return lyap(A0.conj().T, -Q)
 
 
 def noisy_realize(ss, n_noise, rng=None, restarts=50, tol=1e-8):

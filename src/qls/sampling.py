@@ -5,7 +5,6 @@ suites and CLI sweeps are reproducible.
 """
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import Delta, jmat
 from .model import QLSystem, is_hurwitz
@@ -26,6 +25,8 @@ def random_hermitian_doubled_up(rng, n, scale=1.0):
 
 def random_symplectic(rng, n, scale=0.5):
     """Random symplectic exp(-i J R) with R Hermitian doubled-up."""
+    from scipy.linalg import expm  # scipy.linalg is loaded only where it is needed
+
     R = random_hermitian_doubled_up(rng, n, scale)
     return expm(-1j * jmat(n) @ R)
 

@@ -14,20 +14,24 @@ smaller system has the same power spectrum) iff its stationary state is
 fully mixed, i.e. all symplectic eigenvalues of P are strictly positive.
 """
 
+import copy
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_sylvester
 
 from .algebra import (
+    WilliamsonResult,
+    _vacuum_basis,
     du_blocks,
     flat_adjoint,
-    vacuum_basis_transform,
+    lyap,
     williamson,
 )
 from .model import (
     QLSystem,
     StateSpace,
+    _frozen,
     controllability_matrix,
     freq_response,
     gauge_transform,
@@ -50,15 +54,18 @@ class InputCovariance:
     """Stationary Gaussian field state V(N, M) = [[N^T+1, M], [M^dag, N]].
 
     N must be Hermitian and M symmetric; the state must be physical
-    (V has nonnegative symplectic spectrum).  Compared by identity.
+    (V has nonnegative symplectic spectrum).  Instances are immutable: N
+    and M are read-only private copies, so ``matrix()`` and the Williamson
+    decomposition ``normal_form``, both computed once, never go stale.
+    Compared by identity.
     """
 
     N: np.ndarray
     M: np.ndarray
 
     def __post_init__(self):
-        N = np.atleast_2d(np.asarray(self.N, dtype=complex))
-        M = np.atleast_2d(np.asarray(self.M, dtype=complex))
+        N = _frozen(np.atleast_2d(self.N))
+        M = _frozen(np.atleast_2d(self.M))
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "M", M)
         if N.shape != M.shape or N.shape[0] != N.shape[1]:
@@ -68,34 +75,48 @@ class InputCovariance:
             raise ValueError("N must be Hermitian")
         if np.linalg.norm(M - M.T) > 1e-9 * scale:
             raise ValueError("M must be symmetric")
-        williamson(self.matrix(), self.m)  # physicality check
+        V = np.block([[N.T + np.eye(len(N)), M], [M.conj().T, N]])
+        V.flags.writeable = False
+        object.__setattr__(self, "_matrix", V)
+        # the Williamson decomposition doubles as the physicality check
+        object.__setattr__(self, "normal_form", williamson(V, len(N)))
 
     @property
     def m(self):
         return self.N.shape[0]
 
     def matrix(self):
-        """The full 2m x 2m covariance V(N, M)."""
-        m = self.m
-        return np.block([[self.N.T + np.eye(m), self.M], [self.M.conj().T, self.N]])
+        """The full 2m x 2m covariance V(N, M) (read-only)."""
+        return self._matrix
 
     @property
     def is_pure(self):
-        nus = williamson(self.matrix(), self.m).symplectic_eigenvalues
+        nus = self.normal_form.symplectic_eigenvalues
         return bool(np.max(nus) <= GM_TOL * max(1.0, np.linalg.norm(self.matrix())))
 
     @staticmethod
     def vacuum(m):
-        return InputCovariance(np.zeros((m, m)), np.zeros((m, m)))
+        """The m-channel vacuum: a copy of one cached instance, sharing its read-only arrays."""
+        return copy.copy(_vacuum(m))
+
+
+@lru_cache(maxsize=None)
+def _vacuum(m):
+    return InputCovariance(np.zeros((m, m)), np.zeros((m, m)))
 
 
 @dataclass(frozen=True)
 class StationaryState:
-    """Stationary covariance P with its symplectic spectrum and solve residual."""
+    """Stationary covariance P with its Williamson normal form and solve residual."""
 
     P: np.ndarray
-    symplectic_spectrum: np.ndarray
+    normal_form: WilliamsonResult
     residual: float
+
+    @property
+    def symplectic_spectrum(self):
+        """Symplectic eigenvalues of P, ascending."""
+        return self.normal_form.symplectic_eigenvalues
 
 
 def _noise_matrix(sys, V):
@@ -108,9 +129,9 @@ def _noise_matrix(sys, V):
 def solve_lyapunov(sys, V):
     """Stationary covariance of a Hurwitz system for input V.
 
-    Solves A P + P A^dag + C^b S V S^dag (C^b)^dag = 0 by a dense Sylvester
-    solve (intended scale: up to a few tens of modes) and reports the
-    relative residual and the symplectic spectrum of P.
+    Solves A P + P A^dag + C^b S V S^dag (C^b)^dag = 0 with ``algebra.lyap``
+    (intended scale: up to a few tens of modes) and reports the relative
+    residual and the Williamson normal form of P.
 
     Raises ValueError when the system is not Hurwitz (no unique solution).
     """
@@ -118,12 +139,11 @@ def solve_lyapunov(sys, V):
         raise ValueError("Lyapunov equation has no unique solution: system is not Hurwitz")
     A = sys.A
     Q = _noise_matrix(sys, V)
-    P = solve_sylvester(A, A.conj().T, -Q)
+    P = lyap(A, -Q)
     P = 0.5 * (P + P.conj().T)  # A P + P A^dag symmetrises exactly
     scale = max(1.0, np.linalg.norm(A) * np.linalg.norm(P) + np.linalg.norm(Q))
     resid = np.linalg.norm(A @ P + P @ A.conj().T + Q) / scale
-    nus = williamson(P, sys.n).symplectic_eigenvalues
-    return StationaryState(P=P, symplectic_spectrum=nus, residual=float(resid))
+    return StationaryState(P=P, normal_form=williamson(P, sys.n), residual=float(resid))
 
 
 def power_spectrum(sys, V, s):
@@ -143,10 +163,9 @@ def power_spectrum(sys, V, s):
 
 def _vacuum_rotated(sys, V):
     """Rotate the field so the (pure) input becomes vacuum: C -> S_in^b C etc."""
-    if V.is_pure:
-        Sin = vacuum_basis_transform(V.N, V.M)
-    else:
+    if not V.is_pure:
         raise ValueError("vacuum rotation needs a pure input covariance")
+    Sin = _vacuum_basis(V.N, V.M)
     Sb = flat_adjoint(Sin)
     S2 = Sb @ sys.S @ Sin
     C2 = Sb @ sys.C
@@ -229,7 +248,7 @@ def pure_mixed_split(sys, V, gm_tol=GM_TOL):
         raise ValueError("pure/mixed split expects a minimal Hurwitz system")
     rotated, Sin = _vacuum_rotated(sys, V)
     state = solve_lyapunov(rotated, InputCovariance.vacuum(sys.m))
-    res = williamson(state.P, sys.n)
+    res = state.normal_form
     canon = gauge_transform(rotated, res.transform)
     nus = res.symplectic_eigenvalues  # ascending; transform delivers this mode order
     scale = max(1.0, float(np.linalg.norm(state.P)))

@@ -10,6 +10,7 @@ from qls.algebra import (
     is_doubled_up,
     is_symplectic,
     jmat,
+    lyap,
     sigma_swap,
     vacuum_basis_transform,
     williamson,
@@ -39,6 +40,24 @@ class TestFlatAdjoint:
             A = random_du(rng, 2, 3)
             B = random_du(rng, 3, 2)
             assert np.allclose(flat_adjoint(A @ B), flat_adjoint(B) @ flat_adjoint(A), atol=1e-10)
+
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (2, 6), (8, 4), (0, 4)])
+    def test_sign_scaling_equals_j_products(self, rng, rows, cols):
+        M = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        assert np.array_equal(flat_adjoint(M), jmat(cols // 2) @ M.conj().T @ jmat(rows // 2))
+
+
+class TestLyap:
+    @pytest.mark.parametrize("n", [0, 1, 2, 4, 8, 32])
+    def test_bit_identical_to_sylvester_solve(self, rng, n):
+        from scipy.linalg import solve_sylvester
+
+        X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        X -= (2.0 * np.sqrt(n) + 1.0) * np.eye(n)  # Hurwitz: unique solution
+        Q = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        M = lyap(X, Q)
+        assert np.array_equal(M, solve_sylvester(X, X.conj().T, Q))
+        assert np.linalg.norm(X @ M + M @ X.conj().T - Q) <= 1e-12 * max(1.0, np.linalg.norm(Q))
 
 
 class TestIsSymplectic:

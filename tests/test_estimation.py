@@ -4,6 +4,7 @@ import pytest
 from qls.algebra import du_blocks
 from qls.estimation import (
     _dpsi,
+    _gauss_legendre,
     coherent_qfi,
     destabilized_scaling_check,
     ensemble_coupling_profile,
@@ -286,3 +287,11 @@ class TestEnsembleProfile:
     def test_invalid_kappa(self):
         with pytest.raises(ValueError):
             ensemble_coupling_profile(-1.0)
+
+
+def test_gauss_legendre_rules_are_shared_read_only():
+    x, w = _gauss_legendre(8)
+    assert _gauss_legendre(8)[0] is x
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0

@@ -73,6 +73,19 @@ def workdir(tmp_path):
     return tmp_path
 
 
+def _run_python(args, check=True):
+    """Run a fresh interpreter on this checkout's package."""
+    import os
+    import subprocess
+    import sys
+
+    import qls
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qls.__file__)))
+    return subprocess.run([sys.executable] + args, env=env, capture_output=True, text=True,
+                          check=check, timeout=120)
+
+
 def write(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -281,19 +294,32 @@ class TestCli:
             assert np.linalg.norm(qio.matrix_from_json(value) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_import_leaves_optimize_and_integrate_unloaded(self):
-        import os
-        import subprocess
-        import sys
-
-        import qls
-
-        src = os.path.dirname(os.path.dirname(qls.__file__))
-        code = ("import sys, qls; print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
-                "if m in sys.modules))")
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                             check=True, timeout=120)
+        code = ("import sys, qls; print(sorted(m for m in "
+                "('scipy.optimize', 'scipy.integrate', 'scipy.linalg') if m in sys.modules))")
+        out = _run_python(["-c", code])
         assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command, loads_linalg", [
+        (["validate", "{sys}"], False),
+        (["tf", "{sys}", "--grid", "[[0, 1], [0, -2]]"], False),
+        (["ps", "{sys}", "--input", "{input}"], False),
+        (["gm", "{sys}"], True),
+    ])
+    def test_cli_loads_scipy_linalg_only_for_lyapunov_solves(self, workdir, rng, command,
+                                                              loads_linalg):
+        """`python -m qls.cli` commands without a Lyapunov solve never import scipy.linalg."""
+        paths = {
+            "sys": write(workdir / "sys.json", qio.system_to_json(absorber_two_mode_example())),
+            "input": write(workdir / "v.json",
+                           qio.input_to_json(InputCovariance(*random_pure_input(rng, 1)))),
+        }
+        probe = ("import atexit, runpy, sys; atexit.register(lambda: print("
+                 "'scipy.linalg' in sys.modules, file=sys.stderr)); "
+                 "sys.argv[0] = 'qls'; runpy.run_module('qls.cli', run_name='__main__')")
+        args = [part.format(**paths) for part in command] + ["-o", str(workdir / "out.json")]
+        out = _run_python(["-c", probe] + args, check=False)
+        assert out.returncode == 0, out.stderr
+        assert out.stderr.strip().splitlines()[-1] == str(loads_linalg)
 
     def test_determinism_across_runs(self, workdir):
         p = write(workdir / "sys.json", qio.system_to_json(absorber_two_mode_example()))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qls.algebra import du_blocks, flat_adjoint, is_doubled_up
+from qls.algebra import du_blocks, flat_adjoint, is_doubled_up, jmat
 from qls.model import (
     QLSystem,
     StateSpace,
@@ -13,6 +13,7 @@ from qls.model import (
 from qls.realization import (
     CascadeRealization,
     IdentificationError,
+    RESIDUE_EPS,
     OneModeParams,
     RationalMatrixFunction,
     accessible_block,
@@ -27,9 +28,17 @@ from qls.realization import (
     tf_as_rational,
 )
 from qls.sampling import random_qlsystem
-from qls.stationary import InputCovariance, is_globally_minimal, power_spectrum
+from qls.stationary import InputCovariance, _vacuum_rotated, is_globally_minimal, power_spectrum
 
-from conftest import active_one_mode_example, cavity, dpa, eigs_close, two_mode_cascade_example
+from conftest import (
+    absorber_two_mode_example,
+    active_one_mode_example,
+    cavity,
+    dpa,
+    eigs_close,
+    squeezed_input,
+    two_mode_cascade_example,
+)
 
 
 def scalar_parts(sys):
@@ -61,6 +70,45 @@ class TestRationalMatrixFunction:
         for s in default_grid(sys, 9):
             target = power_spectrum(sys, vac, s) @ jmat(1)
             assert np.linalg.norm(psr(s) - target) < 1e-6
+
+
+def per_point_residues(f, poles):
+    """Reference residues: (s - p) f(s) averaged over four circle points, one call per point."""
+    out = []
+    for p in poles:
+        acc = None
+        for theta in (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi):
+            s = p + RESIDUE_EPS * np.exp(1j * theta)
+            val = (s - p) * f(s)
+            acc = val if acc is None else acc + val
+        out.append(acc / 4.0)
+    return out
+
+
+README_EXAMPLES = [cavity, dpa, active_one_mode_example, two_mode_cascade_example,
+                   absorber_two_mode_example]
+
+
+class TestBatchedResidues:
+    @pytest.mark.parametrize("example", README_EXAMPLES)
+    def test_tf_as_rational_equals_per_point_loop(self, example):
+        sys = example()
+        tfr = tf_as_rational(sys)
+        ref = per_point_residues(lambda s: transfer_function(sys, s), sys.poles)
+        assert tfr.poles == tuple(complex(p) for p in sys.poles)
+        assert all(np.array_equal(R, r) for R, r in zip(tfr.residues, ref, strict=True))
+
+    @pytest.mark.parametrize("example", README_EXAMPLES)
+    @pytest.mark.parametrize("n_mean", [0.0, 0.4])
+    def test_ps_as_rational_equals_per_point_loop(self, example, n_mean):
+        sys = example()
+        V = squeezed_input(n_mean)
+        psr = ps_as_rational(sys, V)
+        rotated, _ = _vacuum_rotated(sys, V)
+        vac, J = InputCovariance.vacuum(1), jmat(1)
+        poles = np.concatenate([rotated.poles, -rotated.poles.conj()])
+        ref = per_point_residues(lambda s: power_spectrum(rotated, vac, s) @ J, poles)
+        assert all(np.array_equal(R, r) for R, r in zip(psr.residues, ref, strict=True))
 
 
 class TestPassiveSisoCascade:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qls import absorber, algebra, stationary
+from qls.absorber import canonicalize_stationary
 from qls.algebra import jmat, williamson
 from qls.model import QLSystem, default_grid, gauge_transform, series_product, tf_equal
 from qls.sampling import random_pure_input, random_qlsystem, random_symplectic
@@ -36,6 +38,18 @@ class TestInputCovariance:
         with pytest.raises(ValueError):
             InputCovariance([[0.1 + 1j]], [[0.0]])
 
+    def test_private_read_only_copies(self):
+        N, M = np.array([[0.5]]), np.array([[0.3j]])
+        V = InputCovariance(N, M)
+        before = V.matrix().copy()
+        N[0, 0] = 7.0
+        M[0, 0] = 0.0
+        assert np.array_equal(V.matrix(), before)
+        assert V.matrix() is V.matrix() and V.normal_form is V.normal_form
+        for arr in (V.matrix(), V.N, V.M, V.normal_form.transform):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
 
 class TestSolveLyapunov:
     def test_passive_vacuum_settles_to_vacuum(self):
@@ -61,6 +75,44 @@ class TestSolveLyapunov:
         sys = QLSystem.from_blocks([[0.0]], [[0.0]], [[1.0]], [[0.0]])
         with pytest.raises(ValueError):
             solve_lyapunov(sys, InputCovariance.vacuum(1))
+
+
+class TestWilliamsonOnce:
+    """The Williamson form of P comes from solve_lyapunov and is reused downstream."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Dimensions of the matrices passed to williamson, in call order."""
+        dims = []
+        real = algebra.williamson
+
+        def counting(V, *args, **kwargs):
+            dims.append(np.shape(V)[0])
+            return real(V, *args, **kwargs)
+
+        for module in (algebra, stationary, absorber):
+            monkeypatch.setattr(module, "williamson", counting, raising=False)
+        return dims
+
+    def test_state_carries_normal_form(self):
+        st = solve_lyapunov(absorber_two_mode_example(), InputCovariance.vacuum(1))
+        assert st.symplectic_spectrum is st.normal_form.symplectic_eigenvalues
+
+    def test_canonicalize_stationary(self, calls):
+        sys = absorber_two_mode_example()  # n = 2 modes, m = 1 channel: P is 4 x 4
+        canonicalize_stationary(sys)
+        assert calls.count(2 * sys.n) == 1
+
+    def test_pure_mixed_split(self, calls):
+        sys = absorber_two_mode_example()
+        pure_mixed_split(sys, squeezed_input(0.3))
+        assert calls.count(2 * sys.n) == 1
+
+    def test_is_pure_adds_no_call(self, calls):
+        V = squeezed_input(0.8)
+        assert calls == [2]
+        assert V.is_pure and V.is_pure
+        assert calls == [2]
 
 
 class TestPowerSpectrum:
