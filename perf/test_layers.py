@@ -7,7 +7,8 @@ This directory sits outside ``testpaths``, so the test suite does not
 collect it.  Only public names are used, so the same file also times older
 checkouts.  Inputs are seeded: one passive-plus-weakly-active system with n
 modes and one channel per size, a squeezed input and a generic flat Gram
-matrix.
+matrix.  The ``dump_json`` cases time the emit stage of ``qls tf`` on the
+transfer function of a seeded 4-mode, 2-channel system (2m = 4).
 """
 
 import numpy as np
@@ -26,6 +27,7 @@ from qls import (
     tf_as_rational,
     williamson,
 )
+from qls import io as qio
 from qls.algebra import gramian_flat
 from qls.model import freq_response
 
@@ -102,3 +104,16 @@ def test_tf_as_rational(benchmark, sys):
 
 def test_ps_as_rational(benchmark, sys):
     benchmark(ps_as_rational, sys, INPUT)
+
+
+@pytest.mark.parametrize("points", (301, 25), ids=lambda k: f"K{k}")
+def test_dump_json_tf_payload(benchmark, points):
+    grid = -1j * np.linspace(-5.0, 5.0, points)
+    values = freq_response(_system(4, 2), grid)
+    try:
+        qio.dump_json({"grid": grid, "values": values})
+    except TypeError:  # a dump_json that takes lists only: time the conversion its `tf` does too
+        benchmark(lambda: qio.dump_json({"grid": [qio.complex_to_pair(s) for s in grid],
+                                         "values": [qio.matrix_to_json(X) for X in values]}))
+    else:
+        benchmark(qio.dump_json, {"grid": grid, "values": values})

@@ -202,18 +202,19 @@ def williamson(V, n=None, tol=TOL_NUM):
     return WilliamsonResult(symplectic_eigenvalues=nus, transform=W.conj().T)
 
 
-def vacuum_basis_transform(N, M, tol=TOL_NUM):
+def vacuum_basis_transform(N, M, tol=1e-6):
     """Symplectic S with S V_vac S^dag = V(N, M), for a pure input state.
 
     S = Delta((N^T+1)^{1/2}, M (N^dag + 1)^{-1/2}); only defined for pure
-    covariances, which is checked through the Williamson spectrum.
+    covariances, which is checked through the Williamson spectrum: every
+    symplectic eigenvalue must be at most tol * max(1, ||V||).
     """
     N = np.atleast_2d(np.asarray(N, dtype=complex))
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     m = N.shape[0]
     V = np.block([[N.T + np.eye(m), M], [M.conj().T, N]])
     nus = williamson(V, m).symplectic_eigenvalues
-    if np.max(nus) > 1e-6 * max(1.0, np.linalg.norm(V)):
+    if np.max(nus) > tol * max(1.0, np.linalg.norm(V)):
         raise ValueError(f"input covariance is mixed (max symplectic eigenvalue {np.max(nus):.3e})")
     return _vacuum_basis(N, M)
 

@@ -71,7 +71,7 @@ def _grid(sys, spec):
             raise InputError(f"grid must be 'auto' or a JSON list of [re, im] pairs: {exc}")
     if not isinstance(spec, list):
         raise InputError("grid must be 'auto' or a JSON list of [re, im] pairs")
-    return np.array([complex(v[0], v[1]) for v in spec])
+    return np.array([qio.pair_to_complex(v) for v in spec])
 
 
 def _emit(args, payload):
@@ -100,16 +100,14 @@ def cmd_validate(args):
 def cmd_tf(args):
     sys_ = _load_system(args.system)
     grid = _grid(sys_, args.grid)
-    values = [qio.matrix_to_json(X) for X in freq_response(sys_, grid)]
-    _emit(args, {"grid": [qio.complex_to_pair(s) for s in grid], "values": values})
+    _emit(args, {"grid": grid, "values": freq_response(sys_, grid)})
 
 
 def cmd_ps(args):
     sys_ = _load_system(args.system)
     V = _load_input(args.input, sys_.m)
     grid = _grid(sys_, args.grid)
-    values = [qio.matrix_to_json(Psi) for Psi in power_spectrum(sys_, V, grid)]
-    _emit(args, {"grid": [qio.complex_to_pair(s) for s in grid], "values": values})
+    _emit(args, {"grid": grid, "values": power_spectrum(sys_, V, grid)})
 
 
 def cmd_gm(args):

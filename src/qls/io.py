@@ -30,12 +30,24 @@ def complex_to_pair(z):
 
 
 def pair_to_complex(p):
-    return complex(p[0], p[1])
+    """The complex number of an [re, im] pair; ValueError unless p is two numbers."""
+    try:
+        re, im = p
+        if bool not in (type(re), type(im)):
+            return complex(re, im)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"expected an [re, im] pair of two numbers, got {p!r}")
+
+
+def _pairs(a):
+    """Float array of shape a.shape + (2,) holding the [re, im] pairs of a complex array."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], -1)
 
 
 def matrix_to_json(M):
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
-    return [[complex_to_pair(z) for z in row] for row in M]
+    return _pairs(np.atleast_2d(M)).tolist()
 
 
 def matrix_from_json(data):
@@ -138,14 +150,46 @@ def family_from_json(data):
     return ParamFamily(evaluate=evaluate, fd_step=fd_step)
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False)
+
+
 def dump_json(obj, path=None):
-    """Deterministic JSON text (sorted keys, fixed separators)."""
-    text = json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "),
-                      allow_nan=False)
+    """Deterministic JSON text (sorted keys, two-space indent, no NaN or infinity).
+
+    numpy arrays inside dicts are written in bulk as the [re, im] lists of
+    ``matrix_to_json``, in the same bytes as the standard encoder on that form.
+    """
+    text = _json_text(obj, 0)
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text + "\n")
     return text
+
+
+def _json_text(obj, depth):
+    """Indented JSON of obj as it stands `depth` containers deep."""
+    if isinstance(obj, np.ndarray):
+        return _array_text(_pairs(obj), depth)
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        pad = "\n" + "  " * (depth + 1)
+        items = [f"{_ENCODER.encode(k)}: {_json_text(v, depth + 1)}" for k, v in sorted(obj.items())]
+        return "{" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "}"
+    # encoded JSON strings hold no raw newline, so every newline is an indent to shift
+    return _ENCODER.encode(obj).replace("\n", "\n" + "  " * depth)
+
+
+def _array_text(pairs, depth):
+    """Indented JSON of the nested lists of a float array: one repr map, then one join per list."""
+    if not np.isfinite(pairs).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    if pairs.size == 0:
+        return _json_text(pairs.tolist(), depth)
+    items = list(map(float.__repr__, pairs.ravel().tolist()))
+    for level in reversed(range(pairs.ndim)):
+        size, pad = pairs.shape[level], "\n" + "  " * (depth + level + 1)
+        tail = "\n" + "  " * (depth + level) + "]"
+        items = ["[" + pad + ("," + pad).join(items[i:i + size]) + tail for i in range(0, len(items), size)]
+    return items[0]
 
 
 def load_json(path):

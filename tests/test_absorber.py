@@ -45,6 +45,28 @@ class TestCanonicalize:
 
 
 class TestDualSystem:
+    def test_one_cascade_no_spectrum(self, monkeypatch):
+        import qls.absorber as absorber
+
+        sys = absorber_two_mode_example()
+        calls = {"series_product": 0, "power_spectrum": 0}
+
+        def counted(name):
+            fn = getattr(absorber, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(absorber, name, counted(name))
+        res = dual_system(sys)
+        assert calls == {"series_product": 1, "power_spectrum": 0}
+        monkeypatch.undo()
+        canon = canonicalize_stationary(sys)["sys"]
+        assert res.purity_residual == verify_absorber(canon, res.dual)["purity_residual"]
+
     def test_one_mode_closed_form(self, rng):
         sys = gm_random_system(rng, 1)
         res = dual_system(sys)

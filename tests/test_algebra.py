@@ -151,6 +151,13 @@ class TestVacuumBasisTransform:
         with pytest.raises(ValueError):
             vacuum_basis_transform([[0.5]], [[0.0]])  # thermal: mixed
 
+    def test_tol_sets_purity_threshold(self):
+        n = 1e-8
+        m = np.sqrt(n * (n + 1.0)) - 1e-6  # slightly mixed: nu ~ 2e-10
+        vacuum_basis_transform([[n]], [[m]])  # within the default 1e-6 relative threshold
+        with pytest.raises(ValueError, match="mixed"):
+            vacuum_basis_transform([[n]], [[m]], tol=1e-30)
+
 
 class TestFactorFlatGram:
     def test_identity(self):

@@ -5,7 +5,7 @@ import pytest
 
 from qls import io as qio
 from qls.cli import main
-from qls.model import tf_equal
+from qls.model import default_grid, freq_response, tf_equal
 from qls.realization import ps_as_rational, tf_as_rational
 from qls.sampling import random_pure_input, random_qlsystem
 from qls.stationary import InputCovariance, power_spectrum
@@ -66,6 +66,47 @@ class TestJsonRoundtrips:
         a = qio.dump_json(qio.system_to_json(sys))
         b = qio.dump_json(qio.system_to_json(sys))
         assert a == b
+
+
+def _std_text(payload):
+    """The standard library encoder's text of a list payload, dump_json's reference."""
+    return json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False)
+
+
+def _pair_lists(a):
+    """Nested [re, im] lists of a complex array, built entry by entry."""
+    if np.ndim(a) == 0:
+        z = complex(a)
+        return [z.real, z.imag]
+    return [_pair_lists(x) for x in a]
+
+
+class TestDumpJsonArrays:
+    def test_equals_standard_encoder_on_list_form(self, rng):
+        grid = -1j * np.linspace(-2.0, 2.0, 9)
+        grid[0] = complex(-0.0, 5e-324)
+        stack = rng.standard_normal((9, 4, 4)) + 1j * rng.standard_normal((9, 4, 4))
+        stack[0, 0, 0] = complex(-0.0, -0.0)
+        stack[1, 2, 3] = complex(1e-300, 5e300)
+        stack[2, 1, 0] = complex(2.2e-310, -1.7e308)
+        matrix = rng.standard_normal((2, 3)) + 0j
+        plain = {"list": [1, [2.5, {}], []], "empty": {}, "k\u00e9y": "a\nb", "none": None}
+        payload = {"grid": grid, "values": stack, "pi": 3.14,
+                   "nested": dict(plain, matrix=matrix, row=np.zeros(0, dtype=complex),
+                                  rows=np.zeros((3, 0, 2), dtype=complex))}
+        lists = {"grid": [qio.complex_to_pair(s) for s in grid],
+                 "values": [qio.matrix_to_json(X) for X in stack], "pi": 3.14,
+                 "nested": dict(plain, matrix=qio.matrix_to_json(matrix), row=[], rows=[[], [], []])}
+        assert lists["values"] == _pair_lists(stack)
+        assert lists["nested"]["matrix"] == _pair_lists(matrix)
+        assert qio.dump_json(payload) == _std_text(lists)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_raises(self, bad):
+        values = np.ones((2, 2, 2), dtype=complex)
+        values[1, 0, 1] = bad
+        with pytest.raises(ValueError):
+            qio.dump_json({"values": values})
 
 
 @pytest.fixture
@@ -279,6 +320,50 @@ class TestCli:
             assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
         data = json.load(open(outs[0]))
         assert data["fpr_residual"] < 1e-8
+
+    def test_tf_and_ps_files_equal_standard_encoder_text(self, workdir):
+        from conftest import squeezed_input
+
+        readme = {"n": 1, "m": 1,
+                  "S": {"minus": [[[1.0, 0.0]]], "plus": [[[0.0, 0.0]]]},
+                  "C": {"minus": [[[7.0, 0.0]]], "plus": [[[-1.0, 0.0]]]},
+                  "Omega": {"minus": [[[2.0, 0.0]]], "plus": [[[0.0, 1.0]]]}}
+        p = write(workdir / "sys.json", readme)
+        v = write(workdir / "v.json", qio.input_to_json(squeezed_input(0.5)))
+        sys = qio.system_from_json(readme)
+        V = qio.input_from_json(qio.load_json(v))
+        grid = default_grid(sys)
+        out = str(workdir / "out.json")
+        for args, values in ((["tf", p], freq_response(sys, grid)),
+                             (["ps", p, "--input", v], power_spectrum(sys, V, grid))):
+            assert main(args + ["-o", out]) == 0
+            expected = _std_text({"grid": _pair_lists(grid), "values": _pair_lists(values)})
+            assert open(out).read() == expected + "\n"
+
+    @pytest.mark.parametrize("bad", [["1.0", 0.0], [0.0, True], [1.0], [0, 1, 5]],
+                             ids=["string", "bool", "short", "long"])
+    @pytest.mark.parametrize("where", ["system", "input", "rational", "grid"])
+    def test_malformed_pair_exits_2(self, workdir, capsys, where, bad):
+        sys_json = qio.system_to_json(cavity())
+        p = write(workdir / "sys.json", sys_json)
+        if where == "system":
+            sys_json["C"]["minus"][0][0] = bad
+            args = ["tf", write(workdir / "bad.json", sys_json)]
+        elif where == "input":
+            V = qio.input_to_json(InputCovariance.vacuum(1))
+            V["M"][0][0] = bad
+            args = ["ps", p, "--input", write(workdir / "v.json", V)]
+        elif where == "rational":
+            r = qio.rational_to_json(tf_as_rational(cavity()))
+            r["poles"][0] = bad
+            args = ["realize-tf", write(workdir / "r.json", r)]
+        else:
+            args = ["tf", p, "--grid", json.dumps([[0.0, 1.0], bad])]
+        out = workdir / "out.json"
+        assert main(args + ["-o", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input" and "[re, im]" in err["message"]
+        assert not out.exists()
 
     def test_ps_values_match_power_spectrum(self, workdir, rng):
         sys = random_qlsystem(rng, 2, 1)
