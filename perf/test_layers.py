@@ -8,7 +8,9 @@ collect it.  Only public names are used, so the same file also times older
 checkouts.  Inputs are seeded: one passive-plus-weakly-active system with n
 modes and one channel per size, a squeezed input and a generic flat Gram
 matrix.  The ``dump_json`` cases time the emit stage of ``qls tf`` on the
-transfer function of a seeded 4-mode, 2-channel system (2m = 4).
+transfer function of a seeded 4-mode, 2-channel system (2m = 4).  The
+absorber cases take the n = 32 system, its coherent absorber and their
+pure 64-mode cascade (a 2n = 128 covariance).
 """
 
 import numpy as np
@@ -19,12 +21,15 @@ from qls import (
     InputCovariance,
     QLSystem,
     factor_flat_gram,
+    dual_system,
     flat_adjoint,
+    gauge_transform,
     is_hurwitz,
     jmat,
     ps_as_rational,
     solve_lyapunov,
     tf_as_rational,
+    verify_absorber,
     williamson,
 )
 from qls import io as qio
@@ -92,6 +97,24 @@ def test_gramian_flat(benchmark, sys):
 def test_williamson(benchmark, sys):
     P = solve_lyapunov(sys, INPUT).P
     benchmark(williamson, P, sys.n)
+
+
+@pytest.fixture(scope="module")
+def absorber32():
+    """(canonical n = 32 system, its dual, vacuum covariance of their cascade)."""
+    res = dual_system(_system(32))
+    canon = gauge_transform(_system(32), res.basis_transform)
+    return canon, res.dual, solve_lyapunov(res.combined, InputCovariance.vacuum(1)).P
+
+
+def test_verify_absorber_n32(benchmark, absorber32):
+    canon, dual, _ = absorber32
+    benchmark(verify_absorber, canon, dual)
+
+
+def test_williamson_cascade_2n128(benchmark, absorber32):
+    P = absorber32[2]
+    benchmark(williamson, P, P.shape[0] // 2)
 
 
 def test_factor_flat_gram(benchmark, sys):

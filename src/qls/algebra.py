@@ -147,59 +147,43 @@ def williamson(V, n=None, tol=TOL_NUM):
         WilliamsonResult with eigenvalues sorted ascending.
 
     Raises:
-        ValueError: if V is not a physical state covariance (some n_i < -tol).
+        ValueError: if V is not a physical state covariance: not Hermitian,
+            V - J/2 not positive definite, a symplectic spectrum that does
+            not pair up, or some n_i < -tol (thresholds relative to ||V||).
     """
     V = np.asarray(V, dtype=complex)
     if n is None:
         n = V.shape[0] // 2
     if V.shape != (2 * n, 2 * n):
         raise ValueError(f"covariance shape {V.shape} does not match {n} modes")
-    J = jmat(n)
-    # eig(JV) = {n_i + 1, -n_i}; pair eigenvalues mu with 1 - mu' across the gap.
-    vals, vecs = np.linalg.eig(J @ V)
-    order = np.argsort(vals.real)
-    vals, vecs = vals[order], vecs[:, order]
-    if np.linalg.norm(vals.imag) > 1e-6 * max(1.0, np.linalg.norm(vals.real)):
-        raise ValueError("JV has significantly complex spectrum; V is not a valid covariance")
-    neg, pos = vals.real[:n], vals.real[n:][::-1]  # -n_i ascending->0, n_i+1 descending->1
-    nus_from_pos = pos - 1.0
-    nus_from_neg = -neg
-    if np.max(np.abs(nus_from_pos - nus_from_neg)) > 1e-6 * max(1.0, np.max(np.abs(vals.real))):
+    scale = max(1.0, np.linalg.norm(V))
+    if np.linalg.norm(V - V.conj().T) > 1e-6 * scale:
+        raise ValueError("covariance is not Hermitian; V is not a valid covariance")
+    # W = V - J/2 is the symmetrised covariance, positive definite for a state.
+    # With W = L L^dag, JV x = mu x iff K y = (mu - 1/2) y for K = L^dag J L and
+    # x = J L y: K is Hermitian with eigenvalues -(n_i + 1/2) and n_i + 1/2.
+    sgn = np.concatenate([np.ones(n), -np.ones(n)])
+    W = 0.5 * (V + V.conj().T) - np.diag(0.5 * sgn)
+    try:
+        L = np.linalg.cholesky(W)
+    except np.linalg.LinAlgError:
+        raise ValueError("non-physical covariance: V - J/2 is not positive definite") from None
+    k, Y = np.linalg.eigh(L.conj().T @ (sgn[:, None] * L))
+    if np.max(np.abs(k[n:] + k[:n][::-1]), initial=0.0) > 1e-6 * scale:
         raise ValueError("symplectic spectrum of V does not pair up; V is not a valid covariance")
-    nus = 0.5 * (nus_from_pos + nus_from_neg)
-    if np.min(nus) < -max(tol, 1e-7) * max(1.0, np.linalg.norm(V)):
+    nus = 0.5 * (k[n:] - k[:n][::-1]) - 0.5  # ascending
+    if np.min(nus) < -max(tol, 1e-7) * scale:
         raise ValueError(f"non-physical covariance: symplectic eigenvalue {np.min(nus):.3e} < 0")
     nus = np.clip(nus, 0.0, None)
-    idx = np.argsort(nus)
-    nus = nus[idx]
 
-    # Canonical transform: eigenvectors of JV on the n_i+1 branch, made
-    # J-orthonormal cluster by cluster (the J-form is positive there); the
-    # mirror columns are then fixed by the doubled-up structure.
-    pos_idx = np.argsort(vals.real)[n:]
-    pos_idx = pos_idx[np.argsort(vals.real[pos_idx])]  # mode i carries n_i ascending
-    Sig = sigma_swap(n)
-    cluster_tol = 1e-7 * max(1.0, np.max(np.abs(vals.real)))
-    cols = []
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and vals.real[pos_idx[j]] - vals.real[pos_idx[j - 1]] <= cluster_tol:
-            j += 1
-        basis = vecs[:, pos_idx[i:j]]
-        H = basis.conj().T @ J @ basis
-        H = 0.5 * (H + H.conj().T)
-        hvals, hvecs = np.linalg.eigh(H)
-        if np.min(hvals) <= 0:
-            raise ValueError("J-form is not positive on the thermal branch; invalid covariance")
-        basis = basis @ (hvecs / np.sqrt(hvals)) @ hvecs.conj().T
-        cols.extend(basis.T)
-        i = j
-    W1 = np.column_stack(cols)
-    W = np.hstack([W1, Sig @ W1.conj()])
-    # W is symplectic with JV W = W diag(n+1, -n), hence W^dag V W = diag(n+1, n):
-    # the canonicalizing transform is T = W^dag (itself symplectic).
-    return WilliamsonResult(symplectic_eigenvalues=nus, transform=W.conj().T)
+    # x = J L y / sqrt(n_i + 1/2) on the n_i + 1 branch: x^dag J x = y^dag K y / (n_i + 1/2)
+    # = 1, and orthonormal eigh vectors keep repeated occupations J-orthonormal.
+    # The mirror columns Sigma x# are fixed by the doubled-up structure.
+    X = sgn[:, None] * (L @ Y[:, n:]) / np.sqrt(k[n:])
+    T = np.hstack([X, np.roll(X.conj(), n, axis=0)])
+    # T is symplectic with JV T = T diag(n+1, -n), hence T^dag V T = diag(n+1, n):
+    # the canonicalizing transform is T^dag (itself symplectic).
+    return WilliamsonResult(symplectic_eigenvalues=nus, transform=T.conj().T)
 
 
 def vacuum_basis_transform(N, M, tol=1e-6):

@@ -9,6 +9,7 @@ result file is left behind on failure.
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -246,7 +247,9 @@ def cmd_sweep(args):
         print(text, end="")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared by every `main` call."""
     p = argparse.ArgumentParser(prog="qls", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

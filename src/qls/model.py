@@ -278,6 +278,7 @@ def series_product(first, second):
 
     The composite transfer function is Xi_second(s) Xi_first(s).  Modes are
     concatenated (first system's modes first); channel counts must agree.
+    The cascade's cached ``poles`` are the two parts' poles, concatenated.
     """
     if first.m != second.m:
         raise ValueError(f"channel counts differ: {first.m} vs {second.m}")
@@ -302,8 +303,12 @@ def series_product(first, second):
             [du_blocks(X)[1], du_blocks(A2)[1]],
         ]
     )
-    A = Delta(Am, Ap)
-    return QLSystem.from_drift(A, C, S)
+    cascade = QLSystem.from_drift(Delta(Am, Ap), C, S)
+    # the drift is block lower-triangular in (first, second), so its spectrum is the parts'
+    poles = np.concatenate([first.poles, second.poles])
+    poles.flags.writeable = False
+    cascade.__dict__["poles"] = poles
+    return cascade
 
 
 def concatenate(a, b):

@@ -125,6 +125,39 @@ class TestWilliamson:
         with pytest.raises(ValueError):
             williamson(V, 2)
 
+    def test_non_hermitian_raises(self):
+        V = np.diag([1.5, 1.0, 0.5, 0.0]).astype(complex)
+        V[0, 1] = 1e-3
+        with pytest.raises(ValueError, match="Hermitian"):
+            williamson(V, 2)
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("cond", [1.0, 1e3])
+    @pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
+    def test_seeded_canonical_form(self, n, cond, repeated):
+        """V = S diag(n + 1, n) S^dag with cond(S) = cond, occupations repeated or not."""
+        rng = np.random.default_rng([n, int(cond), repeated])
+        nus = rng.choice([0.0, 0.5, 2.0], n) if repeated else rng.uniform(0.0, 3.0, n)
+        r = rng.uniform(0.0, 0.5 * np.log(cond), n)
+        r[0] = 0.5 * np.log(cond)
+        S = (Delta(_unitary(rng, n)) @ Delta(np.diag(np.cosh(r)), np.diag(np.sinh(r)))
+             @ Delta(_unitary(rng, n)))
+        V = S @ np.diag(np.concatenate([nus + 1.0, nus])) @ S.conj().T
+        scale = np.linalg.norm(V)
+        res = williamson(V, n)
+        assert np.max(np.abs(res.symplectic_eigenvalues - np.sort(nus))) <= 1e-10 * scale
+        T = res.transform
+        assert is_doubled_up(T)
+        assert np.linalg.norm(flat_adjoint(T) @ T - np.eye(2 * n)) <= 1e-10 * np.linalg.norm(T) ** 2
+        D = np.diag(np.concatenate([res.symplectic_eigenvalues + 1.0, res.symplectic_eigenvalues]))
+        assert np.linalg.norm(T @ V @ T.conj().T - D) <= 1e-10 * scale
+
+
+def _unitary(rng, n):
+    """Haar-random n x n unitary."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
 
 class TestVacuumBasisTransform:
     def test_vacuum_gives_identity(self):

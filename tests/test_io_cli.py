@@ -412,3 +412,32 @@ class TestCli:
         assert main(["absorber", p, "-o", out1]) == 0
         assert main(["absorber", p, "-o", out2]) == 0
         assert open(out1).read() == open(out2).read()
+
+    def test_in_process_calls_match_fresh_processes(self, workdir, rng, capsys):
+        """One shared parser: no option leaks from one `main` call into the next."""
+        from conftest import squeezed_input
+
+        p = write(workdir / "sys.json", qio.system_to_json(random_qlsystem(rng, 2, 1)))
+        v = write(workdir / "v.json", qio.input_to_json(squeezed_input(0.5)))
+        grid = json.dumps([[0.0, w] for w in np.linspace(-2.0, 2.0, 9)])
+        runs = [["ps", p, "--input", v, "--grid", grid], ["tf", p],
+                ["gm", p, "--input", v, "--gm-tol", "0.5"], ["gm", p, "--input", v], ["gm", p],
+                ["tf", p, "--grid", grid]]
+        outs = []
+        for args in runs:
+            assert main(args) == 0
+            outs.append(capsys.readouterr().out)
+            assert outs[-1] == _run_python(["-m", "qls.cli"] + args).stdout
+        # the two `gm --input` calls differ only in --gm-tol, and so do their verdicts
+        assert [json.loads(outs[k])["globally_minimal"] for k in (2, 3)] == [False, True]
+        with pytest.raises(SystemExit) as help_exit:
+            main(["--help"])
+        assert help_exit.value.code == 0
+        assert "realize-noisy" in capsys.readouterr().out
+        bad = str(workdir / "bad.json")
+        with open(bad, "w") as fh:
+            fh.write("{not json")
+        assert main(["tf", bad]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "input"
+        assert main(["tf", p]) == 0
+        assert capsys.readouterr().out == _run_python(["-m", "qls.cli", "tf", p]).stdout

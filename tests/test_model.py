@@ -252,6 +252,27 @@ class TestSeriesProduct:
         with pytest.raises(ValueError):
             series_product(random_qlsystem(rng, 1, 1), random_qlsystem(rng, 1, 2))
 
+    @pytest.mark.parametrize("n1, n2, m", [(1, 1, 1), (2, 3, 2), (4, 4, 1), (8, 5, 2), (16, 16, 1)])
+    def test_poles_are_the_parts_poles(self, n1, n2, m):
+        rng = np.random.default_rng([n1, n2, m])
+        for k in range(3):  # an active part may be unstable: (passive, active), (active, passive), both passive
+            first = random_qlsystem(rng, n1, m, passive=k != 1, active_scale=0.2, ensure_hurwitz=False)
+            second = random_qlsystem(rng, n2, m, passive=k != 0, active_scale=0.2, ensure_hurwitz=False)
+            ser = series_product(first, second)
+            lam = np.linalg.eigvals(ser.A)
+            assert eigs_close(ser.poles, lam, atol=1e-10 * np.max(np.abs(lam)))
+            assert is_hurwitz(ser) == (is_hurwitz(first) and is_hurwitz(second))
+
+    def test_absorber_cascade_poles(self):
+        from qls.absorber import dual_system
+
+        from conftest import absorber_two_mode_example
+
+        res = dual_system(absorber_two_mode_example())
+        lam = np.linalg.eigvals(res.combined.A)
+        assert eigs_close(res.combined.poles, lam, atol=1e-10 * np.max(np.abs(lam)))
+        assert is_hurwitz(res.combined)
+
     def test_cascade_swap_example(self):
         # passive one-mode stages (2,0)^T into (6,3)^T with detuning 4 admit
         # an equivalent swapped cascade; the mixing ratio is x = 41/24 - i/3
