@@ -10,7 +10,8 @@ modes and one channel per size, a squeezed input and a generic flat Gram
 matrix.  The ``dump_json`` cases time the emit stage of ``qls tf`` on the
 transfer function of a seeded 4-mode, 2-channel system (2m = 4).  The
 absorber cases take the n = 32 system, its coherent absorber and their
-pure 64-mode cascade (a 2n = 128 covariance).
+pure 64-mode cascade (a 2n = 128 covariance); the cascade Lyapunov case
+solves the cascade of each size's system into its absorber.
 """
 
 import numpy as np
@@ -33,7 +34,7 @@ from qls import (
     williamson,
 )
 from qls import io as qio
-from qls.algebra import gramian_flat
+from qls.algebra import gramian_flat, lyap
 from qls.model import freq_response
 
 SIZES = (2, 8, 32)
@@ -88,6 +89,18 @@ def test_freq_response_per_point(benchmark, sys):
 
 def test_solve_lyapunov(benchmark, sys):
     benchmark(solve_lyapunov, sys, INPUT)
+
+
+def test_solve_lyapunov_cascade(benchmark, sys):
+    """The 2n-mode cascade of the system into its coherent absorber, vacuum input."""
+    benchmark(solve_lyapunov, dual_system(sys).combined, InputCovariance.vacuum(1))
+
+
+@pytest.mark.parametrize("size", (2, 4), ids=lambda k: f"size{k}")
+def test_lyap(benchmark, size):
+    rng = np.random.default_rng(size)
+    X = _cplx(rng, (size, size)) - (2.0 * np.sqrt(size) + 1.0) * np.eye(size)  # Hurwitz
+    benchmark(lyap, X, _cplx(rng, (size, size)))
 
 
 def test_gramian_flat(benchmark, sys):

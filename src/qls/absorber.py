@@ -30,7 +30,7 @@ from .stationary import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AbsorberResult:
     """Dual system, the series cascade, its purity defect and the basis change."""
 

@@ -10,8 +10,9 @@ and the *flat adjoint* is M^b = J M^dag J with J = diag(1, -1) blockwise.
 Symplectic matrices are doubled-up with S^b S = 1; they preserve the
 canonical commutation relations.  This module also provides the Williamson
 normal form of a Gaussian covariance, the flat-Gram factorization
-T^b T = G used by every realization algorithm and ``lyap``, the package's
-one Lyapunov solver; only ``lyap`` needs (and imports) ``scipy.linalg``.
+T^b T = G used by every realization algorithm, and the Lyapunov solvers
+``lyap`` and ``lyap_cascade`` (a cascade's block-triangular drift), the
+only code here that needs (and imports) ``scipy.linalg``.
 """
 
 from dataclasses import dataclass
@@ -116,7 +117,7 @@ def flat_unitary_residual(M):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WilliamsonResult:
     """Symplectic eigenvalues n_1 <= ... <= n_k and the transform to canonical form.
 
@@ -172,7 +173,7 @@ def williamson(V, n=None, tol=TOL_NUM):
     if np.max(np.abs(k[n:] + k[:n][::-1]), initial=0.0) > 1e-6 * scale:
         raise ValueError("symplectic spectrum of V does not pair up; V is not a valid covariance")
     nus = 0.5 * (k[n:] - k[:n][::-1]) - 0.5  # ascending
-    if np.min(nus) < -max(tol, 1e-7) * scale:
+    if np.min(nus, initial=np.inf) < -max(tol, 1e-7) * scale:
         raise ValueError(f"non-physical covariance: symplectic eigenvalue {np.min(nus):.3e} < 0")
     nus = np.clip(nus, 0.0, None)
 
@@ -356,22 +357,75 @@ def factor_flat_gram(G, tol=TOL_NUM):
     return T
 
 
+def _schur(X):
+    """Complex Schur form X = U R U^dag from the raw LAPACK ``zgees`` handle.
+
+    Cheaper than ``scipy.linalg.schur`` at small sizes; the same workspace
+    query makes R and U bit-identical to ``schur(X, output="real")``.
+    """
+    from scipy.linalg.lapack import zgees
+
+    X = np.asarray_chkfinite(X, dtype=complex)
+    if X.size == 0:
+        return X, X
+    lwork = int(zgees(_no_sort, X, lwork=-1)[-2][0].real)
+    R, _, _, U, _, info = zgees(_no_sort, X, lwork=lwork)
+    if info:
+        from scipy.linalg import LinAlgError
+
+        raise LinAlgError(f"Schur form not found (gees info {info})")
+    return R, U
+
+
+def _no_sort(_):
+    return None
+
+
+def _sylvester(Ra, Ua, Rb, Ub, F):
+    """Solve Xa M + M Xb^dag = F from Schur forms Xa = Ua Ra Ua^dag, Xb = Ub Rb Ub^dag.
+
+    One ``trsyl`` solve of Ra Y + Y Rb^dag = (Ua^dag F) Ub, then M = Ua Y Ub^dag.
+    """
+    if np.size(F) == 0:
+        return np.zeros(np.shape(F), dtype=complex)
+    from scipy.linalg.lapack import ztrsyl
+
+    F = np.dot(np.dot(Ua.conj().T, F), Ub)
+    Y, scale, _ = ztrsyl(Ra, Rb, F, tranb="C")
+    return np.dot(np.dot(Ua, scale * Y), Ub.conj().T)
+
+
 def lyap(X, Q):
     """Solve X M + M X^dag = Q by Bartels-Stewart (unique for Hurwitz X).
 
-    One Schur form X = U R U^dag, one LAPACK ``trsyl`` solve of
-    R Y + Y R^dag = U^dag Q U, and M = U Y U^dag.  Imports ``scipy.linalg``.
+    One Schur form X = U R U^dag and one triangular Sylvester solve; the
+    result is bit-identical to ``scipy.linalg.solve_sylvester(X, X^dag, Q)``.
+    Imports ``scipy.linalg``.
     """
-    from scipy.linalg import get_lapack_funcs, schur
+    R, U = _schur(X)
+    return _sylvester(R, U, R, U, Q)
 
-    X = np.asarray(X)
-    if X.size == 0:
-        return np.zeros(np.shape(Q), dtype=complex)
-    R, U = schur(X, output="real")
-    F = np.dot(np.dot(U.conj().T, Q), U)
-    (trsyl,) = get_lapack_funcs(("trsyl",), (R, R, F))
-    Y, scale, _ = trsyl(R, R, F, tranb="C")
-    return np.dot(np.dot(U, scale * Y), U.conj().T)
+
+def lyap_cascade(X, Q, k):
+    """Solve X M + M X^dag = Q for block lower-triangular X and Hermitian Q.
+
+    X = [[X1, 0], [X21, X2]] with X1 of size k (X12 is not read; either
+    block may be empty).  Bartels-Stewart by blocks, from the Schur forms of
+    X1 and X2 alone: M12 = M21^dag and
+
+        X1 M11 + M11 X1^dag = Q11,
+        X2 M21 + M21 X1^dag = Q21 - X21 M11,
+        X2 M22 + M22 X2^dag = Q22 - X21 M12 - M21 X21^dag.
+    """
+    X21 = X[k:, :k]
+    R1, U1 = _schur(X[:k, :k])
+    R2, U2 = _schur(X[k:, k:])
+    M = np.empty(np.shape(Q), dtype=complex)
+    M[:k, :k] = _sylvester(R1, U1, R1, U1, Q[:k, :k])
+    M[k:, :k] = M21 = _sylvester(R2, U2, R1, U1, Q[k:, :k] - X21 @ M[:k, :k])
+    M[:k, k:] = M21.conj().T
+    M[k:, k:] = _sylvester(R2, U2, R2, U2, Q[k:, k:] - X21 @ M[:k, k:] - M21 @ X21.conj().T)
+    return M
 
 
 def gramian_flat(A0, C0):

@@ -51,6 +51,8 @@ class QLSystem:
     C: np.ndarray
     Omega: np.ndarray
 
+    parts = None  # (first, second) on a cascade built by `series_product`, else None
+
     def __post_init__(self):
         for name in ("S", "C", "Omega"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
@@ -264,13 +266,13 @@ def is_minimal(sys, rank_tol=RANK_TOL):
 
 
 def is_hurwitz(sys, stab_tol=STAB_TOL):
-    """True iff every eigenvalue of A satisfies Re(lambda) < -stab_tol."""
-    return bool(np.max(sys.poles.real) < -stab_tol)
+    """True iff every eigenvalue of A satisfies Re(lambda) < -stab_tol (a 0-mode system is)."""
+    return bool(np.max(sys.poles.real, initial=-np.inf) < -stab_tol)
 
 
 def spectral_gap(sys):
-    """min |Re(lambda)| over the spectrum of A; 1/gap is the stabilisation time."""
-    return float(np.min(np.abs(sys.poles.real)))
+    """min |Re(lambda)| over the spectrum of A; 1/gap is the stabilisation time (inf at 0 modes)."""
+    return float(np.min(np.abs(sys.poles.real), initial=np.inf))
 
 
 def series_product(first, second):
@@ -278,7 +280,10 @@ def series_product(first, second):
 
     The composite transfer function is Xi_second(s) Xi_first(s).  Modes are
     concatenated (first system's modes first); channel counts must agree.
-    The cascade's cached ``poles`` are the two parts' poles, concatenated.
+    The drift is block lower-triangular in the parts, so the cascade keeps
+    them as ``parts = (first, second)``: its cached ``poles`` are theirs,
+    concatenated, ``solve_lyapunov`` solves by blocks from their Schur forms
+    and ``power_spectrum`` multiplies their responses.
     """
     if first.m != second.m:
         raise ValueError(f"channel counts differ: {first.m} vs {second.m}")
@@ -308,6 +313,7 @@ def series_product(first, second):
     poles = np.concatenate([first.poles, second.poles])
     poles.flags.writeable = False
     cascade.__dict__["poles"] = poles
+    object.__setattr__(cascade, "parts", (first, second))
     return cascade
 
 
@@ -347,14 +353,14 @@ def default_grid(sys, points=41, avoid=1e-6):
     """Laplace-axis test grid s = -i w, log-spaced from the spectral structure.
 
     Frequencies span [1e-2 * gap, 1e2 * ||A||] symmetrically plus w = 0,
-    nudged off any pole by `avoid`.
+    nudged off any pole by `avoid`; a 0-mode system takes gap = 1.
     """
     A = sys.A
-    gap = max(spectral_gap(sys), 1e-6)
+    gap = max(spectral_gap(sys), 1e-6) if sys.n else 1.0
     top = max(np.linalg.norm(A), 10 * gap)
     w = np.logspace(np.log10(1e-2 * gap), np.log10(1e2 * top), points // 2)
     s = -1j * np.concatenate([-w[::-1], [0.0], w])
-    s[np.min(np.abs(s[:, None] - sys.poles), axis=1) < avoid] -= avoid * 1j
+    s[np.min(np.abs(s[:, None] - sys.poles), axis=1, initial=np.inf) < avoid] -= avoid * 1j
     return s
 
 

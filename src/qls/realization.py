@@ -49,7 +49,7 @@ class IdentificationError(RuntimeError):
     """Raised when rational data is inconsistent with the assumed model class."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RationalMatrixFunction:
     """constant + sum_k residues[k] / (s - poles[k]), with matrix residues."""
 

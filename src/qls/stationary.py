@@ -26,6 +26,7 @@ from .algebra import (
     du_blocks,
     flat_adjoint,
     lyap,
+    lyap_cascade,
     williamson,
 )
 from .model import (
@@ -105,7 +106,7 @@ def _vacuum(m):
     return InputCovariance(np.zeros((m, m)), np.zeros((m, m)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StationaryState:
     """Stationary covariance P with its Williamson normal form and solve residual."""
 
@@ -131,7 +132,10 @@ def solve_lyapunov(sys, V):
 
     Solves A P + P A^dag + C^b S V S^dag (C^b)^dag = 0 with ``algebra.lyap``
     (intended scale: up to a few tens of modes) and reports the relative
-    residual and the Williamson normal form of P.
+    residual (against the full drift) and the Williamson normal form of P.
+    On a cascade from ``series_product`` the drift is block lower-triangular
+    in the order [a1; a1#; a2; a2#], and ``algebra.lyap_cascade`` solves in
+    that order from the two parts' Schur forms, never the whole drift's.
 
     Raises ValueError when the system is not Hurwitz (no unique solution).
     """
@@ -139,7 +143,15 @@ def solve_lyapunov(sys, V):
         raise ValueError("Lyapunov equation has no unique solution: system is not Hurwitz")
     A = sys.A
     Q = _noise_matrix(sys, V)
-    P = lyap(A, -Q)
+    if sys.parts is None:
+        P = lyap(A, -Q)
+    else:
+        n, n1 = sys.n, sys.parts[0].n
+        first, second = np.arange(n1), np.arange(n1, n)
+        order = np.concatenate([first, n + first, second, n + second])
+        block = np.ix_(order, order)
+        P = np.empty_like(Q)
+        P[block] = lyap_cascade(A[block], -Q[block], 2 * n1)
     P = 0.5 * (P + P.conj().T)  # A P + P A^dag symmetrises exactly
     scale = max(1.0, np.linalg.norm(A) * np.linalg.norm(P) + np.linalg.norm(Q))
     resid = np.linalg.norm(A @ P + P @ A.conj().T + Q) / scale
@@ -150,15 +162,25 @@ def power_spectrum(sys, V, s):
     """Power spectral density Psi_V(s) = Xi(s) V Xi(-s*)^dag.
 
     `s` is one point or a 1-d grid; a grid gives a (K, 2m, 2m) stack.  On
-    the imaginary axis s = -s*, so Xi is evaluated once there.  Mixed inputs
-    are accepted; s and -s* must lie off the spectrum of A.
+    the imaginary axis s = -s*, so Xi is evaluated once there.  On a cascade
+    from ``series_product``, Xi is the product Xi_second Xi_first of its
+    parts' responses.  Mixed inputs are accepted; s and -s* must lie off the
+    spectrum of A.
     """
     s = np.asarray(s, dtype=complex)
-    X1 = freq_response(sys, s)
+    X1 = _response(sys, s)
     mirror = -s.conj()
-    X2 = X1 if np.array_equal(mirror, s) else freq_response(sys, mirror)
+    X2 = X1 if np.array_equal(mirror, s) else _response(sys, mirror)
     Psi = X1 @ V.matrix() @ X2.conj().transpose(0, 2, 1)
     return Psi[0] if s.ndim == 0 else Psi
+
+
+def _response(sys, s):
+    """``freq_response``; on a cascade, the product of its parts' (solves of their sizes)."""
+    if sys.parts is None:
+        return freq_response(sys, s)
+    first, second = sys.parts
+    return freq_response(second, s) @ freq_response(first, s)
 
 
 def _vacuum_rotated(sys, V):

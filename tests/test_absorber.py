@@ -172,6 +172,30 @@ class TestVerifyAbsorber:
         assert rep["ps_residual"] < 1e-10
 
 
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 2)])
+    def test_matches_dense_reference(self, rng, n, m):
+        """Block solve and parts' spectrum against the cascade rebuilt without parts."""
+        from qls.model import QLSystem
+        from qls.stationary import vacuum_covariance
+
+        sys = gm_random_system(rng, n, m)
+        res = dual_system(sys)
+        canon = canonicalize_stationary(sys)["sys"]
+        vac = InputCovariance.vacuum(m)
+        for first, second in ((canon, res.dual), (sys, sys)):  # pure, and far from pure
+            cascade = series_product(first, second)
+            dense = QLSystem.from_drift(cascade.A, cascade.C, cascade.S)
+            assert dense.parts is None
+            grid = default_grid(cascade, 21)
+            purity = np.max(solve_lyapunov(dense, vac).symplectic_spectrum)
+            dev = power_spectrum(dense, vac, grid) - vacuum_covariance(m)
+            rep = verify_absorber(first, second)
+            assert abs(rep["purity_residual"] - purity) <= 1e-12
+            assert abs(rep["ps_residual"] - np.max(np.linalg.norm(dev, axis=(1, 2)))) <= 1e-12
+        dense = QLSystem.from_drift(res.combined.A, res.combined.C, res.combined.S)
+        assert abs(res.purity_residual - np.max(solve_lyapunov(dense, vac).symplectic_spectrum)) <= 1e-12
+
+
 class TestCascadeReduction:
     def test_absorbed_pair_is_invisible_downstream(self, rng):
         # a dual-built two-mode sub-cascade nullifies its stage: appending an

@@ -223,6 +223,17 @@ class TestMinimalityStability:
         sys = QLSystem.from_blocks([[0.0]], [[0.0]], [[0.9]], [[0.0]])
         assert not is_hurwitz(sys)
 
+    def test_zero_mode_system(self, rng):
+        # pure scattering: an empty spectrum is Hurwitz and every frequency is a grid point
+        S = random_symplectic(rng, 2)
+        sys = QLSystem(S=S, C=np.zeros((4, 0)), Omega=np.zeros((0, 0)))
+        assert is_hurwitz(sys)
+        assert spectral_gap(sys) == np.inf
+        grid = default_grid(sys, 9)
+        assert grid.shape == (9,) and np.all(np.isfinite(grid))
+        assert tf_equal(sys, sys)
+        assert not tf_equal(sys, QLSystem(S=np.eye(4), C=np.zeros((4, 0)), Omega=np.zeros((0, 0))))
+
     def test_matrices_shapes(self, rng):
         sys = random_qlsystem(rng, 2, 1)
         ctrb = controllability_matrix(sys.A, -np.eye(4))

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,82 @@ class TestSolveLyapunov:
         sys = QLSystem.from_blocks([[0.0]], [[0.0]], [[1.0]], [[0.0]])
         with pytest.raises(ValueError):
             solve_lyapunov(sys, InputCovariance.vacuum(1))
+
+
+def _separated_part(rng, n, m):
+    """Seeded Hurwitz part whose Lyapunov equation is well conditioned.
+
+    Two backward-stable solvers agree only to about eps times the condition
+    of the equation, so the draw keeps it small: the Hamiltonian's
+    eigenfrequencies are spaced by 2, every eigenmode couples to each channel
+    with strength in [0.5, 1.5], and the active parts are 2 %.
+    """
+    cplx = lambda shape, scale: scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    U = np.linalg.qr(cplx((n, n), 1.0))[0]
+    Om1 = (U * (2.0 * np.arange(n) - n + 1)) @ U.conj().T
+    Cm = (rng.uniform(0.5, 1.5, (m, n)) * np.exp(2j * np.pi * rng.random((m, n)))) @ U.conj().T
+    Om2 = cplx((n, n), 0.02)
+    return QLSystem.from_blocks(Cm, cplx((m, n), 0.02), Om1, 0.5 * (Om2 + Om2.T))
+
+
+class TestSolveLyapunovCascade:
+    """On a `series_product` cascade, solve_lyapunov solves by blocks from the parts."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n1, n2", [(0, 1), (1, 1), (2, 5), (16, 16), (32, 32)])
+    def test_matches_dense_solve(self, n1, n2, m):
+        rng = np.random.default_rng([n1, n2, m])
+        cascade = series_product(_separated_part(rng, n1, m), _separated_part(rng, n2, m))
+        V = InputCovariance(*random_pure_input(rng, m))
+        state = solve_lyapunov(cascade, V)
+        dense = solve_lyapunov(QLSystem.from_drift(cascade.A, cascade.C, cascade.S), V)
+        Q = stationary._noise_matrix(cascade, V)
+        P = algebra.lyap(cascade.A, -Q)  # the same equation, solved whole
+        P = 0.5 * (P + P.conj().T)
+        assert dense.P.shape == state.P.shape == (2 * (n1 + n2),) * 2
+        assert np.linalg.norm(state.P - P) <= 1e-12 * np.linalg.norm(P)
+        assert np.linalg.norm(state.P - dense.P) <= 1e-12 * np.linalg.norm(P)
+        assert state.residual <= 1e-12
+        assert np.array_equal(state.P, state.P.conj().T)
+
+    def test_no_schur_form_of_the_whole_drift(self, monkeypatch):
+        sizes = []
+        real = algebra._schur
+
+        def counting(X):
+            sizes.append(np.shape(X)[0])
+            return real(X)
+
+        monkeypatch.setattr(algebra, "_schur", counting)
+        rng = np.random.default_rng(7)
+        cascade = series_product(_separated_part(rng, 3, 1), _separated_part(rng, 5, 1))
+        solve_lyapunov(cascade, InputCovariance.vacuum(1))
+        assert sorted(sizes) == [6, 10]
+        sizes.clear()
+        absorber.dual_system(absorber_two_mode_example())
+        assert max(sizes) == 4  # the 2-mode system's own solve, then the 4-mode cascade by blocks
+
+    def test_zero_mode_parts(self, rng):
+        V = InputCovariance(*random_pure_input(rng, 1))
+        empty = QLSystem(S=random_symplectic(rng, 1), C=np.zeros((2, 0)), Omega=np.zeros((0, 0)))
+        state = solve_lyapunov(empty, V)
+        assert state.P.shape == (0, 0) and state.symplectic_spectrum.shape == (0,)
+        for cascade in (series_product(empty, cavity()), series_product(cavity(), empty)):
+            want = solve_lyapunov(QLSystem.from_drift(cascade.A, cascade.C, cascade.S), V).P
+            assert np.linalg.norm(solve_lyapunov(cascade, V).P - want) <= 1e-12
+        assert solve_lyapunov(series_product(empty, empty), V).P.shape == (0, 0)
+
+
+def test_result_records_compare_by_identity(rng):
+    from qls.realization import tf_as_rational
+
+    state = solve_lyapunov(cavity(), InputCovariance.vacuum(1))
+    records = [state, state.normal_form, absorber.dual_system(absorber_two_mode_example()),
+               tf_as_rational(cavity())]
+    for record in records:
+        twin = copy.copy(record)
+        assert record == record and record != twin
+        assert len({record, twin}) == 2
 
 
 class TestWilliamsonOnce:
