@@ -6,12 +6,14 @@
 This directory sits outside ``testpaths``, so the test suite does not
 collect it.  Only public names are used, so the same file also times older
 checkouts.  Inputs are seeded: one passive-plus-weakly-active system with n
-modes and one channel per size, a squeezed input and a generic flat Gram
-matrix.  The ``dump_json`` cases time the emit stage of ``qls tf`` on the
-transfer function of a seeded 4-mode, 2-channel system (2m = 4).  The
-absorber cases take the n = 32 system, its coherent absorber and their
-pure 64-mode cascade (a 2n = 128 covariance); the cascade Lyapunov case
-solves the cascade of each size's system into its absorber.
+modes and one channel per size, a squeezed input, a generic flat Gram
+matrix and, for ``physical_from_classical``, the system's realization in a
+seeded non-symplectic basis.  The ``dump_json`` cases time the emit stage
+of ``qls tf`` on the transfer function of a seeded 4-mode, 2-channel
+system (2m = 4).  The absorber cases take the n = 32 system, its coherent
+absorber and their pure 64-mode cascade (a 2n = 128 covariance); the
+cascade Lyapunov case solves the cascade of each size's system into its
+absorber.
 """
 
 import numpy as np
@@ -21,12 +23,14 @@ from qls import (
     Delta,
     InputCovariance,
     QLSystem,
+    StateSpace,
     factor_flat_gram,
     dual_system,
     flat_adjoint,
     gauge_transform,
     is_hurwitz,
     jmat,
+    physical_from_classical,
     ps_as_rational,
     solve_lyapunov,
     tf_as_rational,
@@ -132,6 +136,22 @@ def test_williamson_cascade_2n128(benchmark, absorber32):
 
 def test_factor_flat_gram(benchmark, sys):
     benchmark(factor_flat_gram, _flat_gram(sys.n))
+
+
+def _classical(n):
+    """A doubled-up realization (T A T^-1, -T C^b, C T^-1, S) of the n-mode system's
+    transfer function in a seeded basis T near the identity, not symplectic: its flat
+    Gramian is a generic (T^-1)^b T^-1.  (Gilbert's route rejects the real-axis pole
+    pair of the n = 32 system, so the basis is changed directly.)"""
+    sys = _system(n)
+    rng = np.random.default_rng(200 + n)
+    T = Delta(np.eye(n) + _cplx(rng, (n, n), 0.3 / np.sqrt(n)), _cplx(rng, (n, n), 0.2 / np.sqrt(n)))
+    Ti = np.linalg.inv(T)
+    return StateSpace(A=T @ sys.A @ Ti, B=-T @ flat_adjoint(sys.C), C=sys.C @ Ti, D=sys.S)
+
+
+def test_physical_from_classical(benchmark, sys):
+    benchmark(physical_from_classical, _classical(sys.n))
 
 
 def test_tf_as_rational(benchmark, sys):

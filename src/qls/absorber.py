@@ -52,7 +52,7 @@ def canonicalize_stationary(sys, gm_tol=GM_TOL):
     state = solve_lyapunov(sys, InputCovariance.vacuum(sys.m))
     res = state.normal_form
     scale = max(1.0, float(np.linalg.norm(state.P)))
-    if np.min(res.symplectic_eigenvalues) <= gm_tol * scale:
+    if np.min(res.symplectic_eigenvalues, initial=np.inf) <= gm_tol * scale:
         raise ValueError(
             "system is not globally minimal for vacuum input "
             f"(min occupation {np.min(res.symplectic_eigenvalues):.3e})"
@@ -107,7 +107,7 @@ def dual_system(sys, gm_tol=GM_TOL):
     return AbsorberResult(
         dual=dual,
         combined=combined,
-        purity_residual=float(np.max(state.symplectic_spectrum)),
+        purity_residual=float(np.max(state.symplectic_spectrum, initial=0.0)),
         basis_transform=canon["transform"],
     )
 
@@ -122,7 +122,7 @@ def verify_absorber(sys, dual, grid=None):
     combined = series_product(sys, dual)
     vac = InputCovariance.vacuum(sys.m)
     state = solve_lyapunov(combined, vac)
-    purity = float(np.max(state.symplectic_spectrum))
+    purity = float(np.max(state.symplectic_spectrum, initial=0.0))
     if grid is None:
         grid = default_grid(combined, 21)
     dev = power_spectrum(combined, vac, grid) - vacuum_covariance(sys.m)

@@ -9,8 +9,9 @@ has the block form
 and the *flat adjoint* is M^b = J M^dag J with J = diag(1, -1) blockwise.
 Symplectic matrices are doubled-up with S^b S = 1; they preserve the
 canonical commutation relations.  This module also provides the Williamson
-normal form of a Gaussian covariance, the flat-Gram factorization
-T^b T = G used by every realization algorithm, and the Lyapunov solvers
+normal form of a Gaussian covariance and the flat-Gram factorization
+T^b T = G used by every realization algorithm, each from one Hermitian
+eigenproblem (no non-Hermitian ``eig``), plus the Lyapunov solvers
 ``lyap`` and ``lyap_cascade`` (a cascade's block-triangular drift), the
 only code here that needs (and imports) ``scipy.linalg``.
 """
@@ -217,140 +218,49 @@ def _herm_sqrt(H):
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def _real_eig_cluster(vals, tol):
-    """Group indices of `vals` into clusters of equal eigenvalues within tol."""
-    order = np.argsort(vals.real + 1e-3 * vals.imag)
-    clusters = []
-    for k in order:
-        if clusters and abs(vals[clusters[-1][-1]] - vals[k]) <= tol:
-            clusters[-1].append(k)
-        else:
-            clusters.append([k])
-    return clusters
-
-
 def factor_flat_gram(G, tol=TOL_NUM):
     """Factor a flat-self-adjoint matrix as G = T^b T with T doubled-up.
 
-    G must be invertible, semisimple and satisfy G^b = G (the form N^b N
-    for invertible doubled-up N always does).  The factor is built by
-    bringing G to its canonical symplectic form W Nhat W^b and factoring
-    the canonical blocks:
+    G is a flat Gram matrix N^b N of an invertible doubled-up N exactly when
+    H = J G = N^dag J N is Hermitian with inertia (n, n) (Sylvester's law).
+    Since Sigma conj(H) Sigma = -H maps the positive eigenspace of H onto
+    the negative one, one ``eigh(H)`` gives a factor for every spectrum,
+    repeated and clustered eigenvalues included: with X the eigenvectors of
+    the n positive eigenvalues d, W = [X, Sigma conj(X)] is unitary and
+    doubled-up, H = W diag(d, -d) W^dag, and T = diag(sqrt(d), sqrt(d)) W^dag.
 
-    * positive real eigenvalue pairs   -> sqrt(lambda) on the minus diagonal,
-    * negative real eigenvalue pairs   -> sqrt(|lambda|) on the plus diagonal,
-    * complex quadruples mu +/- i nu   -> a two-mode cosh/sinh block.
-
-    Returns the canonical representative T = Nbar W^b; any symplectic left
-    factor gives another valid solution.
+    Any symplectic left factor gives another solution.  The gauge is fixed
+    by the passive unitary Delta(Q, 0), Q the polar factor of the block sum
+    T- + T+, after which T- + T+ is Hermitian positive semidefinite; this
+    removes the freedom of the eigenbasis, and c 1 (c > 0) factors as
+    sqrt(c) 1.  A 0 x 0 input gives a 0 x 0 factor.
 
     Raises:
-        ValueError: for non-semisimple (defective) or singular input, and for
-            eigenvalue multiplicities outside the generic pattern.
+        ValueError: for non-square, odd-dimensional, non-flat-self-adjoint
+            or singular input, and when the inertia of J G is not (n, n)
+            (G is then not a flat Gram matrix).
     """
     G = np.asarray(G, dtype=complex)
     n2 = G.shape[0]
     if G.shape[1] != n2 or n2 % 2:
         raise ValueError("flat-Gram factorization needs a square even-dimensional matrix")
     n = n2 // 2
+    if n == 0:
+        return G.copy()
     scale = np.linalg.norm(G)
-    if scale == 0:
-        raise ValueError("singular input")
     if np.linalg.norm(flat_adjoint(G) - G) > 1e-7 * scale:
         raise ValueError("input is not flat-self-adjoint")
-    J, Sig = jmat(n), sigma_swap(n)
-
-    # scalar multiples of the identity factor in closed form (the canonical
-    # representative of the fully degenerate case)
-    g = np.trace(G).real / n2
-    if np.linalg.norm(G - g * np.eye(n2)) <= 1e-10 * scale and abs(g) > 1e-12 * scale:
-        if g > 0:
-            return np.sqrt(g) * np.eye(n2, dtype=complex)
-        return Delta(np.zeros((n, n)), np.sqrt(-g) * np.eye(n))
-
-    vals, vecs = np.linalg.eig(G)
-    if np.min(np.abs(vals)) < 1e-12 * scale:
+    d, U = np.linalg.eigh(np.repeat([1.0, -1.0], n)[:, None] * G)  # J G by row signs
+    if np.min(np.abs(d)) <= 1e-12 * scale:
         raise ValueError("singular input")
-    # semisimplicity: eigenvector matrix must be well conditioned relative to spectrum gaps
-    if np.linalg.matrix_rank(vecs, tol=1e-10) < n2:
-        raise ValueError("non-semisimple spectrum is not supported")
-
-    cluster_tol = 1e-7 * max(1.0, np.max(np.abs(vals)))
-    real_mask = np.abs(vals.imag) <= cluster_tol
-
-    minus_diag = np.zeros(n, dtype=complex)
-    plus_diag = np.zeros((n, n), dtype=complex)
-    w_cols = []
-    mode = 0
-
-    # real eigenvalues: appear in J-hyperbolic pairs per mode
-    real_idx = np.where(real_mask)[0]
-    if len(real_idx) % 2:
-        raise ValueError("unpaired real eigenvalue; spectrum outside the supported pattern")
-    for cluster in _real_eig_cluster(vals[real_idx], cluster_tol):
-        idx = [real_idx[k] for k in cluster]
-        if len(idx) % 2:
-            raise ValueError("odd real eigenvalue multiplicity is not supported")
-        if len(idx) > 2:
-            raise ValueError("degenerate real eigenvalues are not supported (generic case only)")
-        lam = float(np.mean(vals[idx].real))
-        basis = vecs[:, idx]
-        # J-form on the eigenspace; pick the J-positive direction
-        H = basis.conj().T @ J @ basis
-        hvals, hvecs = np.linalg.eigh(H)
-        k = int(np.argmax(hvals))
-        if hvals[k] <= 0:
-            raise ValueError("eigenspace carries no J-positive direction; not a flat Gram matrix")
-        w = basis @ hvecs[:, k]
-        w = w / np.sqrt((w.conj() @ J @ w).real)
-        w_cols.append(w)
-        if lam > 0:
-            minus_diag[mode] = np.sqrt(lam)
-        else:
-            plus_diag[mode, mode] = np.sqrt(-lam)
-        mode += 1
-
-    # complex eigenvalues: quadruples {lam, lam, conj, conj} spanning two modes
-    cplx_idx = np.where(~real_mask)[0]
-    upper = cplx_idx[vals[cplx_idx].imag > 0]
-    for cluster in _real_eig_cluster(vals[upper], cluster_tol):
-        idx = [upper[k] for k in cluster]
-        if len(idx) == 1:
-            raise ValueError("complex eigenvalue of multiplicity one; not a flat Gram matrix")
-        if len(idx) > 2:
-            raise ValueError("degenerate complex eigenvalues are not supported")
-        lam = complex(np.mean(vals[idx]))
-        mu, nu = lam.real, lam.imag
-        x1, x2 = vecs[:, idx[0]], vecs[:, idx[1]]
-        theta = x1.conj() @ J @ Sig @ x2.conj()
-        if abs(theta) < 1e-10 * max(1.0, np.linalg.norm(x1) * np.linalg.norm(x2)):
-            raise ValueError("degenerate pairing in complex eigenspace")
-        p = x1
-        q = (-2.0 / np.conj(theta)) * x2
-        w1 = 0.5 * (p - Sig @ q.conj())
-        w2 = 0.5 * (q + Sig @ p.conj())
-        w_cols.extend([w1, w2])
-        if abs(mu) < 1e-12 * max(1.0, abs(lam)):
-            alpha = beta = np.sqrt(nu / 2.0)
-        else:
-            x = 0.5 * np.arcsinh(nu / abs(mu))
-            if mu > 0:
-                alpha, beta = np.sqrt(mu) * np.cosh(x), np.sqrt(mu) * np.sinh(x)
-            else:
-                alpha, beta = np.sqrt(-mu) * np.sinh(x), np.sqrt(-mu) * np.cosh(x)
-        minus_diag[mode] = alpha
-        minus_diag[mode + 1] = alpha
-        sig_block = np.array([[0.0, -1j], [1j, 0.0]])
-        plus_diag[mode : mode + 2, mode : mode + 2] = -beta * sig_block
-        mode += 2
-
-    if mode != n:
-        raise ValueError("eigenvalue bookkeeping failed; spectrum outside the supported pattern")
-
-    W1 = np.column_stack(w_cols)
-    W = np.hstack([W1, Sig @ W1.conj()])
-    Nbar = Delta(np.diag(minus_diag), plus_diag)
-    T = Nbar @ flat_adjoint(W)
+    if d[n - 1] > 0 or d[n] < 0:
+        raise ValueError("J G does not have inertia (n, n); not a flat Gram matrix")
+    X = U[:, n:]
+    W = np.hstack([X, np.roll(X.conj(), n, axis=0)])
+    root = np.sqrt(np.concatenate([d[n:], d[n:]]))
+    T = root[:, None] * W.conj().T
+    left, _, right = np.linalg.svd(T[:n, :n] + T[:n, n:])
+    T = Delta(right.conj().T @ left.conj().T) @ T
     resid = np.linalg.norm(flat_adjoint(T) @ T - G) / scale
     if resid > max(tol, 1e-7):
         raise ValueError(f"flat-Gram factorization failed (residual {resid:.2e})")

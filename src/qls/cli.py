@@ -75,6 +75,17 @@ def _grid(sys, spec):
     return np.array([qio.pair_to_complex(v) for v in spec])
 
 
+def _spectrum_order(z):
+    """Eigenvalues sorted by real part rounded to 1e-10 max |z|, then imaginary part.
+
+    The two members of a conjugate pair have real parts equal up to rounding,
+    so ``np.sort_complex`` would let one ulp decide their order.
+    """
+    z = np.asarray(z, dtype=complex)
+    scale = np.max(np.abs(z), initial=0.0) or 1.0
+    return z[np.lexsort((z.imag, np.round(z.real / scale, 10)))]
+
+
 def _emit(args, payload):
     text = qio.dump_json(payload, args.output)
     if args.output is None:
@@ -152,7 +163,7 @@ def cmd_realize_ps(args):
     _emit(args, {
         "system": qio.system_to_json(sys_),
         "T3bT3": qio.matrix_to_json(details["T3bT3"]),
-        "spectrum": [qio.complex_to_pair(z) for z in np.sort_complex(sys_.poles)],
+        "spectrum": [qio.complex_to_pair(z) for z in _spectrum_order(sys_.poles)],
     })
 
 

@@ -228,39 +228,38 @@ def transfer_function(sys, s):
 
 
 def controllability_matrix(A, B):
-    """[B, AB, ..., A^{n-1} B]."""
+    """[B, AB, ..., A^{n-1} B] (0 x 0 for n = 0)."""
     A = np.asarray(A, dtype=complex)
     B = np.atleast_2d(np.asarray(B, dtype=complex))
     blocks, acc = [], B
     for _ in range(A.shape[0]):
         blocks.append(acc)
         acc = A @ acc
-    return np.hstack(blocks)
+    return np.hstack(blocks) if blocks else np.zeros((0, 0), dtype=complex)
 
 
 def observability_matrix(C, A):
-    """[C; CA; ...; C A^{n-1}]."""
+    """[C; CA; ...; C A^{n-1}] (0 x 0 for n = 0)."""
     A = np.asarray(A, dtype=complex)
     C = np.atleast_2d(np.asarray(C, dtype=complex))
     blocks, acc = [], C
     for _ in range(A.shape[0]):
         blocks.append(acc)
         acc = acc @ A
-    return np.vstack(blocks)
+    return np.vstack(blocks) if blocks else np.zeros((0, 0), dtype=complex)
 
 
 def _full_rank(M, rank_tol=RANK_TOL):
+    """Rank min(M.shape) at a singular-value cutoff relative to the largest (an empty M is)."""
     sv = np.linalg.svd(M, compute_uv=False)
-    if sv[0] == 0:
-        return False
-    return np.sum(sv > rank_tol * sv[0]) == min(M.shape)
+    return bool(np.sum(sv > rank_tol * np.max(sv, initial=0.0)) == min(M.shape))
 
 
 def is_minimal(sys, rank_tol=RANK_TOL):
     """Minimality via full rank of the observability matrix of (C, A).
 
     Observability and controllability are equivalent for QLSs, so one test
-    suffices.
+    suffices.  A 0-mode system is minimal.
     """
     return _full_rank(observability_matrix(sys.C, sys.A), rank_tol)
 

@@ -447,7 +447,8 @@ def physical_from_classical(ss, tol=1e-8):
     """Physical system (S, C, Omega) from a minimal doubled-up realization of Xi(s).
 
     Solves the flat Gramian T^b T = int J (C0 e^{A0 t})^dag J (C0 e^{A0 t}) dt,
-    factors it with the canonical symplectic factorization and transforms
+    factors it with ``factor_flat_gram`` (one Hermitian eigenproblem, any
+    spectrum; the factor is fixed up to a symplectic gauge) and transforms
     (A0, B0, C0) into a PR-valid triple.  The input must describe a genuine
     QLS transfer function (symplectic on the imaginary axis); otherwise the
     consistency check B = -C^b fails and an IdentificationError is raised.
@@ -495,8 +496,8 @@ def ps_realize(ps, return_details=False):
     A doubled-up Gilbert seed (A0, [B1; B2], [C1, C2]) is canonicalized with
     unit diagonal entries on C2 and B1 = -C2^b; the input-side and
     output-side flat Gramians of the physicality conditions then coincide,
-    a canonical T3 is produced by the symplectic factorization, and
-    (A, C) = (T3 A0 T3^{-1}, C2 T3^{-1}).
+    T3 is their flat-Gram factor from ``factor_flat_gram`` (fixed up to a
+    symplectic gauge), and (A, C) = (T3 A0 T3^{-1}, C2 T3^{-1}).
 
     Returns the reconstructed QLSystem (vacuum input, S = 1 data); with
     ``return_details`` also a dict holding the seed and the Gramian T3^b T3.

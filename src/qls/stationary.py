@@ -33,6 +33,7 @@ from .model import (
     QLSystem,
     StateSpace,
     _frozen,
+    _full_rank,
     controllability_matrix,
     freq_response,
     gauge_transform,
@@ -198,7 +199,8 @@ def is_globally_minimal(sys, V, gm_tol=GM_TOL):
     """Global minimality for a pure input: fully mixed stationary state.
 
     Cross-checked against controllability of (A, C^b S_eff V_vac) in the
-    vacuum-rotated basis; a disagreement raises RuntimeError.
+    vacuum-rotated basis; a disagreement raises RuntimeError.  A 0-mode
+    system is globally minimal.
 
     Raises ValueError for mixed inputs, where purity of the stationary state
     no longer witnesses global minimality.
@@ -209,13 +211,11 @@ def is_globally_minimal(sys, V, gm_tol=GM_TOL):
         raise ValueError("system must be minimal")
     state = solve_lyapunov(sys, V)
     scale = max(1.0, float(np.linalg.norm(state.P)))
-    verdict = bool(np.min(state.symplectic_spectrum) > gm_tol * scale)
+    verdict = bool(np.min(state.symplectic_spectrum, initial=np.inf) > gm_tol * scale)
 
     rotated, _ = _vacuum_rotated(sys, V)
     B = flat_adjoint(rotated.C) @ rotated.S @ vacuum_covariance(sys.m)
-    ctrb = controllability_matrix(rotated.A, B)
-    sv = np.linalg.svd(ctrb, compute_uv=False)
-    control = bool(sv[0] > 0 and np.sum(sv > gm_tol * sv[0]) == min(ctrb.shape))
+    control = _full_rank(controllability_matrix(rotated.A, B), gm_tol)
     if control != verdict:
         raise RuntimeError(
             "global minimality criteria disagree "

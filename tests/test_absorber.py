@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qls.absorber import canonicalize_stationary, dual_system, verify_absorber
-from qls.algebra import du_blocks, jmat
-from qls.model import default_grid, gauge_transform, series_product, tf_equal, transfer_function
+from qls.algebra import Delta, du_blocks, jmat
+from qls.model import QLSystem, default_grid, gauge_transform, series_product, tf_equal, transfer_function
 from qls.sampling import random_qlsystem, random_symplectic
 from qls.stationary import InputCovariance, is_globally_minimal, power_spectrum, solve_lyapunov
 
@@ -97,7 +97,6 @@ class TestDualSystem:
         # printed to four decimals, so the transfer functions agree to the
         # precision the truncation allows
         from qls.algebra import flat_adjoint
-        from qls.model import QLSystem
 
         C2p = np.array(
             [
@@ -175,7 +174,6 @@ class TestVerifyAbsorber:
     @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 2)])
     def test_matches_dense_reference(self, rng, n, m):
         """Block solve and parts' spectrum against the cascade rebuilt without parts."""
-        from qls.model import QLSystem
         from qls.stationary import vacuum_covariance
 
         sys = gm_random_system(rng, n, m)
@@ -209,3 +207,23 @@ class TestCascadeReduction:
             assert np.linalg.norm(
                 power_spectrum(full, vac, s) - power_spectrum(extra, vac, s)
             ) < 1e-7
+
+
+class TestZeroModes:
+    """Pure scattering (no modes): the stationary state is trivially pure."""
+
+    sys = QLSystem(S=Delta(np.exp(0.3j)), C=np.zeros((2, 0)), Omega=np.zeros((0, 0)))
+
+    def test_canonicalize_stationary(self):
+        out = canonicalize_stationary(self.sys)
+        assert out["sys"].n == 0 and out["occupations"].shape == (0,)
+
+    def test_dual_system(self):
+        res = dual_system(self.sys)
+        assert res.dual.n == 0 and res.combined.n == 0
+        assert res.purity_residual == 0.0
+
+    def test_verify_absorber(self):
+        rep = verify_absorber(self.sys, self.sys)
+        assert rep["purity_residual"] == 0.0
+        assert rep["ps_residual"] <= 1e-14

@@ -219,7 +219,7 @@ class TestFactorFlatGram:
                 T = factor_flat_gram(G)
                 assert is_doubled_up(T)
                 resid = np.linalg.norm(flat_adjoint(T) @ T - G) / np.linalg.norm(G)
-                assert resid < 1e-8
+                assert resid < 1e-12
 
     def test_singular_raises(self):
         with pytest.raises(ValueError):
@@ -233,7 +233,7 @@ class TestFactorFlatGram:
         T = factor_flat_gram(G)
         assert np.linalg.norm(flat_adjoint(T) @ T - G) < 1e-10
 
-    def test_degenerate_complex_eigenvalues_raise(self):
+    def test_degenerate_complex_eigenvalues_factor(self):
         # two identical complex two-mode blocks: eigenvalue multiplicity four
         mu, nu = 1.0, 2.0
         sig = np.array([[0.0, -1j], [1j, 0.0]])
@@ -242,8 +242,49 @@ class TestFactorFlatGram:
         N2[:2, :2] = -nu * sig
         N2[2:, 2:] = -nu * sig
         G = Delta(N1, N2)
-        with pytest.raises(ValueError):
-            factor_flat_gram(G)
+        T = factor_flat_gram(G)
+        assert is_doubled_up(T)
+        assert np.linalg.norm(flat_adjoint(T) @ T - G) <= 1e-12 * np.linalg.norm(G)
+
+    @pytest.mark.parametrize("n", (4, 8, 16, 32))
+    @pytest.mark.parametrize("spectrum", ("repeated", "clustered", "mixed"))
+    def test_seeded_degenerate_spectra(self, n, spectrum):
+        """G = N^b N, N = N0 S for random symplectic S and a block-diagonal N0 whose
+        spectrum is repeated (pairs of equal modes), clustered (modes 1e-9 apart)
+        or mixed (repeated positive pairs, negative pairs, complex quadruples)."""
+        rng = np.random.default_rng([n, len(spectrum)])
+        half = n // 2
+        if spectrum == "repeated":
+            N0 = Delta(np.diag(np.repeat(np.arange(1.0, half + 1), 2)))
+        elif spectrum == "clustered":
+            N0 = Delta(np.diag(np.repeat(np.arange(1.0, half + 1), 2) + np.tile([0.0, 1e-9], half)))
+        else:
+            k = n // 4  # k positive modes, k negative modes, k quadruples (two modes each)
+            minus = np.concatenate([np.ones(k), np.zeros(k), np.full(2 * k, 1.5)])
+            plus = np.zeros((n, n), dtype=complex)
+            plus[k : 2 * k, k : 2 * k] = 2.0 * np.eye(k)
+            sig = np.array([[0.0, -1j], [1j, 0.0]])
+            for j in range(2 * k, n, 2):
+                plus[j : j + 2, j : j + 2] = -0.7 * sig
+            N0 = Delta(np.diag(minus), plus)
+        N = N0 @ random_symplectic(rng, n)
+        G = flat_adjoint(N) @ N
+        T = factor_flat_gram(G)
+        assert is_doubled_up(T)
+        assert np.linalg.norm(flat_adjoint(T) @ T - G) <= 1e-12 * np.linalg.norm(G)
+        minus, plus = du_blocks(T)
+        K = minus + plus  # the gauge makes the block sum Hermitian PSD
+        assert np.linalg.norm(K - K.conj().T) <= 1e-12 * np.linalg.norm(K)
+        assert np.min(np.linalg.eigvalsh(0.5 * (K + K.conj().T))) >= -1e-12 * np.linalg.norm(K)
+
+    def test_wrong_inertia_raises(self):
+        # G = J is flat-self-adjoint, but J G = 1 has inertia (2n, 0)
+        with pytest.raises(ValueError, match="inertia"):
+            factor_flat_gram(jmat(3))
+
+    def test_zero_modes(self):
+        T = factor_flat_gram(np.zeros((0, 0)))
+        assert T.shape == (0, 0)
 
     def test_not_flat_self_adjoint_raises(self, rng):
         M = random_du(rng, 2, 2)

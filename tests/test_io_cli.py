@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qls import io as qio
-from qls.cli import main
+from qls.cli import _spectrum_order, main
 from qls.model import default_grid, freq_response, tf_equal
 from qls.realization import ps_as_rational, tf_as_rational
 from qls.sampling import random_pure_input, random_qlsystem
@@ -196,6 +196,15 @@ class TestCli:
         data = json.load(open(out))
         T3bT3 = qio.matrix_from_json(data["T3bT3"])
         assert np.allclose(T3bT3, -0.2054 * np.eye(2), atol=5e-5)
+
+    def test_realize_ps_spectrum_order_ignores_one_ulp(self):
+        # a conjugate pair whose real parts differ by one ulp, in either order
+        lo, hi = -24.0, np.nextafter(-24.0, 0.0)
+        for pair in ([lo + 1.7j, hi - 1.7j], [hi + 1.7j, lo - 1.7j]):
+            assert np.array_equal(_spectrum_order(pair).imag, [-1.7, 1.7])
+            assert np.array_equal(_spectrum_order(pair[::-1]).imag, [-1.7, 1.7])
+        assert np.array_equal(_spectrum_order([-1.0 + 2j, -3.0 - 1j, -1.0 - 2j]),
+                              [-3.0 - 1j, -1.0 - 2j, -1.0 + 2j])
 
     def test_realize_ps_three_modes_one_channel(self, workdir, rng):
         vac = InputCovariance.vacuum(1)

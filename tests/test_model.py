@@ -234,6 +234,12 @@ class TestMinimalityStability:
         assert tf_equal(sys, sys)
         assert not tf_equal(sys, QLSystem(S=np.eye(4), C=np.zeros((4, 0)), Omega=np.zeros((0, 0))))
 
+    def test_zero_mode_system_is_minimal(self):
+        sys = QLSystem(S=Delta(np.exp(0.3j)), C=np.zeros((2, 0)), Omega=np.zeros((0, 0)))
+        assert is_minimal(sys)
+        assert controllability_matrix(sys.A, flat_adjoint(sys.C)).shape == (0, 0)
+        assert observability_matrix(sys.C, sys.A).shape == (0, 0)
+
     def test_matrices_shapes(self, rng):
         sys = random_qlsystem(rng, 2, 1)
         ctrb = controllability_matrix(sys.A, -np.eye(4))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qls.algebra import du_blocks, flat_adjoint, is_doubled_up, jmat
+from qls.algebra import Delta, du_blocks, flat_adjoint, is_doubled_up, jmat
 from qls.model import (
     QLSystem,
     StateSpace,
@@ -272,6 +272,12 @@ class TestPhysicalFromClassical:
             assert check_pr(rec.A, rec.C, tol=1e-8)
             assert tf_equal(rec, sys, tol=1e-6)
             done += 1
+
+    def test_pure_scattering_realizes_zero_modes(self):
+        sys = QLSystem(S=Delta(np.exp(0.3j)), C=np.zeros((2, 0)), Omega=np.zeros((0, 0)))
+        rec = physical_from_classical(gilbert_realize(tf_as_rational(sys)))
+        assert rec.n == 0
+        assert np.allclose(rec.S, sys.S, atol=1e-14)
 
     def test_unphysical_tf_rejected(self, rng):
         # a generic stable classical system is not a QLS transfer function

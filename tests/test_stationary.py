@@ -260,6 +260,11 @@ class TestGlobalMinimality:
         with pytest.raises(ValueError):
             is_globally_minimal(sys, InputCovariance([[0.4]], [[0.0]]))
 
+    def test_zero_mode_system_is_globally_minimal(self):
+        sys = QLSystem(S=algebra.Delta(np.exp(0.3j)), C=np.zeros((2, 0)), Omega=np.zeros((0, 0)))
+        assert is_globally_minimal(sys, InputCovariance.vacuum(1))
+        assert is_globally_minimal(sys, squeezed_input(0.5))
+
 
 class TestSisoPassiveGm:
     def test_detuned_cavity_gm(self):
