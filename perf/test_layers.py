@@ -29,6 +29,7 @@ from qls import (
     flat_adjoint,
     gauge_transform,
     is_hurwitz,
+    is_minimal,
     jmat,
     physical_from_classical,
     ps_as_rational,
@@ -89,6 +90,10 @@ def test_qlsystem_construction(benchmark, sys):
 
 def test_freq_response_per_point(benchmark, sys):
     benchmark(freq_response, sys, [0.1 - 1.7j])
+
+
+def test_is_minimal(benchmark, sys):
+    benchmark(is_minimal, sys)
 
 
 def test_solve_lyapunov(benchmark, sys):

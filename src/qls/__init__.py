@@ -35,12 +35,10 @@ from .model import (
     StateSpace,
     check_pr,
     concatenate,
-    controllability_matrix,
     default_grid,
     gauge_transform,
     is_hurwitz,
     is_minimal,
-    observability_matrix,
     series_product,
     spectral_gap,
     tf_equal,

@@ -94,6 +94,7 @@ def _emit(args, payload):
 
 def cmd_validate(args):
     sys_ = _load_system(args.system)
+    gap = spectral_gap(sys_)
     payload = {
         "n": sys_.n,
         "m": sys_.m,
@@ -101,7 +102,7 @@ def cmd_validate(args):
         "hurwitz": bool(is_hurwitz(sys_)),
         "minimal": bool(is_minimal(sys_)),
         "passive": bool(sys_.is_passive),
-        "spectral_gap": float(spectral_gap(sys_)),
+        "spectral_gap": float(gap) if np.isfinite(gap) else None,  # a 0-mode system has none
         "fpr_residual": float(
             max(flat_unitary_residual(X) for X in freq_response(sys_, default_grid(sys_, 11)))
         ),

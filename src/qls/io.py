@@ -51,7 +51,9 @@ def matrix_to_json(M):
 
 
 def matrix_from_json(data):
-    return np.array([[pair_to_complex(p) for p in row] for row in data], dtype=complex)
+    """Rows of [re, im] pairs; ``[]`` reads as 0 x 0 (the Omega of a 0-mode system)."""
+    M = np.array([[pair_to_complex(p) for p in row] for row in data], dtype=complex)
+    return M.reshape(len(data), len(data[0]) if len(data) else 0)
 
 
 def _block_to_json(M):

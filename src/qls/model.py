@@ -33,7 +33,7 @@ from .algebra import (
     jmat,
 )
 
-RANK_TOL = 1e-10   # relative singular-value cutoff for rank decisions
+RANK_TOL = 1e-10   # PBH-margin cutoff for the minimality decision
 STAB_TOL = 1e-12   # strict-inequality margin for the Hurwitz test
 
 
@@ -227,41 +227,34 @@ def transfer_function(sys, s):
     return freq_response(sys, [s])[0]
 
 
-def controllability_matrix(A, B):
-    """[B, AB, ..., A^{n-1} B] (0 x 0 for n = 0)."""
-    A = np.asarray(A, dtype=complex)
-    B = np.atleast_2d(np.asarray(B, dtype=complex))
-    blocks, acc = [], B
-    for _ in range(A.shape[0]):
-        blocks.append(acc)
-        acc = A @ acc
-    return np.hstack(blocks) if blocks else np.zeros((0, 0), dtype=complex)
+def _pbh_margin(A, C, poles):
+    """Scale-invariant Popov-Belevitch-Hautus margin of the pair (C, A).
+
+    min over the eigenvalues lambda of A of sigma_min([(A - lambda) / ||A||; C / ||C||]):
+    (C, A) is observable iff it is positive (Hautus 1969), and it is unchanged
+    under A -> t A, C -> sqrt(t) C.  Controllability of (A, B) is the margin of
+    (B^dag, A^dag) at the conjugate poles.  inf at 0 modes, 0 when C = 0.
+    """
+    n = A.shape[0]
+    if n == 0:
+        return np.inf
+    c = np.linalg.norm(C)
+    if c == 0:
+        return 0.0
+    a = np.linalg.norm(A) or 1.0
+    pencil = (A - poles[:, None, None] * np.eye(n)) / a
+    stack = np.concatenate([pencil, np.broadcast_to(C / c, (len(poles),) + C.shape)], axis=1)
+    return float(np.min(np.linalg.svd(stack, compute_uv=False)))
 
 
-def observability_matrix(C, A):
-    """[C; CA; ...; C A^{n-1}] (0 x 0 for n = 0)."""
-    A = np.asarray(A, dtype=complex)
-    C = np.atleast_2d(np.asarray(C, dtype=complex))
-    blocks, acc = [], C
-    for _ in range(A.shape[0]):
-        blocks.append(acc)
-        acc = acc @ A
-    return np.vstack(blocks) if blocks else np.zeros((0, 0), dtype=complex)
-
-
-def _full_rank(M, rank_tol=RANK_TOL):
-    """Rank min(M.shape) at a singular-value cutoff relative to the largest (an empty M is)."""
-    sv = np.linalg.svd(M, compute_uv=False)
-    return bool(np.sum(sv > rank_tol * np.max(sv, initial=0.0)) == min(M.shape))
-
-
-def is_minimal(sys, rank_tol=RANK_TOL):
-    """Minimality via full rank of the observability matrix of (C, A).
+def is_minimal(sys):
+    """Minimality by the PBH test: ``_pbh_margin`` of (C, A) above RANK_TOL.
 
     Observability and controllability are equivalent for QLSs, so one test
-    suffices.  A 0-mode system is minimal.
+    suffices.  The verdict does not depend on the time scale.  A 0-mode
+    system is minimal.
     """
-    return _full_rank(observability_matrix(sys.C, sys.A), rank_tol)
+    return _pbh_margin(sys.A, sys.C, sys.poles) > RANK_TOL
 
 
 def is_hurwitz(sys, stab_tol=STAB_TOL):

@@ -506,6 +506,12 @@ def ps_realize(ps, return_details=False):
     if len(poles) % 4:
         raise IdentificationError("power-spectrum data needs 4n poles")
     n = len(poles) // 4
+    m2 = ps.shape[0]
+    if n == 0:  # pure-scattering data: the 0-mode system
+        sys = QLSystem.from_drift(np.zeros((0, 0)), np.zeros((m2, 0)))
+        empty = np.zeros((0, 0), dtype=complex)
+        details = {"A0": empty, "B1": np.zeros((0, m2)), "C2": np.zeros((m2, 0)), "T3": empty, "T3bT3": empty}
+        return (sys, details) if return_details else sys
     scale = np.max(np.abs(poles))
     if np.any(np.abs(poles.imag) <= 1e-9 * scale):
         raise IdentificationError("real-axis poles are not supported")
@@ -524,7 +530,6 @@ def ps_realize(ps, return_details=False):
             raise IdentificationError(f"expected pole {p} missing from data")
         return ps.residues[k]
 
-    m2 = ps.shape[0]
     Sig = sigma_swap(m2 // 2)
 
     C2_first, B1_first = [], []

@@ -33,8 +33,7 @@ from .model import (
     QLSystem,
     StateSpace,
     _frozen,
-    _full_rank,
-    controllability_matrix,
+    _pbh_margin,
     freq_response,
     gauge_transform,
     is_hurwitz,
@@ -199,8 +198,9 @@ def is_globally_minimal(sys, V, gm_tol=GM_TOL):
     """Global minimality for a pure input: fully mixed stationary state.
 
     Cross-checked against controllability of (A, C^b S_eff V_vac) in the
-    vacuum-rotated basis; a disagreement raises RuntimeError.  A 0-mode
-    system is globally minimal.
+    vacuum-rotated basis, by the PBH test of ``model._pbh_margin`` on the
+    dual pair with cutoff gm_tol; a disagreement raises RuntimeError.  A
+    0-mode system is globally minimal.
 
     Raises ValueError for mixed inputs, where purity of the stationary state
     no longer witnesses global minimality.
@@ -215,7 +215,7 @@ def is_globally_minimal(sys, V, gm_tol=GM_TOL):
 
     rotated, _ = _vacuum_rotated(sys, V)
     B = flat_adjoint(rotated.C) @ rotated.S @ vacuum_covariance(sys.m)
-    control = _full_rank(controllability_matrix(rotated.A, B), gm_tol)
+    control = _pbh_margin(rotated.A.conj().T, B.conj().T, rotated.poles.conj()) > gm_tol
     if control != verdict:
         raise RuntimeError(
             "global minimality criteria disagree "

@@ -143,6 +143,15 @@ class TestCli:
         assert out["minimal"] is True
         assert out["fpr_residual"] < 1e-8
 
+    def test_validate_zero_modes(self, workdir, capsys):
+        from qls.algebra import Delta
+        from qls.model import QLSystem
+
+        sys = QLSystem(S=Delta(np.exp(0.3j)), C=np.zeros((2, 0)), Omega=np.zeros((0, 0)))
+        assert main(["validate", write(workdir / "sys.json", qio.system_to_json(sys))]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["n"] == 0 and out["minimal"] is True and out["spectral_gap"] is None
+
     def test_validate_malformed_exits_2(self, workdir, capsys):
         p = str(workdir / "bad.json")
         with open(p, "w") as fh:
@@ -172,6 +181,11 @@ class TestCli:
         sp = json.load(open(workdir / "split.json"))
         assert sp["pure"]["n"] == 1 and sp["mixed"]["n"] == 1
 
+    def test_gm_two_mode_cascade_example(self, workdir, capsys):
+        p = write(workdir / "sys.json", qio.system_to_json(two_mode_cascade_example()))
+        assert main(["gm", p]) == 0
+        assert json.loads(capsys.readouterr().out)["globally_minimal"] is True
+
     def test_gm_non_hurwitz_exits_2(self, workdir, capsys):
         from qls.model import QLSystem
 
@@ -196,6 +210,20 @@ class TestCli:
         data = json.load(open(out))
         T3bT3 = qio.matrix_from_json(data["T3bT3"])
         assert np.allclose(T3bT3, -0.2054 * np.eye(2), atol=5e-5)
+
+    def test_realize_ps_zero_modes(self, workdir):
+        from qls.algebra import Delta
+        from qls.model import QLSystem
+
+        sys = QLSystem(S=Delta(np.exp(0.3j)), C=np.zeros((2, 0)), Omega=np.zeros((0, 0)))
+        psr = ps_as_rational(sys, InputCovariance.vacuum(1))
+        p = write(workdir / "ps.json", qio.rational_to_json(psr))
+        out = str(workdir / "rec.json")
+        assert main(["realize-ps", p, "-o", out]) == 0
+        data = json.load(open(out))
+        assert qio.system_from_json(data["system"]).n == 0
+        assert qio.matrix_from_json(data["T3bT3"]).shape == (0, 0)
+        assert data["spectrum"] == []
 
     def test_realize_ps_spectrum_order_ignores_one_ulp(self):
         # a conjugate pair whose real parts differ by one ulp, in either order

@@ -8,13 +8,11 @@ from qls.model import (
     StateSpace,
     check_pr,
     concatenate,
-    controllability_matrix,
     default_grid,
     freq_response,
     gauge_transform,
     is_hurwitz,
     is_minimal,
-    observability_matrix,
     series_product,
     spectral_gap,
     tf_equal,
@@ -237,15 +235,43 @@ class TestMinimalityStability:
     def test_zero_mode_system_is_minimal(self):
         sys = QLSystem(S=Delta(np.exp(0.3j)), C=np.zeros((2, 0)), Omega=np.zeros((0, 0)))
         assert is_minimal(sys)
-        assert controllability_matrix(sys.A, flat_adjoint(sys.C)).shape == (0, 0)
-        assert observability_matrix(sys.C, sys.A).shape == (0, 0)
 
-    def test_matrices_shapes(self, rng):
-        sys = random_qlsystem(rng, 2, 1)
-        ctrb = controllability_matrix(sys.A, -np.eye(4))
-        obsv = observability_matrix(sys.C, sys.A)
-        assert ctrb.shape == (4, 16)
-        assert obsv.shape == (8, 4)
+
+def _with_uncoupled_mode(sys):
+    """The system plus one mode (frequency 0.7) coupled to nothing."""
+    cm, cp = du_blocks(sys.C)
+    om, op = du_blocks(sys.Omega)
+    om = np.pad(om, ((0, 1), (0, 1)))
+    om[-1, -1] = 0.7
+    pad = ((0, 0), (0, 1))
+    return QLSystem.from_blocks(np.pad(cm, pad), np.pad(cp, pad), om, np.pad(op, ((0, 1), (0, 1))))
+
+
+def _duplicated(sys):
+    """Two identical copies of the system on the same channels: their difference mode is dark."""
+    cm, cp = du_blocks(sys.C)
+    om, op = du_blocks(sys.Omega)
+    eye = np.eye(2)
+    return QLSystem.from_blocks(np.hstack([cm, cm]), np.hstack([cp, cp]), np.kron(eye, om), np.kron(eye, op))
+
+
+def _rescaled(sys, t):
+    """Time rescaled by t: A -> t A, C -> sqrt(t) C, Omega -> t Omega."""
+    return QLSystem(S=sys.S, C=np.sqrt(t) * sys.C, Omega=t * sys.Omega)
+
+
+class TestMinimalityAtScale:
+    @pytest.mark.parametrize("m", (1, 2))
+    @pytest.mark.parametrize("n", (8, 16, 32))
+    def test_seeded_draws(self, n, m):
+        rng = np.random.default_rng(1000 * n + m)
+        for passive in (True, False):
+            sys = random_qlsystem(rng, n, m, passive=passive, active_scale=0.4 / n)
+            cases = ((sys, True), (_with_uncoupled_mode(sys), False), (_duplicated(sys), False))
+            for case, minimal in cases:
+                assert is_minimal(case) is minimal, (passive, case.n)
+                for t in (1e-6, 1e6):
+                    assert is_minimal(_rescaled(case, t)) is minimal, (passive, case.n, t)
 
 
 class TestSeriesProduct:

@@ -305,6 +305,12 @@ class TestPsRealize:
             ) < 1e-6
         assert is_globally_minimal(rec, vac)
 
+    def test_pure_scattering_realizes_zero_modes(self):
+        sys = QLSystem(S=Delta(np.exp(0.3j)), C=np.zeros((2, 0)), Omega=np.zeros((0, 0)))
+        rec, details = ps_realize(ps_as_rational(sys, InputCovariance.vacuum(1)), return_details=True)
+        assert rec.n == 0 and rec.m == 1
+        assert details["T3bT3"].shape == (0, 0)
+
     def test_random_roundtrips(self, rng):
         vac = InputCovariance.vacuum(1)
         done = 0
