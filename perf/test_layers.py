@@ -5,15 +5,19 @@
 
 This directory sits outside ``testpaths``, so the test suite does not
 collect it.  Only public names are used, so the same file also times older
-checkouts.  Inputs are seeded: one passive-plus-weakly-active system with n
-modes and one channel per size, a squeezed input, a generic flat Gram
+checkouts: copy it into the older tree and run it from that tree's root,
+since pyproject.toml puts the root's ``src`` ahead of PYTHONPATH.  Inputs
+are seeded: one passive-plus-weakly-active system with n modes and one
+channel per size, a squeezed input, a generic flat Gram
 matrix and, for ``physical_from_classical``, the system's realization in a
 seeded non-symplectic basis.  The ``dump_json`` cases time the emit stage
 of ``qls tf`` on the transfer function of a seeded 4-mode, 2-channel
 system (2m = 4).  The absorber cases take the n = 32 system, its coherent
 absorber and their pure 64-mode cascade (a 2n = 128 covariance); the
 cascade Lyapunov case solves the cascade of each size's system into its
-absorber.
+absorber.  ``siso_cascade_identify`` takes the (Xi_-, Xi_+) data of the
+n = 2, 8 and 16 systems; the n = 32 system has a near-real pole pair,
+which the cascade route rejects.
 """
 
 import numpy as np
@@ -23,6 +27,7 @@ from qls import (
     Delta,
     InputCovariance,
     QLSystem,
+    RationalMatrixFunction,
     StateSpace,
     factor_flat_gram,
     dual_system,
@@ -33,6 +38,7 @@ from qls import (
     jmat,
     physical_from_classical,
     ps_as_rational,
+    siso_cascade_identify,
     solve_lyapunov,
     tf_as_rational,
     verify_absorber,
@@ -165,6 +171,14 @@ def test_tf_as_rational(benchmark, sys):
 
 def test_ps_as_rational(benchmark, sys):
     benchmark(ps_as_rational, sys, INPUT)
+
+
+@pytest.mark.parametrize("n", (2, 8, 16), ids=lambda n: f"n{n}")
+def test_siso_cascade_identify(benchmark, n):
+    r = tf_as_rational(_system(n))
+    xi_m = RationalMatrixFunction([[1.0]], r.poles, [R[:1, :1] for R in r.residues])
+    xi_p = RationalMatrixFunction([[0.0]], r.poles, [R[:1, 1:2] for R in r.residues])
+    benchmark(siso_cascade_identify, xi_m, xi_p)
 
 
 @pytest.mark.parametrize("points", (301, 25), ids=lambda k: f"K{k}")

@@ -46,20 +46,20 @@ class InputError(ValueError):
     """Malformed or physically invalid input (exit code 2)."""
 
 
-def _load_system(path):
+def _load(path, parse, what):
+    """``parse`` applied to the JSON file at ``path``; a missing, unreadable or malformed file raises InputError."""
     try:
-        return qio.system_from_json(qio.load_json(path))
-    except (OSError, KeyError, ValueError) as exc:
-        raise InputError(f"could not load system from {path}: {exc}") from exc
+        return parse(qio.load_json(path))
+    except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise InputError(f"could not load {what} from {path}: {exc}") from exc
+
+
+def _load_system(path):
+    return _load(path, qio.system_from_json, "system")
 
 
 def _load_input(path, m):
-    if path is None:
-        return InputCovariance.vacuum(m)
-    try:
-        return qio.input_from_json(qio.load_json(path))
-    except (OSError, KeyError, ValueError) as exc:
-        raise InputError(f"could not load input covariance from {path}: {exc}") from exc
+    return InputCovariance.vacuum(m) if path is None else _load(path, qio.input_from_json, "input covariance")
 
 
 def _grid(sys, spec):
@@ -151,15 +151,13 @@ def cmd_split(args):
 
 
 def cmd_realize_tf(args):
-    data = qio.load_json(args.rational)
-    tf = qio.rational_from_json(data)
+    tf = _load(args.rational, qio.rational_from_json, "rational data")
     sys_ = physical_from_classical(gilbert_realize(tf))
     _emit(args, qio.system_to_json(sys_))
 
 
 def cmd_realize_ps(args):
-    data = qio.load_json(args.rational)
-    ps = qio.rational_from_json(data)
+    ps = _load(args.rational, qio.rational_from_json, "rational data")
     sys_, details = ps_realize(ps, return_details=True)
     _emit(args, {
         "system": qio.system_to_json(sys_),
@@ -169,19 +167,18 @@ def cmd_realize_ps(args):
 
 
 def cmd_realize_noisy(args):
-    ss = qio.statespace_from_json(qio.load_json(args.statespace))
+    ss = _load(args.statespace, qio.statespace_from_json, "state space")
     rng = np.random.default_rng(args.seed)
     sys_ = noisy_realize(ss, args.n_noise, rng=rng)
     _emit(args, qio.system_to_json(sys_))
 
 
 def cmd_cascade_id(args):
-    data = qio.load_json(args.rational)
-    xi_m = qio.rational_from_json(data["xi_minus"])
-    xi_p = qio.rational_from_json(data["xi_plus"])
+    xi_m, xi_p = _load(args.rational, lambda d: (qio.rational_from_json(d["xi_minus"]),
+                                                 qio.rational_from_json(d["xi_plus"])), "cascade data")
     order = "damping"
     if args.pole_order:
-        order = [complex(p[0], p[1]) for p in qio.load_json(args.pole_order)]
+        order = _load(args.pole_order, lambda d: [qio.pair_to_complex(p) for p in d], "pole order")
     casc = siso_cascade_identify(xi_m, xi_p, pole_order=order)
     stages = [
         {
@@ -207,7 +204,7 @@ def cmd_absorber(args):
 
 
 def cmd_qfi(args):
-    family = qio.family_from_json(qio.load_json(args.family))
+    family = _load(args.family, qio.family_from_json, "family")
     if args.fd_step is not None:
         family = dataclasses.replace(family, fd_step=args.fd_step)
     sys0 = family.evaluate(args.theta)
@@ -226,10 +223,13 @@ def cmd_qfi(args):
     })
 
 
-def cmd_sweep(args):
-    data = qio.load_json(args.family)
+def _sweep_spec(data):
+    """(builder, couplings) of a sweep file; builder maps a coupling value to its family.
+
+    The first family is built here, so that a malformed file fails on loading.
+    """
     couplings = [float(c) for c in data["couplings"]]
-    target = data.get("coupling_target", "C.minus")
+    name, half = data.get("coupling_target", "C.minus").split(".")
     row = int(data.get("coupling_row", 0))
     col = int(data.get("coupling_col", 0))
 
@@ -237,14 +237,18 @@ def cmd_sweep(args):
         spec = dict(data["family"])
         base = dict(spec["base"])
         blocks = {k: dict(base[k]) for k in ("S", "C", "Omega")}
-        name, half = target.split(".")
         M = qio.matrix_from_json(blocks[name][half])
         M[row, col] = c
         blocks[name][half] = qio.matrix_to_json(M)
         base.update(blocks)
-        spec = dict(spec, base=base)
-        return qio.family_from_json(spec)
+        return qio.family_from_json(dict(spec, base=base))
 
+    builder(couplings[0])
+    return builder, couplings
+
+
+def cmd_sweep(args):
+    builder, couplings = _load(args.family, _sweep_spec, "sweep spec")
     sys0 = builder(couplings[0]).evaluate(args.theta)
     V = _load_input(args.input, sys0.m)
     table = destabilized_scaling_check(builder, couplings, V, theta0=args.theta)

@@ -125,10 +125,13 @@ def family_from_json(data):
     """
     base = system_from_json(data["base"])
     fd_step = float(data.get("fd_step", 0.0))
-    deps = data.get("dependencies", [])
-    for dep in deps:
+    deps = []  # (block name, 0 minus / 1 plus, row, col, coefficient), parsed once
+    for dep in data.get("dependencies", []):
         if dep["target"] not in _FAMILY_TARGETS:
             raise ValueError(f"unknown dependency target {dep['target']!r}")
+        name, half = dep["target"].split(".")
+        deps.append((name, int(half == "plus"), int(dep["row"]), int(dep["col"]),
+                     pair_to_complex(dep["coefficient"])))
 
     def evaluate(theta):
         blocks = {
@@ -136,15 +139,11 @@ def family_from_json(data):
             "C": [b.copy() for b in du_blocks(base.C)],
             "Omega": [b.copy() for b in du_blocks(base.Omega)],
         }
-        for dep in deps:
-            name, half = dep["target"].split(".")
-            idx = 0 if half == "minus" else 1
-            i, j = int(dep["row"]), int(dep["col"])
-            coeff = pair_to_complex(dep["coefficient"])
+        for name, idx, i, j, coeff in deps:
             M = blocks[name][idx]
             M[i, j] += coeff * theta
             if name == "Omega" and i != j:
-                M[j, i] += (np.conj(coeff) if half == "minus" else coeff) * theta
+                M[j, i] += (coeff if idx else np.conj(coeff)) * theta
         return QLSystem(
             S=Delta(*blocks["S"]), C=Delta(*blocks["C"]), Omega=Delta(*blocks["Omega"])
         )

@@ -251,10 +251,14 @@ def is_minimal(sys):
     """Minimality by the PBH test: ``_pbh_margin`` of (C, A) above RANK_TOL.
 
     Observability and controllability are equivalent for QLSs, so one test
-    suffices.  The verdict does not depend on the time scale.  A 0-mode
-    system is minimal.
+    suffices.  For the doubled-up (C, A) the conjugate pole gives the same
+    margin, so one pole per conjugate pair is tested; the filter is relative
+    because real poles carry rounding-size imaginary parts of either sign.
+    The verdict does not depend on the time scale.  A 0-mode system is
+    minimal.
     """
-    return _pbh_margin(sys.A, sys.C, sys.poles) > RANK_TOL
+    poles = sys.poles
+    return _pbh_margin(sys.A, sys.C, poles[poles.imag >= -1e-8 * np.abs(poles)]) > RANK_TOL
 
 
 def is_hurwitz(sys, stab_tol=STAB_TOL):

@@ -2,8 +2,8 @@
 
 Three reconstruction routes are implemented:
 
-* the direct SISO route, peeling one-mode stages off a cascade by a
-  coefficient recursion on the numerators of (Xi_-, Xi_+);
+* the direct SISO route: the indirect route's realization of (Xi_-, Xi_+),
+  deflated one conjugate pole pair at a time into one-mode cascade stages;
 * the indirect route: a (non-physical) doubled-up Gilbert realization of the
   rational data followed by the similarity transform T with T^b T fixed by a
   flat Gramian, which restores physical realizability;
@@ -36,6 +36,7 @@ from .model import (
     QLSystem,
     StateSpace,
     freq_response,
+    gauge_transform,
     series_product,
     transfer_function,
 )
@@ -151,37 +152,14 @@ def _canonical_row_phase(row):
 
 @dataclass(frozen=True)
 class OneModeParams:
-    """Cascade-stage parameters (x, theta, y, phi) of a one-mode SISO system.
+    """A one-mode SISO cascade stage: coupling Delta(c, 0), Hamiltonian Delta(omega_minus, omega_plus).
 
-    x = c^2 / 2 > 0, theta = Omega_-, y^2 = |Omega_+|^2 - Omega_-^2 (y real or
-    purely imaginary) and phi = arg(Omega_+).
+    c > 0 and omega_minus are real; omega_plus is complex.
     """
 
-    x: float
-    theta: float
-    y: complex
-    phi: float
-
-    @property
-    def c(self):
-        return np.sqrt(2.0 * self.x)
-
-    @property
-    def omega_minus(self):
-        return self.theta
-
-    @property
-    def omega_plus(self):
-        mag2 = (self.y ** 2).real + self.theta ** 2
-        mag = np.sqrt(max(mag2, 0.0))
-        return mag * np.exp(1j * self.phi)
-
-    @staticmethod
-    def from_physical(c, omega_minus, omega_plus):
-        x = 0.5 * abs(c) ** 2
-        y = np.sqrt(complex(abs(omega_plus) ** 2 - omega_minus ** 2))
-        return OneModeParams(x=float(x), theta=float(omega_minus), y=complex(y),
-                             phi=float(np.angle(omega_plus)) if omega_plus != 0 else 0.0)
+    c: float
+    omega_minus: float
+    omega_plus: complex
 
     def to_system(self):
         return QLSystem.from_blocks(
@@ -219,172 +197,93 @@ def passive_siso_cascade(poles):
         z = complex(z)
         if z.real >= 0:
             raise ValueError(f"pole {z} is not in the open left half-plane")
-        stages.append(OneModeParams.from_physical(np.sqrt(-2.0 * z.real), -z.imag, 0.0))
+        stages.append(OneModeParams(float(np.sqrt(-2.0 * z.real)), -z.imag, 0j))
     return CascadeRealization(stages=tuple(stages))
 
 
-def _numerator_coeffs(rational, common_poles):
-    """Numerator polynomial coefficients of `rational` over prod(s - p)."""
-    den = np.poly(common_poles)
-    num = np.asarray(rational.constant[0, 0], dtype=complex) * den
-    for p, R in zip(rational.poles, rational.residues):
-        k = int(np.argmin(np.abs(np.asarray(common_poles) - p)))
-        if abs(common_poles[k] - p) > POLE_MATCH_TOL * max(1.0, abs(p)):
-            raise IdentificationError(f"pole {p} missing from the common denominator")
-        others = [q for j, q in enumerate(common_poles) if j != k]
-        num = np.polyadd(num, complex(R[0, 0]) * np.poly(others))
-    return num
-
-
-def _even_coeffs(num, n_pairs, what):
-    """Collect coefficients of s^{2k}; error on significant odd powers."""
-    num = np.atleast_1d(num)
-    full = np.zeros(2 * n_pairs + 1, dtype=complex)
-    full[-len(num):] = num
-    scale = np.max(np.abs(full)) or 1.0
-    odd = full[-2::-2]
-    if np.max(np.abs(odd), initial=0.0) > 1e-6 * scale:
-        raise IdentificationError(f"{what} numerator has odd-power terms; not a cascade form")
-    return full[::-2]  # index k -> coefficient of s^{2k}
-
-
-class _Affine:
-    """Affine record: a_k = s1 + s2 conj(O) - s3 theta, b_k = s4 + s2 theta - s3 O."""
-
-    __slots__ = ("s1", "s2", "s3")
-
-    def __init__(self, s1, s2, s3):
-        self.s1, self.s2, self.s3 = complex(s1), complex(s2), complex(s3)
-
-
-def _stage_from_pair(alphas, betas, x, y2):
-    """One peeling step: identify (theta, Omega_+) and the quotient numerators.
-
-    `alphas[k]`, `betas[k]` are the s^{2k} coefficients of the current
-    numerators (alphas monic of degree 2n).  The one-mode factors are
-
-        Xi_1-(s) = (s^2 + e) / d(s),  e = -x^2 - y^2 + 2 i x theta,
-        Xi_1+(s) = f / d(s),          f = +2 i x Omega_+,
-
-    with d(s) = (s + x)^2 - y^2.  Descending through the even powers keeps
-    every coefficient affine in (theta, Omega_+): the quadratic terms always
-    combine into the known y^2 = |Omega_+|^2 - theta^2.
-
-    Returns (theta, omega_plus, new_alphas, new_betas).
-    """
-    n = len(alphas) - 1
-    a = [None] * n
-    b = [None] * n
-    s1, s2, s3, s4 = 1.0, 0.0, 0.0, 0.0  # a_{n-1} = 1, b_{n-1} = 0
-    w = x * x + y2
-    for level in range(n - 1, -1, -1):
-        alpha = alphas[level]
-        beta = betas[level] if level < len(betas) else 0.0
-        ns1 = alpha + w * s1 - 2j * x * s3 * y2
-        ns2 = w * s2 + 2j * x * s4
-        ns3 = w * s3 + 2j * x * s1
-        ns4 = beta + w * s4 - 2j * x * s2 * y2
-        s1, s2, s3, s4 = ns1, ns2, ns3, ns4
-        if level > 0:
-            a[level - 1] = _Affine(s1, s2, s3)
-            b[level - 1] = _Affine(s4, s2, s3)
-    # termination: a_{-1} = 0 and b_{-1} = 0, affine in (theta, Re O, Im O)
-    # a: s1 + s2 (Re O - i Im O) - s3 theta = 0
-    # b: s4 + s2 theta - s3 (Re O + i Im O) = 0
-    rows, rhs = [], []
-    for coeff_theta, coeff_re, coeff_im, const in (
-        (-s3, s2, -1j * s2, s1),
-        (s2, -s3, -1j * s3, s4),
-    ):
-        rows.append([coeff_theta.real, coeff_re.real, coeff_im.real])
-        rows.append([coeff_theta.imag, coeff_re.imag, coeff_im.imag])
-        rhs.extend([-const.real, -const.imag])
-    rows = np.array(rows)
-    rhs = np.array(rhs)
-    sol, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    theta, re_o, im_o = sol
-    omega_plus = re_o + 1j * im_o
-    resid = np.linalg.norm(rows @ sol - rhs)
-    scale = max(1.0, np.linalg.norm(rhs), np.max(np.abs(rows)) * np.linalg.norm(sol))
-    if resid > 1e-6 * scale:
-        raise IdentificationError(
-            f"stage equations are inconsistent (residual {resid:.2e}); input is not generic"
-        )
-    y2_check = abs(omega_plus) ** 2 - theta ** 2
-    if abs(y2_check - y2) > 1e-4 * max(1.0, abs(y2)):
-        raise IdentificationError(
-            f"pole data and recovered parameters disagree: y^2 {y2:.6g} vs {y2_check:.6g}"
-        )
-    new_alphas = np.array(
-        [a[k].s1 + a[k].s2 * np.conj(omega_plus) - a[k].s3 * theta for k in range(n - 1)]
-        + [1.0]
-    )
-    new_betas = np.array(
-        [b[k].s1 + b[k].s2 * theta - b[k].s3 * omega_plus for k in range(n - 1)]
-    )
-    return float(theta), complex(omega_plus), new_alphas, new_betas
+def _scalar_residues(f, poles):
+    """Residues of the scalar rational function f at `poles`, matched by location; 0 where f has none."""
+    out = np.zeros(len(poles), dtype=complex)
+    if f.poles:
+        d = np.abs(poles[:, None] - np.array(f.poles))
+        k = np.argmin(d, axis=1)
+        hit = d[np.arange(len(poles)), k] <= POLE_MATCH_TOL * np.maximum(1.0, np.abs(poles))
+        out[hit] = np.array([R[0, 0] for R in f.residues])[k[hit]]
+    return out
 
 
 def siso_cascade_identify(xi_minus, xi_plus, pole_order="damping"):
     """Cascade realization of a generic SISO transfer function (Xi_-, Xi_+).
 
     The scalar rational functions must share their 2n poles (complex-conjugate
-    pairs off the real axis) and have even numerators.  Stages are peeled one
-    conjugate pole pair at a time; ``pole_order`` is either the default
-    ``"damping"`` (descending |Re|) or an explicit sequence of pole-pair
-    representatives choosing which pair is identified first.
+    pairs off the real axis, Hurwitz); Xi_- is monic and Xi_+ vanishes at
+    infinity.  The doubled-up data is realised by ``gilbert_realize`` and
+    ``physical_from_classical``.  A pure cascade is a symplectic basis in
+    which the drift is block lower-triangular in pole order: physical
+    realizability then forces every lower block to be -C_i^b C_j, which is
+    ``series_product`` of the stages.  The basis rows are left eigenvectors
+    of A, made J-orthonormal one conjugate pole pair at a time: the pairs
+    already taken are projected out, the J-positive member of the pair
+    [w, Sigma conj(w)] is kept (their 2 x 2 form is diag(a, -a), since
+    J Sigma is antisymmetric), and a Bogoliubov rotation within the pair
+    makes the stage couple as Delta(c, 0) with c = sqrt(-2 Re lambda) > 0.
 
-    Returns a CascadeRealization; stage parameters are pinned by the
-    convention that each stage couples passively with c real positive.
+    ``pole_order`` is either the default ``"damping"`` (descending |Re|) or
+    an explicit sequence of pole-pair representatives choosing the first
+    stages.  Raises IdentificationError when the data is not of this form
+    or a pole pair is J-neutral, i.e. has no pure cascade in that order.
     """
-    poles = list(xi_minus.poles)
+    poles = np.array(xi_minus.poles, dtype=complex)
     for p in xi_plus.poles:
-        if np.min(np.abs(np.asarray(poles) - p)) > POLE_MATCH_TOL * max(1.0, abs(p)):
+        if np.min(np.abs(poles - p), initial=np.inf) > POLE_MATCH_TOL * max(1.0, abs(p)):
             raise IdentificationError("Xi_+ has a pole that Xi_- does not")
-    scale = max(np.abs(poles))
-    if any(abs(p.imag) <= 1e-9 * scale for p in poles):
-        raise IdentificationError("real-axis poles are not supported by the direct method")
-    if len(poles) % 2:
-        raise IdentificationError("odd pole count; poles must come in conjugate pairs")
-    n = len(poles) // 2
     if abs(complex(xi_minus.constant[0, 0]) - 1.0) > 1e-8:
         raise IdentificationError("Xi_- must be monic (constant term 1)")
     if abs(complex(xi_plus.constant[0, 0])) > 1e-8:
         raise IdentificationError("Xi_+ must vanish at infinity")
+    if np.max(poles.real, initial=-np.inf) >= 0:
+        raise IdentificationError(f"unstable pole {poles[np.argmax(poles.real)]}")
 
-    alphas = _even_coeffs(_numerator_coeffs(xi_minus, poles), n, "Xi_-")
-    betas = _even_coeffs(_numerator_coeffs(xi_plus, poles), n, "Xi_+")[:-1]
-    if abs(alphas[-1] - 1.0) > 1e-8:
-        raise IdentificationError("Xi_- numerator is not monic over the common denominator")
+    # doubled-up residues [[r_-(p), r_+(p)], [conj r_+(conj p), conj r_-(conj p)]]
+    rm, rp = (_scalar_residues(f, poles) for f in (xi_minus, xi_plus))
+    rm_c, rp_c = (_scalar_residues(f, poles.conj()).conj() for f in (xi_minus, xi_plus))
+    residues = np.moveaxis(np.array([[rm, rp], [rp_c, rm_c]]), -1, 0)
+    sys = physical_from_classical(gilbert_realize(RationalMatrixFunction(np.eye(2), poles, residues)))
 
-    if pole_order == "damping":
-        order = None
-    else:
-        order = list(pole_order)
+    n = sys.n
+    J, Sig = jmat(n), sigma_swap(n)
+    mu, W = np.linalg.eig(sys.A.conj().T)  # w^dag A = conj(mu) w^dag
+    lam = mu.conj()
+    todo = [int(i) for i in np.argsort(lam.real) if lam[i].imag > 0]  # descending |Re|
+    wanted = [] if pole_order == "damping" else [complex(z) for z in pole_order]
+    order = []
+    for z in wanted[:n]:
+        k = min(todo, key=lambda i: abs(lam[i] - complex(z.real, abs(z.imag))))
+        todo.remove(k)
+        order.append(k)
+    order += todo
 
-    stages = []
-    remaining = list(poles)
-    while remaining:
-        if order and len(stages) < len(order):
-            want = complex(order[len(stages)])
-            k = int(np.argmin(np.abs(np.asarray(remaining) - want)))
-        else:
-            k = int(np.argmax([-p.real for p in remaining]))
-        p = remaining[k]
-        kc = int(np.argmin([abs(q - np.conj(p)) if j != k else np.inf
-                            for j, q in enumerate(remaining)]))
-        if abs(remaining[kc] - np.conj(p)) > POLE_MATCH_TOL * max(1.0, abs(p)):
-            raise IdentificationError(f"pole {p} has no conjugate partner")
-        x = -p.real
-        if x <= 0:
-            raise IdentificationError(f"unstable pole {p}")
-        y2 = -(p.imag ** 2)
-        theta, omega_plus, alphas, betas = _stage_from_pair(alphas, betas, x, y2)
-        stages.append(OneModeParams.from_physical(np.sqrt(2 * x), theta, omega_plus))
-        remaining = [q for j, q in enumerate(remaining) if j not in (k, kc)]
-        if len(remaining) == 0:
-            break
-    return CascadeRealization(stages=tuple(stages))
+    P = np.zeros((2 * n, 0), dtype=complex)  # stage vectors so far: P^dag J P = 1
+    cs = []
+    for i in order:
+        w = W[:, i]
+        N = Sig @ P.conj()  # their partners: N^dag J N = -1
+        w = w - P @ (P.conj().T @ (J @ w)) + N @ (N.conj().T @ (J @ w))
+        a = np.real(w.conj() @ J @ w)
+        if abs(a) <= 1e-8 * np.real(w.conj() @ w):
+            raise IdentificationError(
+                f"pole {lam[i]:.6g} is J-neutral after deflation; no pure cascade in this order"
+            )
+        q = (w if a > 0 else Sig @ w.conj()) / np.sqrt(abs(a))
+        x, y = sys.C @ (J @ q)  # the stage couples as Delta(x, conj(y))
+        c = np.sqrt(abs(x) ** 2 - abs(y) ** 2)
+        P = np.column_stack([P, (np.conj(x) * q + y * (Sig @ q.conj())) / c])
+        cs.append(c)
+
+    om, op = du_blocks(gauge_transform(sys, np.vstack([P.conj().T, P.T @ Sig])).Omega)
+    return CascadeRealization(stages=tuple(
+        OneModeParams(float(c), float(om[k, k].real), complex(op[k, k])) for k, c in enumerate(cs)
+    ))
 
 
 # ---------------------------------------------------------------------------

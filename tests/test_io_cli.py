@@ -6,7 +6,7 @@ import pytest
 from qls import io as qio
 from qls.cli import _spectrum_order, main
 from qls.model import default_grid, freq_response, tf_equal
-from qls.realization import ps_as_rational, tf_as_rational
+from qls.realization import RationalMatrixFunction, ps_as_rational, tf_as_rational
 from qls.sampling import random_pure_input, random_qlsystem
 from qls.stationary import InputCovariance, power_spectrum
 
@@ -290,6 +290,24 @@ class TestCli:
         stages = json.load(open(out))["stages"]
         assert abs(stages[0]["c"] - 14.39) < 5e-3
         assert abs(stages[1]["c"] - 0.2) < 7e-3
+
+    @pytest.mark.parametrize("malformed", [False, True], ids=["missing", "malformed"])
+    @pytest.mark.parametrize("command", ["validate", "realize-tf", "realize-ps", "realize-noisy",
+                                         "cascade-id", "pole-order", "qfi", "sweep"])
+    def test_bad_data_file_exits_2(self, workdir, capsys, command, malformed):
+        bad = workdir / "bad.json"
+        if malformed:
+            write(bad, [[1]] if command == "pole-order" else {})
+        if command == "pole-order":  # pole-free (Xi_-, Xi_+) = (1, 0) data, read before the order
+            data = {k: qio.rational_to_json(RationalMatrixFunction([[v]], [], [])) for k, v in
+                    (("xi_minus", 1.0), ("xi_plus", 0.0))}
+            args = ["cascade-id", write(workdir / "tf.json", data), "--pole-order", str(bad)]
+        else:
+            args = [command, str(bad)]
+        out = workdir / "out.json"
+        assert main(args + ["-o", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "input"
+        assert not out.exists()
 
     def test_absorber(self, workdir):
         p = write(workdir / "sys.json", qio.system_to_json(absorber_two_mode_example()))

@@ -174,7 +174,7 @@ class TestSisoCascadeIdentify:
         assert tf_equal(casc.to_system(), sys, tol=1e-6)
 
     def test_one_stage_roundtrip_exact(self):
-        stage = OneModeParams.from_physical(1.4, 0.8, 0.3 - 0.5j)
+        stage = OneModeParams(1.4, 0.8, 0.3 - 0.5j)
         sys = stage.to_system()
         casc = siso_cascade_identify(*scalar_parts(sys))
         st = casc.stages[0]
@@ -190,14 +190,60 @@ class TestSisoCascadeIdentify:
                 c = float(rng.uniform(0.5, 2.0))
                 om = float(rng.uniform(-3.0, 3.0))
                 op = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 0.5
-                stages.append(OneModeParams.from_physical(c, om, op))
+                stages.append(OneModeParams(c, om, op))
             sys = CascadeRealization(tuple(stages)).to_system()
             eigs = np.linalg.eigvals(sys.A)
             if np.max(eigs.real) > -1e-3 or np.min(np.abs(eigs.imag)) < 1e-2:
                 continue  # outside the generic class (real-axis poles)
             casc = siso_cascade_identify(*scalar_parts(sys))
+            assert tf_equal(casc.to_system(), sys, tol=1e-9)
+            done += 1
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_stages_recovered_in_their_own_order(self, n):
+        rng = np.random.default_rng(7 + n)
+        stages = []
+        for _ in range(n):
+            om = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 3.0)
+            op = 0.5 * abs(om) * rng.uniform() * np.exp(2j * np.pi * rng.uniform())  # |op| < |om|
+            stages.append(OneModeParams(rng.uniform(0.5, 2.0), om, op))
+        sys = CascadeRealization(tuple(stages)).to_system()
+        own = [st.to_system().poles[0] for st in stages]
+        casc = siso_cascade_identify(*scalar_parts(sys), pole_order=own)
+        for got, want in zip(casc.stages, stages, strict=True):
+            assert abs(got.c - want.c) < 1e-7
+            assert abs(got.omega_minus - want.omega_minus) < 1e-7
+            assert abs(got.omega_plus - want.omega_plus) < 1e-7
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_random_active_draws(self, n):
+        rng = np.random.default_rng(100 + n)
+        done = 0
+        while done < 3:
+            sys = random_qlsystem(rng, n, 1, active_scale=0.4 / n)
+            lam = sys.poles
+            if np.max(lam.real) >= -1e-3 or np.min(np.abs(lam.imag)) < 2.5e-3:
+                continue  # outside the generic class (near-real or near-marginal poles)
+            casc = siso_cascade_identify(*scalar_parts(sys))
             assert tf_equal(casc.to_system(), sys, tol=1e-6)
             done += 1
+
+    @pytest.mark.parametrize("n", (1, 3, 6))
+    def test_passive_draws(self, n):
+        sys = random_qlsystem(np.random.default_rng(30 + n), n, 1, passive=True)
+        casc = siso_cascade_identify(*scalar_parts(sys))
+        assert all(abs(st.omega_plus) < 1e-9 for st in casc.stages)
+        assert tf_equal(casc.to_system(), sys, tol=1e-9)
+
+    def test_xi_plus_pole_order_is_irrelevant(self):
+        sys = two_mode_cascade_example()
+        xi_m, xi_p = scalar_parts(sys)
+        perm = [3, 1, 0, 2]
+        shuffled = RationalMatrixFunction(xi_p.constant, [xi_p.poles[k] for k in perm],
+                                          [xi_p.residues[k] for k in perm])
+        for a, b in zip(siso_cascade_identify(xi_m, xi_p).stages,
+                        siso_cascade_identify(xi_m, shuffled).stages, strict=True):
+            assert (a.c, a.omega_minus, a.omega_plus) == (b.c, b.omega_minus, b.omega_plus)
 
     def test_real_pole_rejected(self):
         sys = dpa(3.0, 1.0)  # drift spectrum is real
