@@ -17,7 +17,12 @@ absorber and their pure 64-mode cascade (a 2n = 128 covariance); the
 cascade Lyapunov case solves the cascade of each size's system into its
 absorber.  ``siso_cascade_identify`` takes the (Xi_-, Xi_+) data of the
 n = 2, 8 and 16 systems; the n = 32 system has a near-real pole pair,
-which the cascade route rejects.
+which the cascade route rejects.  The ``freq_response_grid`` cases evaluate
+the spectra workload's sizes, (n, m, K) = (1, 1, 301), (4, 2, 301),
+(16, 1, 81) and (32, 2, 25), on K points spanning the poles' frequencies
++/- 3, plain and along a seeded tangent: ``fresh`` builds the system inside
+the timed call (construction, eigendecomposition and grid, as for a system
+evaluated once), ``cached`` reuses one already evaluated.
 """
 
 import numpy as np
@@ -96,6 +101,38 @@ def test_qlsystem_construction(benchmark, sys):
 
 def test_freq_response_per_point(benchmark, sys):
     benchmark(freq_response, sys, [0.1 - 1.7j])
+
+
+SPECTRA = ((1, 1, 301), (4, 2, 301), (16, 1, 81), (32, 2, 25))  # (n, m, K)
+
+
+@pytest.fixture(scope="module", params=SPECTRA, ids=lambda c: f"n{c[0]}K{c[2]}")
+def grid_case(request):
+    """(system, grid, seeded tangent (dS, dC, dOmega)) at one spectra size."""
+    n, m, points = request.param
+    sys = _system(n, m)
+    width = np.max(np.abs(sys.poles.imag)) + 3.0
+    rng = np.random.default_rng(300 + n)
+    H = _cplx(rng, (n, n), 0.3)
+    K = _cplx(rng, (n, n), 0.03)
+    tangent = (np.zeros((2 * m, 2 * m)), Delta(_cplx(rng, (m, n)), _cplx(rng, (m, n), 0.05)),
+               Delta(0.5 * (H + H.conj().T), 0.5 * (K + K.T)))
+    return sys, -1j * np.linspace(-width, width, points), tangent
+
+
+@pytest.mark.parametrize("with_tangent", (False, True), ids=("plain", "tangent"))
+def test_freq_response_grid_fresh(benchmark, grid_case, with_tangent):
+    sys, grid, tangent = grid_case
+    extra = (tangent,) if with_tangent else ()
+    benchmark(lambda: freq_response(QLSystem(S=sys.S, C=sys.C, Omega=sys.Omega), grid, *extra))
+
+
+@pytest.mark.parametrize("with_tangent", (False, True), ids=("plain", "tangent"))
+def test_freq_response_grid_cached(benchmark, grid_case, with_tangent):
+    sys, grid, tangent = grid_case
+    extra = (tangent,) if with_tangent else ()
+    freq_response(sys, grid, *extra)
+    benchmark(freq_response, sys, grid, *extra)
 
 
 def test_is_minimal(benchmark, sys):

@@ -119,8 +119,30 @@ def squeezed_coherent_qfi(dlambda=None, L=None, E=1.0):
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(k):
-    """k Gauss-Legendre nodes and weights on [-1, 1] (cached and shared, so read-only)."""
-    x, w = np.polynomial.legendre.leggauss(k)
+    """k Gauss-Legendre nodes (ascending) and weights on [-1, 1] (cached and shared, so read-only).
+
+    Newton's method on P_k(cos t) in the angle t, with P_k and P_{k-1} from
+    the three-term recurrence, starts from Tricomi's estimate of the zeros
+    and converges in a few O(k^2) sweeps (no eigenproblem).  In t, the
+    weights 2 sin^2 t / (k (P_{k-1} - x P_k))^2 keep their relative accuracy
+    at the ends of the interval.
+    """
+    i = np.arange(1, (k + 1) // 2 + 1)  # the zeros in [0, 1), largest first
+    t = np.arccos((1.0 - (k - 1) / (8.0 * k**3)) * np.cos(np.pi * (4 * i - 1) / (4 * k + 2)))
+    for _ in range(10):
+        x = np.cos(t)
+        p0, p1 = np.ones_like(x), x
+        for j in range(1, k):  # (j + 1) P_{j+1} = (2j + 1) x P_j - j P_{j-1}
+            p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        dt = p1 * np.sin(t) / (k * (p0 - x * p1))  # P_k / (dP_k / dt)
+        t = t + dt
+        if np.max(np.abs(dt)) <= 1e-14:
+            break
+    x = np.cos(t)
+    w = 2.0 * np.sin(t) ** 2 / (k * (p0 - x * p1)) ** 2
+    inner = k // 2  # mirrored zeros: all but x = 0 at odd k
+    x = np.concatenate([-x, x[:inner][::-1]])
+    w = np.concatenate([w, w[:inner][::-1]])
     x.flags.writeable = w.flags.writeable = False
     return x, w
 

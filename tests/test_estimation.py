@@ -295,3 +295,40 @@ def test_gauss_legendre_rules_are_shared_read_only():
     for arr in (x, w):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+@pytest.mark.parametrize("k", [8 * 2**j for j in range(8)])  # GL_FIRST, doubled up to GL_MAX
+def test_gauss_legendre_matches_leggauss(k):
+    x, w = _gauss_legendre(k)
+    xr, wr = np.polynomial.legendre.leggauss(k)
+    assert np.max(np.abs(x - xr)) <= 1e-14
+    # at k = 1024 the end weights of leggauss itself are off by ~5e-10 relative
+    # (1.5e-14 absolute); the mpmath test below checks those
+    assert np.max(np.abs(w - wr)) <= (1e-14 if k < 1024 else 2e-14)
+
+
+def test_gauss_legendre_end_weights_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    k = 1024
+    x, w = _gauss_legendre(k)
+    with mp.workdps(30):
+        for i in (0, 1, 2, k // 2):
+            z = mp.mpf(float(x[i]))
+            for _ in range(3):  # Newton on the 30-digit recurrence
+                p0, p1 = mp.mpf(1), z
+                for j in range(1, k):
+                    p0, p1 = p1, ((2 * j + 1) * z * p1 - j * p0) / (j + 1)
+                dp = k * (p0 - z * p1) / (1 - z * z)
+                z -= p1 / dp
+            ref = 2 / ((1 - z * z) * dp * dp)
+            assert abs(x[i] - float(z)) <= np.spacing(1.0)
+            assert abs(w[i] - float(ref)) <= 1e-10 * float(ref)
+
+
+@pytest.mark.parametrize("c", (1e-6, 1e-8))
+def test_weak_cavity_time_route_closed_form(c):
+    # pole -c^2/2 down to -5e-17: Hurwitz by the relative margin
+    N = 0.8
+    rep = stationary_qfi_rate_time(cavity_omega_family(c), 0.0, squeezed_input(N))
+    target = 16.0 * N * (N + 1.0) / c**2
+    assert abs(rep.value - target) <= 1e-8 * target

@@ -3,6 +3,7 @@ import pytest
 
 from qls.algebra import Delta, du_blocks, flat_adjoint, flat_unitary_residual, jmat
 from qls.model import (
+    MODAL_COND_MAX,
     ParamFamily,
     QLSystem,
     StateSpace,
@@ -18,7 +19,12 @@ from qls.model import (
     tf_equal,
     transfer_function,
 )
-from qls.sampling import random_pure_input, random_qlsystem, random_symplectic
+from qls.sampling import (
+    random_hermitian_doubled_up,
+    random_pure_input,
+    random_qlsystem,
+    random_symplectic,
+)
 from qls.stationary import InputCovariance, power_spectrum
 
 from conftest import cavity, dpa, eigs_close, squeezing_family, two_mode_cascade_example
@@ -182,6 +188,93 @@ class TestFreqResponse:
         assert freq_response(cavity(), []).shape == (0, 2, 2)
 
 
+def per_point_tangent(sys, s, tangent):
+    """The dense one-point derivative of (1 - C R C^b) S along (dS, dC, dOmega), R = (s - A)^{-1}."""
+    dS, dC, dOm = tangent
+    C, Cb, dCb = sys.C, flat_adjoint(sys.C), flat_adjoint(dC)
+    dA = -0.5 * (dCb @ C + Cb @ dC) - 1j * jmat(sys.n) @ dOm
+    R = np.linalg.inv(s * np.eye(2 * sys.n) - sys.A)
+    X, CR = R @ Cb, C @ R
+    return -(dC @ X + CR @ (dA @ X) + CR @ dCb) @ sys.S + (np.eye(2 * sys.m) - C @ X) @ dS
+
+
+def _tangent(rng, n, m):
+    """A seeded doubled-up tangent (dS, dC, dOmega)."""
+    def cplx(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    return (0.2 * Delta(cplx((m, m)), cplx((m, m))), Delta(cplx((m, n)), 0.1 * cplx((m, n))),
+            random_hermitian_doubled_up(rng, n, 0.3))
+
+
+def _kappa(sys):
+    """kappa_F(V) = sqrt(2n) ||V^-1||_F for the unit-column eigenvectors V of A."""
+    _, V = np.linalg.eig(sys.A)
+    return np.sqrt(2 * sys.n) * np.linalg.norm(np.linalg.inv(V))
+
+
+def _rel_errors(got, want):
+    """Per-point deviation of two stacks, relative to the largest entry of the reference."""
+    return np.max(np.abs(got - want), axis=(1, 2)) / np.max(np.abs(want))
+
+
+class TestModalForm:
+    """``freq_response`` from the eigendecomposition of A, and its dense path."""
+
+    def test_cached_eigendecomposition(self, rng):
+        systems = [dpa(), cavity()] + [random_qlsystem(rng, n, m, active_scale=0.4 / n)
+                                       for n, m in ((1, 1), (3, 2), (8, 1))]
+        for sys in systems:
+            lam, V = sys._eig
+            assert lam is sys.poles
+            assert np.linalg.norm(sys.A @ V - V * lam) <= 1e-13 * np.linalg.norm(sys.A)
+            assert np.allclose(np.linalg.norm(V, axis=0), 1.0, rtol=0, atol=1e-14)
+            assert eigs_close(lam, lam.conj(), atol=0.0)  # exact conjugate pairs
+            assert sys._modal is not None
+
+    @pytest.mark.parametrize("m", (1, 2))
+    @pytest.mark.parametrize("n", (8, 16, 32))
+    def test_seeded_draws_match_dense_formula(self, n, m):
+        # first-order (Bauer-Fike) error scale of the modal form, per point:
+        # eps kappa_F(V) (1 + ||A|| / dist(s, spectrum)); it grows near a weakly damped pole
+        rng = np.random.default_rng(1000 * n + m)
+        for passive in (True, False):
+            sys = random_qlsystem(rng, n, m, passive=passive, active_scale=0.4 / n)
+            tangent = _tangent(rng, n, m)
+            kappa = _kappa(sys)
+            assert kappa <= MODAL_COND_MAX
+            dist = np.min(np.abs(GRID[:, None] - sys.poles), axis=1)
+            bound = 4 * np.finfo(float).eps * kappa * (1 + np.linalg.norm(sys.A, 2) / dist)
+            ref = np.array([per_point_tf(sys, s) for s in GRID])
+            dref = np.array([per_point_tangent(sys, s, tangent) for s in GRID])
+            Xi, dXi = freq_response(sys, GRID, tangent)
+            for got, want in ((freq_response(sys, GRID), ref), (Xi, ref), (dXi, dref)):
+                err = _rel_errors(got, want)
+                assert np.all(err <= bound), (passive, np.max(err / bound))
+
+    @pytest.mark.parametrize("case", ("dpa_exceptional_point", "identical_cavities"))
+    def test_defective_drifts_match_dense_formula(self, case, rng):
+        if case == "dpa_exceptional_point":
+            sys = dpa(kappa=3.0, eps=2.0, detuning=1.0)  # poles -kappa/2 +/- sqrt(eps^2/4 - detuning^2)
+        else:  # the cascade's drift with its parts forgotten: two 2 x 2 Jordan blocks
+            pair = series_product(cavity(), cavity())
+            sys = QLSystem.from_drift(pair.A, pair.C, pair.S)
+            assert sys.parts is None
+        assert _kappa(sys) > MODAL_COND_MAX
+        tangent = _tangent(rng, sys.n, sys.m)
+        Xi, dXi = freq_response(sys, GRID, tangent)
+        ref = np.array([per_point_tf(sys, s) for s in GRID])
+        dref = np.array([per_point_tangent(sys, s, tangent) for s in GRID])
+        for got, want in ((freq_response(sys, GRID), ref), (Xi, ref), (dXi, dref)):
+            assert np.max(_rel_errors(got, want)) <= 1e-12
+
+    def test_cascade_uses_its_own_eigenbasis(self, rng):
+        # a cascade's poles are its parts' (not in the order of its own eig)
+        ser = series_product(random_qlsystem(rng, 3, 2), random_qlsystem(rng, 2, 2))
+        ref = np.array([per_point_tf(ser, s) for s in GRID])
+        assert np.max(_rel_errors(freq_response(ser, GRID), ref)) <= 1e-12
+
+
 class TestMinimalityStability:
     def test_cavity_minimal(self):
         assert is_minimal(cavity())
@@ -272,6 +365,33 @@ class TestMinimalityAtScale:
                 assert is_minimal(case) is minimal, (passive, case.n)
                 for t in (1e-6, 1e6):
                     assert is_minimal(_rescaled(case, t)) is minimal, (passive, case.n, t)
+
+
+class TestScaleInvariantStability:
+    @pytest.mark.parametrize("t", (1e-6, 1e6))
+    def test_hurwitz_verdicts_under_time_rescaling(self, t, rng):
+        systems = [
+            cavity(), dpa(), cavity(kappa=1e-6, omega0=0.0),  # pole -5e-7
+            QLSystem.from_blocks([[1.0]], [[2.0]], [[1.5]], [[1.5]]),  # minimal, not Hurwitz
+            QLSystem.from_blocks([[0.0]], [[0.0]], [[0.9]], [[0.0]]),  # undamped
+            QLSystem.from_blocks([[0.0]], [[0.0]], [[0.0]], [[0.0]]),  # A = 0
+        ]
+        systems += [random_qlsystem(rng, 3, 2, ensure_hurwitz=False) for _ in range(20)]
+        verdicts = [is_hurwitz(sys) for sys in systems]
+        assert True in verdicts and False in verdicts
+        assert [is_hurwitz(_rescaled(sys, t)) for sys in systems] == verdicts
+
+    @pytest.mark.parametrize("c", (1e-6, 1e-8))
+    def test_weakly_coupled_cavity_is_hurwitz(self, c):
+        assert is_hurwitz(cavity(kappa=c**2, omega0=0.0))  # pole -c^2/2
+
+    @pytest.mark.parametrize("t", (1.0, 1e-6, 1e6))
+    def test_pole_check_is_relative(self, t):
+        sys = _rescaled(cavity(2.0, 0.0), t)  # pole -t
+        with pytest.raises(ValueError):
+            freq_response(sys, [-t])
+        Xi = freq_response(sys, [-t * (1 + 1e-9)])  # 1e-9 away, relative to the pole
+        assert np.isfinite(Xi).all()
 
 
 class TestSeriesProduct:
