@@ -22,7 +22,13 @@ the spectra workload's sizes, (n, m, K) = (1, 1, 301), (4, 2, 301),
 (16, 1, 81) and (32, 2, 25), on K points spanning the poles' frequencies
 +/- 3, plain and along a seeded tangent: ``fresh`` builds the system inside
 the timed call (construction, eigendecomposition and grid, as for a system
-evaluated once), ``cached`` reuses one already evaluated.
+evaluated once), ``cached`` reuses one already evaluated.  The
+construction cases time ``Delta`` on the blocks of Omega,
+``is_symplectic`` and ``gauge_transform`` with a seeded symplectic
+exp(-i J R), and ``series_product`` of each system into itself; the
+``family_evaluate`` cases evaluate a JSON family at the qfi workload's
+sizes n = 1, 2, 3 (one channel), with one dependency on each block of C
+and of Omega.
 """
 
 import numpy as np
@@ -40,9 +46,12 @@ from qls import (
     gauge_transform,
     is_hurwitz,
     is_minimal,
+    is_symplectic,
     jmat,
     physical_from_classical,
     ps_as_rational,
+    random_symplectic,
+    series_product,
     siso_cascade_identify,
     solve_lyapunov,
     tf_as_rational,
@@ -50,7 +59,7 @@ from qls import (
     williamson,
 )
 from qls import io as qio
-from qls.algebra import gramian_flat, lyap
+from qls.algebra import du_blocks, gramian_flat, lyap
 from qls.model import freq_response
 
 SIZES = (2, 8, 32)
@@ -97,6 +106,33 @@ def test_flat_adjoint(benchmark, sys):
 
 def test_qlsystem_construction(benchmark, sys):
     benchmark(QLSystem, S=sys.S, C=sys.C, Omega=sys.Omega)
+
+
+def test_delta(benchmark, sys):
+    benchmark(Delta, *du_blocks(sys.Omega))
+
+
+def test_is_symplectic(benchmark, sys):
+    benchmark(is_symplectic, random_symplectic(np.random.default_rng(400 + sys.n), sys.n))
+
+
+def test_gauge_transform(benchmark, sys):
+    benchmark(gauge_transform, sys, random_symplectic(np.random.default_rng(400 + sys.n), sys.n))
+
+
+def test_series_product(benchmark, sys):
+    benchmark(series_product, sys, sys)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3), ids=lambda n: f"n{n}")
+def test_family_evaluate(benchmark, n):
+    entry = lambda target, c: {"target": target, "row": 0, "col": n - 1, "coefficient": [c.real, c.imag]}
+    family = qio.family_from_json({
+        "base": qio.system_to_json(_system(n)),
+        "dependencies": [entry("C.minus", 0.3 + 0.5j), entry("C.plus", 0.1 - 0.2j),
+                         entry("Omega.minus", 0.7 + 0j), entry("Omega.plus", 0.2 + 0.5j)],
+    })
+    benchmark(family.evaluate, 0.1)
 
 
 def test_freq_response_per_point(benchmark, sys):

@@ -16,7 +16,9 @@ eigenproblem (no non-Hermitian ``eig``), plus the Lyapunov solvers
 only code here that needs (and imports) ``scipy.linalg``.
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,7 +50,18 @@ def Delta(minus, plus=None):
     plus = np.atleast_2d(np.asarray(plus, dtype=complex))
     if minus.shape != plus.shape:
         raise ValueError(f"block shapes differ: {minus.shape} vs {plus.shape}")
-    return np.block([[minus, plus], [plus.conj(), minus.conj()]])
+    n, m = minus.shape
+    out = np.empty((2 * n, 2 * m), dtype=complex)
+    out[:n, :m], out[:n, m:] = minus, plus
+    return _mirror(out)
+
+
+def _mirror(M):
+    """Fill the lower blocks of M in place with the conjugates of its upper ones; returns M."""
+    n, m = M.shape[0] // 2, M.shape[1] // 2
+    np.conjugate(M[:n, m:], out=M[n:, :m])
+    np.conjugate(M[:n, :m], out=M[n:, m:])
+    return M
 
 
 def du_blocks(M):
@@ -64,6 +77,11 @@ def _relative(err, ref):
     return err / max(1.0, ref)
 
 
+def _fro(x):
+    """Frobenius norm of a complex array, the value of ``np.linalg.norm(x)`` at less call overhead."""
+    return math.sqrt(np.vdot(x, x).real)
+
+
 def is_doubled_up(M, tol=TOL_STRUCT):
     """True iff block(2,1) = conj(block(1,2)) and block(2,2) = conj(block(1,1))."""
     M = np.asarray(M, dtype=complex)
@@ -71,19 +89,21 @@ def is_doubled_up(M, tol=TOL_STRUCT):
     if n2 % 2 or m2 % 2:
         return False
     n, m = n2 // 2, m2 // 2
-    scale = np.linalg.norm(M)
-    err = np.linalg.norm(M[n:, :m] - M[:n, m:].conj()) + np.linalg.norm(
-        M[n:, m:] - M[:n, :m].conj()
-    )
-    return _relative(err, scale) <= tol
+    err = _fro(M[n:, :m] - M[:n, m:].conj()) + _fro(M[n:, m:] - M[:n, :m].conj())
+    return _relative(err, _fro(M)) <= tol
 
 
 def flat_adjoint(M):
     """Symplectic adjoint M^b = J_m M^dag J_n.  An involution on doubled-up matrices."""
     M = np.asarray(M, dtype=complex)
     n2, m2 = M.shape
-    sign_m, sign_n = (np.repeat([1.0, -1.0], k // 2) for k in (m2, n2))  # diagonals of J
-    return M.conj().T * np.outer(sign_m, sign_n)
+    if n2 % 2 or m2 % 2:
+        raise ValueError(f"matrix of shape {M.shape} has no flat adjoint")
+    n, m = n2 // 2, m2 // 2
+    out = np.conjugate(M.T, order="C")  # C order, as the layout steers BLAS's summation order
+    for block in (out[:m, n:], out[m:, :n]):  # one minus sign of J each
+        np.negative(block, out=block)
+    return out
 
 
 def is_symplectic(M, tol=TOL_NUM):
@@ -99,7 +119,8 @@ def is_symplectic(M, tol=TOL_NUM):
     if not is_doubled_up(M, tol=max(tol, TOL_STRUCT)):
         return False
     eye = np.eye(M.shape[0])
-    err = np.linalg.norm(flat_adjoint(M) @ M - eye) + np.linalg.norm(M @ flat_adjoint(M) - eye)
+    Mb = flat_adjoint(M)
+    err = _fro(Mb @ M - eye) + _fro(M @ Mb - eye)
     return _relative(err, 1.0) <= 2 * tol
 
 
@@ -112,10 +133,8 @@ def flat_unitary_residual(M):
     """
     M = np.asarray(M, dtype=complex)
     eye = np.eye(M.shape[0])
-    return max(
-        np.linalg.norm(flat_adjoint(M) @ M - eye),
-        np.linalg.norm(M @ flat_adjoint(M) - eye),
-    )
+    Mb = flat_adjoint(M)
+    return max(np.linalg.norm(Mb @ M - eye), np.linalg.norm(M @ Mb - eye))
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,15 +290,14 @@ def _schur(X):
     """Complex Schur form X = U R U^dag from the raw LAPACK ``zgees`` handle.
 
     Cheaper than ``scipy.linalg.schur`` at small sizes; the same workspace
-    query makes R and U bit-identical to ``schur(X, output="real")``.
+    size makes R and U bit-identical to ``schur(X, output="real")``.
     """
     from scipy.linalg.lapack import zgees
 
     X = np.asarray_chkfinite(X, dtype=complex)
     if X.size == 0:
         return X, X
-    lwork = int(zgees(_no_sort, X, lwork=-1)[-2][0].real)
-    R, _, _, U, _, info = zgees(_no_sort, X, lwork=lwork)
+    R, _, _, U, _, info = zgees(_no_sort, X, lwork=_gees_lwork(X.shape[0]))
     if info:
         from scipy.linalg import LinAlgError
 
@@ -289,6 +307,17 @@ def _schur(X):
 
 def _no_sort(_):
     return None
+
+
+@lru_cache(maxsize=None)
+def _gees_lwork(n):
+    """``zgees``' optimal workspace for n x n input, queried once per size.
+
+    LAPACK sizes it from n and its block sizes alone, never from the entries.
+    """
+    from scipy.linalg.lapack import zgees
+
+    return int(zgees(_no_sort, np.zeros((n, n), dtype=complex), lwork=-1)[-2][0].real)
 
 
 def _sylvester(Ra, Ua, Rb, Ub, F):

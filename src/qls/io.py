@@ -125,30 +125,40 @@ def family_from_json(data):
     """
     base = system_from_json(data["base"])
     fd_step = float(data.get("fd_step", 0.0))
+    shapes = {"S": (base.m, base.m), "C": (base.m, base.n), "Omega": (base.n, base.n)}
     deps = []  # (block name, 0 minus / 1 plus, row, col, coefficient), parsed once
     for dep in data.get("dependencies", []):
         if dep["target"] not in _FAMILY_TARGETS:
             raise ValueError(f"unknown dependency target {dep['target']!r}")
         name, half = dep["target"].split(".")
-        deps.append((name, int(half == "plus"), int(dep["row"]), int(dep["col"]),
-                     pair_to_complex(dep["coefficient"])))
+        rows, cols = shapes[name]
+        try:  # numpy's indexing of the block: negative indices count from its end
+            i, j = range(rows)[int(dep["row"])], range(cols)[int(dep["col"])]
+        except IndexError:
+            raise IndexError(f"dependency entry ({dep['row']}, {dep['col']}) lies outside the "
+                             f"{rows} x {cols} block {dep['target']}") from None
+        deps.append((name, int(half == "plus"), i, j, pair_to_complex(dep["coefficient"])))
 
     def evaluate(theta):
-        blocks = {
-            "S": [b.copy() for b in du_blocks(base.S)],
-            "C": [b.copy() for b in du_blocks(base.C)],
-            "Omega": [b.copy() for b in du_blocks(base.Omega)],
-        }
+        # the base matrices are exact Delta forms, so writing each changed upper entry's
+        # conjugate into its mirror entry gives the Delta of the changed blocks
+        mats = {"S": np.array(base.S), "C": np.array(base.C), "Omega": np.array(base.Omega)}
         for name, idx, i, j, coeff in deps:
-            M = blocks[name][idx]
-            M[i, j] += coeff * theta
+            M = mats[name]
+            _add(M, idx, i, j, coeff * theta)
             if name == "Omega" and i != j:
-                M[j, i] += (coeff if idx else np.conj(coeff)) * theta
-        return QLSystem(
-            S=Delta(*blocks["S"]), C=Delta(*blocks["C"]), Omega=Delta(*blocks["Omega"])
-        )
+                _add(M, idx, j, i, (coeff if idx else np.conj(coeff)) * theta)
+        return QLSystem(S=mats["S"], C=mats["C"], Omega=mats["Omega"])
 
     return ParamFamily(evaluate=evaluate, fd_step=fd_step)
+
+
+def _add(M, idx, i, j, value):
+    """Add value to entry (i, j) of the minus (idx 0) or plus (idx 1) block of a Delta form M
+    and write the sum's conjugate into the mirror entry."""
+    n, m = M.shape[0] // 2, M.shape[1] // 2
+    M[i, idx * m + j] += value
+    M[n + i, (1 - idx) * m + j] = np.conj(M[i, idx * m + j])
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False)

@@ -26,6 +26,8 @@ from .algebra import (
     TOL_NUM,
     TOL_STRUCT,
     Delta,
+    _fro,
+    _mirror,
     du_blocks,
     flat_adjoint,
     is_doubled_up,
@@ -71,10 +73,10 @@ class QLSystem:
         if not is_doubled_up(Om):
             raise ValueError("Omega is not doubled-up")
         om, op = du_blocks(Om)
-        scale = max(1.0, np.linalg.norm(Om))
-        if np.linalg.norm(om - om.conj().T) > TOL_STRUCT * scale * 10:
+        bound = TOL_STRUCT * max(1.0, _fro(Om)) * 10
+        if _fro(om - om.conj().T) > bound:
             raise ValueError("Omega_- must be Hermitian")
-        if np.linalg.norm(op - op.T) > TOL_STRUCT * scale * 10:
+        if _fro(op - op.T) > bound:
             raise ValueError("Omega_+ must be symmetric")
 
     @property
@@ -89,8 +91,11 @@ class QLSystem:
 
     @cached_property
     def A(self):
-        """Drift matrix -1/2 C^b C - i J Omega (cached, read-only)."""
-        A = -0.5 * flat_adjoint(self.C) @ self.C - 1j * jmat(self.n) @ self.Omega
+        """Drift matrix -1/2 C^b C - i J Omega (cached, read-only); J applied as row signs."""
+        n, Om = self.n, self.Omega
+        A = -0.5 * flat_adjoint(self.C) @ self.C
+        A[:n] -= 1j * Om[:n]
+        A[n:] += 1j * Om[n:]
         A.flags.writeable = False
         return A
 
@@ -169,7 +174,9 @@ class QLSystem:
         blocks symmetrised against rounding.
         """
         C = Delta(*du_blocks(C))
-        om, op = du_blocks(1j * jmat(C.shape[1] // 2) @ (A + 0.5 * flat_adjoint(C) @ C))
+        n = C.shape[1] // 2
+        Y = 1j * (A + 0.5 * flat_adjoint(C) @ C)[:n]  # the upper rows of i J (...), whose blocks are Omega's
+        om, op = Y[:, :n], Y[:, n:]
         if S is None:
             S = np.eye(C.shape[0])
         return QLSystem(S=S, C=C, Omega=Delta(0.5 * (om + om.conj().T), 0.5 * (op + op.T)))
@@ -360,28 +367,21 @@ def series_product(first, second):
     """
     if first.m != second.m:
         raise ValueError(f"channel counts differ: {first.m} vs {second.m}")
-    n1, n2 = first.n, second.n
+    n1, n2, m = first.n, second.n, first.m
+    n = n1 + n2
+    # upper blocks of C = [S2 C1, C2] and of the drift [[A1, 0], [X, A2]], first's modes
+    # first in each half; the lower blocks are their conjugates
     S2C1 = second.S @ first.C
-    Cm = np.hstack([du_blocks(S2C1)[0], du_blocks(second.C)[0]])
-    Cp = np.hstack([du_blocks(S2C1)[1], du_blocks(second.C)[1]])
-    C = Delta(Cm, Cp)
-    S = second.S @ first.S
-
+    C = np.empty((2 * m, 2 * n), dtype=complex)
+    C[:m, :n1], C[:m, n1:n] = S2C1[:m, :n1], second.C[:m, :n2]
+    C[:m, n : n + n1], C[:m, n + n1 :] = S2C1[:m, n1:], second.C[:m, n2:]
     X = -flat_adjoint(second.C) @ second.S @ first.C  # mode-coupling block
     A1, A2 = first.A, second.A
-    Am = np.block(
-        [
-            [du_blocks(A1)[0], np.zeros((n1, n2))],
-            [du_blocks(X)[0], du_blocks(A2)[0]],
-        ]
-    )
-    Ap = np.block(
-        [
-            [du_blocks(A1)[1], np.zeros((n1, n2))],
-            [du_blocks(X)[1], du_blocks(A2)[1]],
-        ]
-    )
-    cascade = QLSystem.from_drift(Delta(Am, Ap), C, S)
+    A = np.zeros((2 * n, 2 * n), dtype=complex)
+    A[:n1, :n1], A[:n1, n : n + n1] = A1[:n1, :n1], A1[:n1, n1:]
+    A[n1:n, :n1], A[n1:n, n : n + n1] = X[:n2, :n1], X[:n2, n1:]
+    A[n1:n, n1:n], A[n1:n, n + n1 :] = A2[:n2, :n2], A2[:n2, n2:]
+    cascade = QLSystem.from_drift(_mirror(A), _mirror(C), second.S @ first.S)
     # the drift is block lower-triangular in (first, second), so its spectrum is the parts'
     poles = np.concatenate([first.poles, second.poles])
     poles.flags.writeable = False

@@ -41,10 +41,36 @@ class TestFlatAdjoint:
             B = random_du(rng, 3, 2)
             assert np.allclose(flat_adjoint(A @ B), flat_adjoint(B) @ flat_adjoint(A), atol=1e-10)
 
-    @pytest.mark.parametrize("rows, cols", [(2, 2), (2, 6), (8, 4), (0, 4)])
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (2, 6), (8, 4), (0, 4), (4, 0), (0, 0), (6, 2)])
     def test_sign_scaling_equals_j_products(self, rng, rows, cols):
         M = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
         assert np.array_equal(flat_adjoint(M), jmat(cols // 2) @ M.conj().T @ jmat(rows // 2))
+
+    def test_leaves_input_unchanged(self, rng):
+        M = random_du(rng, 2, 3)
+        before = M.copy()
+        flat_adjoint(M)
+        assert np.array_equal(M, before)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3)])
+    def test_odd_shape_raises(self, shape):
+        with pytest.raises(ValueError, match="no flat adjoint"):
+            flat_adjoint(np.ones(shape))
+
+
+class TestDelta:
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (2, 3), (3, 1), (1, 0), (0, 0)])
+    def test_equals_block_assembly(self, rng, rows, cols):
+        A = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        B = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        assert np.array_equal(Delta(A, B), np.block([[A, B], [B.conj(), A.conj()]]))
+        Z = np.zeros((rows, cols), dtype=complex)
+        assert np.array_equal(Delta(A), np.block([[A, Z], [Z, A.conj()]]))
+
+    def test_promotes_scalars_and_rejects_mismatched_blocks(self):
+        assert np.array_equal(Delta(2.0, 1j), np.array([[2.0, 1j], [-1j, 2.0]]))
+        with pytest.raises(ValueError, match="block shapes differ"):
+            Delta(np.ones((1, 2)), np.ones((2, 1)))
 
 
 class TestLyap:

@@ -61,6 +61,50 @@ class TestJsonRoundtrips:
         sys = fam.evaluate(0.5)  # stays a valid Hermitian Hamiltonian
         assert sys.n == 2
 
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (0, 1)])
+    def test_family_evaluate_equals_block_round_trip(self, rng, n, m):
+        from qls.algebra import Delta, du_blocks
+        from qls.model import QLSystem
+
+        def dep(target, row, col, c):
+            return {"target": target, "row": row, "col": col, "coefficient": [c.real, c.imag]}
+
+        z = lambda: complex(*rng.standard_normal(2))
+        deps = [dep("S.minus", 0, 0, 1e-12 * z()), dep("S.plus", m - 1, 0, 1e-12 * z())]
+        if n:  # two on one entry, and an off-diagonal Omega entry in each block
+            deps += [dep("C.minus", 0, n - 1, z()), dep("C.minus", 0, n - 1, z()), dep("C.plus", m - 1, 0, z()),
+                     dep("Omega.minus", 0, n - 1, z()), dep("Omega.plus", n - 1, 0, z()),
+                     dep("Omega.plus", 0, 0, z()), dep("Omega.minus", 1, 1, complex(z().real))]
+        base = random_qlsystem(rng, n, m) if n else QLSystem(
+            S=np.eye(2 * m), C=np.zeros((2 * m, 0)), Omega=np.zeros((0, 0)))
+        spec = {"base": qio.system_to_json(base), "dependencies": deps}
+        fam = qio.family_from_json(spec)
+        base = qio.system_from_json(spec["base"])
+
+        def reference(theta):  # entries added to copies of the blocks, then assembled by Delta
+            blocks = {k: [b.copy() for b in du_blocks(getattr(base, k))] for k in ("S", "C", "Omega")}
+            for d in deps:
+                name, half = d["target"].split(".")
+                idx, i, j, c = int(half == "plus"), d["row"], d["col"], qio.pair_to_complex(d["coefficient"])
+                blocks[name][idx][i, j] += c * theta
+                if name == "Omega" and i != j:
+                    blocks[name][idx][j, i] += (c if idx else np.conj(c)) * theta
+            return {k: Delta(*v) for k, v in blocks.items()}
+
+        for theta in (0.0, 0.37, -1.3e-6):
+            sys, ref = fam.evaluate(theta), reference(theta)
+            for k in ("S", "C", "Omega"):
+                assert np.array_equal(getattr(sys, k), ref[k])
+
+    def test_family_entry_outside_block_raises(self):
+        base = qio.system_to_json(random_qlsystem(np.random.default_rng(0), 2, 1))
+        entry = {"target": "C.minus", "row": 0, "col": 2, "coefficient": [1.0, 0.0]}
+        with pytest.raises(IndexError, match=r"\(0, 2\) lies outside the 1 x 2 block C.minus"):
+            qio.family_from_json({"base": base, "dependencies": [entry]})
+        negative = qio.family_from_json({"base": base, "dependencies": [dict(entry, col=-1)]})
+        positive = qio.family_from_json({"base": base, "dependencies": [dict(entry, col=1)]})
+        assert np.array_equal(negative.evaluate(0.3).C, positive.evaluate(0.3).C)
+
     def test_determinism(self, rng):
         sys = random_qlsystem(rng, 1, 1)
         a = qio.dump_json(qio.system_to_json(sys))

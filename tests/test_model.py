@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from qls.algebra import Delta, du_blocks, flat_adjoint, flat_unitary_residual, jmat
+from qls.algebra import TOL_NUM, TOL_STRUCT, Delta, du_blocks, flat_adjoint, flat_unitary_residual, jmat
 from qls.model import (
     MODAL_COND_MAX,
     ParamFamily,
@@ -48,6 +50,34 @@ class TestDriftMatrix:
         assert sys.A is sys.A
         assert sys.poles is sys.poles
         assert eigs_close(sys.poles, np.linalg.eigvals(sys.A), atol=1e-12)
+
+
+def _exactness_cases(rng):
+    """Systems of rectangular and 0-mode shapes: (n, m) = (1, 1), (2, 1), (1, 3), (3, 2), (0, 1), (0, 2)."""
+    cases = [random_qlsystem(rng, n, m) for n, m in ((1, 1), (2, 1), (1, 3), (3, 2))]
+    for m in (1, 2):  # 2m x 0 C, 0 x 0 Omega
+        cases.append(QLSystem(S=random_symplectic(rng, m), C=np.zeros((2 * m, 0)), Omega=np.zeros((0, 0))))
+    return cases
+
+
+class TestDriftExactness:
+    def test_equals_j_product_formula(self, rng):
+        for sys in _exactness_cases(rng):
+            ref = -0.5 * flat_adjoint(sys.C) @ sys.C - 1j * jmat(sys.n) @ sys.Omega
+            assert sys.A.shape == (2 * sys.n, 2 * sys.n)
+            assert np.array_equal(sys.A, ref)
+
+    def test_from_drift_omega_equals_j_product_formula(self, rng):
+        for sys in _exactness_cases(rng):
+            # a gauge product: a drift and coupling whose lower blocks are conjugates only to rounding
+            T = random_symplectic(rng, sys.n) if sys.n else np.zeros((0, 0))
+            Tb = flat_adjoint(T)
+            A, C = T @ (sys.A @ Tb), sys.C @ Tb
+            Cdu = Delta(*du_blocks(C))
+            om, op = du_blocks(1j * jmat(sys.n) @ (A + 0.5 * flat_adjoint(Cdu) @ Cdu))
+            out = QLSystem.from_drift(A, C)
+            assert np.array_equal(out.Omega, Delta(0.5 * (om + om.conj().T), 0.5 * (op + op.T)))
+            assert np.array_equal(out.C, Cdu)
 
 
 class TestFromDrift:
@@ -572,3 +602,63 @@ class TestValidation:
         C[:] = 0.0
         assert np.allclose(sys.A, Delta([[-0.5 - 0.5j]], [[0.0]]))
         assert np.array_equal(sys.C, Delta([[1.0]], [[0.0]]))
+
+
+FACTORS = pytest.mark.parametrize("factor, ok", [(10.0, False), (2.0, False), (0.5, True), (0.1, True)])
+
+
+class TestValidationThresholds:
+    """Each construction check: its exact message, and defects 10x and 2x over its
+    relative tolerance (rejected) and 2x and 10x under it (accepted)."""
+
+    S = Delta([[np.cosh(0.7)]], [[np.sinh(0.7)]])                 # symplectic, m = 1
+    C = 5.0 * Delta([[0.6, -0.8j]], [[0.3, 0.1]])                  # doubled-up, ||C|| ~ 7
+    OM = 20.0 * Delta([[1.0, 0.5 - 0.2j], [0.5 + 0.2j, -0.3]],     # Hermitian minus block,
+                      [[0.2, 0.1j], [0.1j, 0.4]])                  # symmetric plus block
+
+    @staticmethod
+    def _build(S=S, C=C, Omega=OM):
+        return QLSystem(S=S, C=C, Omega=Omega)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match=re.escape("incompatible shapes: S (2, 2), C (2, 4), Omega (2, 2)")):
+            self._build(Omega=Delta([[1.0]]))
+        self._build()
+
+    @FACTORS
+    def test_s_not_symplectic(self, factor, ok):
+        # sqrt(1 + e) S gives ||S^b S - 1|| = ||S S^b - 1|| = e sqrt(2m), tolerated up to TOL_NUM
+        e = factor * TOL_NUM / np.sqrt(2)
+        self._check(ok, "S is not symplectic", S=np.sqrt(1.0 + e) * self.S)
+
+    @FACTORS
+    def test_c_not_doubled_up(self, factor, ok):
+        C = self.C.copy()
+        C[1, 0] += factor * TOL_STRUCT * np.linalg.norm(self.C)  # lower-left block only
+        self._check(ok, "C is not doubled-up", C=C)
+
+    @FACTORS
+    def test_omega_not_doubled_up(self, factor, ok):
+        Om = self.OM.copy()
+        Om[3, 0] += factor * TOL_STRUCT * np.linalg.norm(self.OM)  # lower-left block only
+        self._check(ok, "Omega is not doubled-up", Omega=Om)
+
+    @FACTORS
+    def test_omega_minus_not_hermitian(self, factor, ok):
+        # e at entry (0, 1) alone: ||om - om^dag|| = e sqrt(2), tolerated up to 10 TOL_STRUCT ||Omega||
+        om, op = (b.copy() for b in du_blocks(self.OM))
+        om[0, 1] += factor * 10 * TOL_STRUCT * np.linalg.norm(self.OM) / np.sqrt(2)
+        self._check(ok, "Omega_- must be Hermitian", Omega=Delta(om, op))
+
+    @FACTORS
+    def test_omega_plus_not_symmetric(self, factor, ok):
+        om, op = (b.copy() for b in du_blocks(self.OM))
+        op[0, 1] += factor * 10 * TOL_STRUCT * np.linalg.norm(self.OM) / np.sqrt(2)
+        self._check(ok, "Omega_+ must be symmetric", Omega=Delta(om, op))
+
+    def _check(self, ok, message, **parts):
+        if ok:
+            self._build(**parts)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                self._build(**parts)
