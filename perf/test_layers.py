@@ -15,7 +15,11 @@ of ``qls tf`` on the transfer function of a seeded 4-mode, 2-channel
 system (2m = 4).  The absorber cases take the n = 32 system, its coherent
 absorber and their pure 64-mode cascade (a 2n = 128 covariance); the
 cascade Lyapunov case solves the cascade of each size's system into its
-absorber.  ``siso_cascade_identify`` takes the (Xi_-, Xi_+) data of the
+absorber.  The Lyapunov cases come cached (one system, its
+eigendecomposition computed once) and ``fresh`` (the system, or the
+cascade's parts, rebuilt inside the timed call); ``lyap`` takes a Hurwitz
+X with a Hermitian right-hand side, ``lyap_defective`` a Jordan block.
+``siso_cascade_identify`` takes the (Xi_-, Xi_+) data of the
 n = 2, 8 and 16 systems; the n = 32 system has a near-real pole pair,
 which the cascade route rejects.  The ``freq_response_grid`` cases evaluate
 the spectra workload's sizes, (n, m, K) = (1, 1, 301), (4, 2, 301),
@@ -175,20 +179,55 @@ def test_is_minimal(benchmark, sys):
     benchmark(is_minimal, sys)
 
 
+def _copy(sys):
+    """A fresh system equal to sys, with nothing cached (drift, eigendecomposition)."""
+    return QLSystem(S=sys.S, C=sys.C, Omega=sys.Omega)
+
+
 def test_solve_lyapunov(benchmark, sys):
     benchmark(solve_lyapunov, sys, INPUT)
 
 
-def test_solve_lyapunov_cascade(benchmark, sys):
-    """The 2n-mode cascade of the system into its coherent absorber, vacuum input."""
-    benchmark(solve_lyapunov, dual_system(sys).combined, InputCovariance.vacuum(1))
+def test_solve_lyapunov_fresh(benchmark, sys):
+    """As ``test_solve_lyapunov`` on a system built inside the timed call (its drift and
+    eigendecomposition included), as for a system solved once."""
+    benchmark(lambda: solve_lyapunov(_copy(sys), INPUT))
+
+
+@pytest.fixture(scope="module")
+def absorbed(sys):
+    """The 2n-mode cascade of the system into its coherent absorber."""
+    return dual_system(sys).combined
+
+
+def test_solve_lyapunov_cascade(benchmark, absorbed):
+    """The cascade into the absorber, vacuum input."""
+    benchmark(solve_lyapunov, absorbed, InputCovariance.vacuum(1))
+
+
+def test_solve_lyapunov_cascade_fresh(benchmark, absorbed):
+    """As ``test_solve_lyapunov_cascade`` on a cascade of fresh parts built inside the timed call."""
+    first, second = absorbed.parts
+    benchmark(lambda: solve_lyapunov(series_product(_copy(first), _copy(second)), InputCovariance.vacuum(1)))
+
+
+def _hermitian_rhs(rng, size):
+    Q = _cplx(rng, (size, size))
+    return Q + Q.conj().T
 
 
 @pytest.mark.parametrize("size", (2, 4), ids=lambda k: f"size{k}")
 def test_lyap(benchmark, size):
     rng = np.random.default_rng(size)
     X = _cplx(rng, (size, size)) - (2.0 * np.sqrt(size) + 1.0) * np.eye(size)  # Hurwitz
-    benchmark(lyap, X, _cplx(rng, (size, size)))
+    benchmark(lyap, X, _hermitian_rhs(rng, size))
+
+
+@pytest.mark.parametrize("size", (2, 4), ids=lambda k: f"size{k}")
+def test_lyap_defective(benchmark, size):
+    """A Hurwitz Jordan block, which has no eigenbasis."""
+    X = (-1.0 - 0.5j) * np.eye(size) + np.eye(size, k=1)
+    benchmark(lyap, X, _hermitian_rhs(np.random.default_rng(size), size))
 
 
 def test_gramian_flat(benchmark, sys):

@@ -12,8 +12,15 @@ canonical commutation relations.  This module also provides the Williamson
 normal form of a Gaussian covariance and the flat-Gram factorization
 T^b T = G used by every realization algorithm, each from one Hermitian
 eigenproblem (no non-Hermitian ``eig``), plus the Lyapunov solvers
-``lyap`` and ``lyap_cascade`` (a cascade's block-triangular drift), the
-only code here that needs (and imports) ``scipy.linalg``.
+``lyap`` and ``lyap_cascade`` (a cascade's block-triangular drift).
+
+The Lyapunov solvers work in the eigenbasis X = V diag(lambda) V^-1 that a
+``QLSystem`` already caches, where X M + M X^dag = Q is one elementwise
+division.  Their accuracy contract: a modal solution is returned only when
+its relative residual is at most LYAP_RESID_MAX (64 eps); otherwise, and
+for an X without a usable eigenbasis (kappa_F(V) > MODAL_COND_MAX, the same
+cutoff ``freq_response`` uses), Bartels-Stewart from a complex Schur form
+solves the equation.  Only that fallback imports ``scipy.linalg``.
 """
 
 import math
@@ -24,6 +31,8 @@ import numpy as np
 
 TOL_STRUCT = 1e-10  # relative, doubled-up structure checks
 TOL_NUM = 1e-8      # relative, algebraic residuals
+MODAL_COND_MAX = 1e3   # kappa_F(V) past which an eigenbasis is not used (``modal_inverse``)
+LYAP_RESID_MAX = 64 * np.finfo(float).eps   # relative residual a modal Lyapunov solve must meet
 
 
 def jmat(n):
@@ -286,6 +295,63 @@ def factor_flat_gram(G, tol=TOL_NUM):
     return T
 
 
+def modal_inverse(V):
+    """V^-1 for an eigenbasis V with unit columns, or None when V is unusable.
+
+    None when V is singular (an exactly defective matrix) or when
+    kappa_F(V) = ||V||_F ||V^-1||_F = sqrt(k) ||V^-1||_F exceeds
+    MODAL_COND_MAX (a nearly defective one): modal frequency responses lose
+    accuracy as eps kappa_F and modal Lyapunov solves as eps kappa_F^2.
+    """
+    try:
+        Vi = np.linalg.inv(V)
+    except np.linalg.LinAlgError:
+        return None
+    if not math.sqrt(len(V)) * _fro(Vi) <= MODAL_COND_MAX:
+        return None
+    return Vi
+
+
+def _eig_modal(X):
+    """The modal form (lambda, V, V^-1) of a bare matrix from one ``eig``, or None (``modal_inverse``)."""
+    lam, V = np.linalg.eig(X)
+    Vi = modal_inverse(V)
+    return None if Vi is None else (lam, V, Vi)
+
+
+def _hermitian(M):
+    return 0.5 * (M + M.conj().T)
+
+
+def _modal_sylvester(a, b, F):
+    """Solve Xa M + M Xb^dag = F from modal forms a = (lambda_a, Va, Va^-1) of Xa and b of Xb.
+
+    In the eigenbases the equation is diagonal:
+    M = Va Y Vb^dag with Y_ij = (Va^-1 F Vb^-dag)_ij / (lambda_a,i + conj(lambda_b,j)).
+    """
+    la, Va, Via = a
+    lb, Vb, Vib = b
+    Y = (Via @ F @ Vib.conj().T) / (la[:, None] + lb.conj())
+    return Va @ Y @ Vb.conj().T
+
+
+def _modal_lyap(modal, Q):
+    """``_modal_sylvester`` with both forms ``modal``, for Hermitian Q: Y and M are made Hermitian.
+
+    Both symmetrisations are exact for Hermitian Q: Y's drops the rounding
+    of the first basis change, M's that of the second.
+    """
+    lam, V, Vi = modal
+    Y = (Vi @ Q @ Vi.conj().T) / (lam[:, None] + lam.conj())
+    return _hermitian(V @ _hermitian(Y) @ V.conj().T)
+
+
+def _meets_residual(X, M, Q):
+    """||X M + M X^dag - Q||_F <= LYAP_RESID_MAX (2 ||X||_F ||M||_F + ||Q||_F), for Hermitian M."""
+    R = X @ M
+    return _fro(R + R.conj().T - Q) <= LYAP_RESID_MAX * (2.0 * _fro(X) * _fro(M) + _fro(Q))
+
+
 def _schur(X):
     """Complex Schur form X = U R U^dag from the raw LAPACK ``zgees`` handle.
 
@@ -295,8 +361,6 @@ def _schur(X):
     from scipy.linalg.lapack import zgees
 
     X = np.asarray_chkfinite(X, dtype=complex)
-    if X.size == 0:
-        return X, X
     R, _, _, U, _, info = zgees(_no_sort, X, lwork=_gees_lwork(X.shape[0]))
     if info:
         from scipy.linalg import LinAlgError
@@ -320,63 +384,94 @@ def _gees_lwork(n):
     return int(zgees(_no_sort, np.zeros((n, n), dtype=complex), lwork=-1)[-2][0].real)
 
 
-def _sylvester(Ra, Ua, Rb, Ub, F):
-    """Solve Xa M + M Xb^dag = F from Schur forms Xa = Ua Ra Ua^dag, Xb = Ub Rb Ub^dag.
+def _schur_lyap(X, Q):
+    """Bartels-Stewart: one Schur form X = U R U^dag, then one ``trsyl`` solve of
+    R Y + Y R^dag = U^dag Q U and M = U Y U^dag.
 
-    One ``trsyl`` solve of Ra Y + Y Rb^dag = (Ua^dag F) Ub, then M = Ua Y Ub^dag.
+    Bit-identical to ``scipy.linalg.solve_sylvester(X, X^dag, Q)``; imports ``scipy.linalg``.
     """
-    if np.size(F) == 0:
-        return np.zeros(np.shape(F), dtype=complex)
+    if np.size(Q) == 0:
+        return np.zeros(np.shape(Q), dtype=complex)
     from scipy.linalg.lapack import ztrsyl
 
-    F = np.dot(np.dot(Ua.conj().T, F), Ub)
-    Y, scale, _ = ztrsyl(Ra, Rb, F, tranb="C")
-    return np.dot(np.dot(Ua, scale * Y), Ub.conj().T)
-
-
-def lyap(X, Q):
-    """Solve X M + M X^dag = Q by Bartels-Stewart (unique for Hurwitz X).
-
-    One Schur form X = U R U^dag and one triangular Sylvester solve; the
-    result is bit-identical to ``scipy.linalg.solve_sylvester(X, X^dag, Q)``.
-    Imports ``scipy.linalg``.
-    """
     R, U = _schur(X)
-    return _sylvester(R, U, R, U, Q)
+    F = np.dot(np.dot(U.conj().T, Q), U)
+    Y, scale, _ = ztrsyl(R, R, F, tranb="C")
+    return np.dot(np.dot(U, scale * Y), U.conj().T)
 
 
-def lyap_cascade(X, Q, k):
-    """Solve X M + M X^dag = Q for block lower-triangular X and Hermitian Q.
+def lyap(X, Q, modal=None):
+    """Solve X M + M X^dag = Q for Hurwitz X and Hermitian Q (M is then Hermitian).
+
+    ``modal`` = (lambda, V, V^-1) with X = V diag(lambda) V^-1, when the
+    caller holds it (a ``QLSystem`` caches its drift's); otherwise one
+    ``eig`` of X gives it.  In that basis the equation is diagonal,
+    M = V Y V^dag with Y_ij = (V^-1 Q V^-dag)_ij / (lambda_i + conj(lambda_j)),
+    and Y and M are returned Hermitian.
+
+    Accuracy contract: the returned M has relative residual
+    ||X M + M X^dag - Q||_F / (2 ||X||_F ||M||_F + ||Q||_F) <= LYAP_RESID_MAX
+    (64 eps), or it comes from Bartels-Stewart (``_schur_lyap``, backward
+    stable, bit-identical to ``scipy.linalg.solve_sylvester(X, X^dag, Q)``).
+    That route is taken when X has no usable eigenbasis (``modal_inverse``:
+    kappa_F(V) > MODAL_COND_MAX, e.g. a defective X) or when the modal
+    solution, whose error grows as eps kappa_F(V)^2, misses the residual
+    bound; only it imports ``scipy.linalg``.  The forward error is then that
+    of a backward-stable solve, at most the equation's condition number
+    times the residual.
+    """
+    X = np.asarray(X, dtype=complex)
+    return _lyap(X, Q, _eig_modal(X) if modal is None else modal)[0]
+
+
+def _lyap(X, Q, modal):
+    """``lyap`` from the modal form ``modal`` (None: Schur at once), with the route taken: "modal" or "schur"."""
+    if modal is not None:
+        M = _modal_lyap(modal, Q)
+        if _meets_residual(X, M, Q):
+            return M, "modal"
+    return _schur_lyap(X, Q), "schur"
+
+
+def lyap_cascade(X, Q, k, first, second):
+    """Solve X M + M X^dag = Q for block lower-triangular X and Hermitian Q; returns (M, route).
 
     X = [[X1, 0], [X21, X2]] with X1 of size k (X12 is not read; either
-    block may be empty).  Bartels-Stewart by blocks, from the Schur forms of
-    X1 and X2 alone: M12 = M21^dag and
+    block may be empty), and ``first`` and ``second`` are modal forms
+    (lambda, V, V^-1) of X1 and X2, or None: for a cascade, the parts'
+    cached eigendecompositions.  Bartels-Stewart by blocks, with M12 = M21^dag,
 
         X1 M11 + M11 X1^dag = Q11,
         X2 M21 + M21 X1^dag = Q21 - X21 M11,
-        X2 M22 + M22 X2^dag = Q22 - X21 M12 - M21 X21^dag.
+        X2 M22 + M22 X2^dag = Q22 - X21 M12 - M21 X21^dag,
+
+    each an elementwise division in the parts' eigenbases; no factorization
+    of the whole X.  The contract is ``lyap``'s, checked on the whole X:
+    when a part has no modal form or M misses the residual bound, the whole
+    X is solved by ``_schur_lyap``.  ``route`` is "modal" or "schur".
     """
-    X21 = X[k:, :k]
-    R1, U1 = _schur(X[:k, :k])
-    R2, U2 = _schur(X[k:, k:])
-    M = np.empty(np.shape(Q), dtype=complex)
-    M[:k, :k] = _sylvester(R1, U1, R1, U1, Q[:k, :k])
-    M[k:, :k] = M21 = _sylvester(R2, U2, R1, U1, Q[k:, :k] - X21 @ M[:k, :k])
-    M[:k, k:] = M21.conj().T
-    M[k:, k:] = _sylvester(R2, U2, R2, U2, Q[k:, k:] - X21 @ M[:k, k:] - M21 @ X21.conj().T)
-    return M
+    if first is not None and second is not None:
+        X21 = X[k:, :k]
+        M = np.empty(np.shape(Q), dtype=complex)
+        M[:k, :k] = M11 = _modal_lyap(first, Q[:k, :k])
+        M[k:, :k] = M21 = _modal_sylvester(second, first, Q[k:, :k] - X21 @ M11)
+        M[:k, k:] = M21.conj().T
+        M[k:, k:] = _modal_lyap(second, Q[k:, k:] - X21 @ M[:k, k:] - M21 @ X21.conj().T)
+        if _meets_residual(X, M, Q):
+            return M, "modal"
+    return _schur_lyap(X, Q), "schur"
 
 
-def gramian_flat(A0, C0):
+def gramian_flat(A0, C0, modal=None):
     """The flat Gramian  int_0^inf J (C0 e^{A0 t})^dag J (C0 e^{A0 t}) dt.
 
     Computed by solving the Lyapunov form A0^dag M + M A0 + C0^dag J C0 = 0
-    and returning J M; valid for Hurwitz A0.
+    with ``lyap`` and returning J M, J applied as row signs; valid for
+    Hurwitz A0.  ``modal`` is the modal form (lambda, V, V^-1) of A0^dag when
+    the caller holds it; otherwise ``lyap`` takes one ``eig`` of A0^dag.
     """
     A0 = np.asarray(A0, dtype=complex)
     C0 = np.asarray(C0, dtype=complex)
-    n2 = A0.shape[0]
-    Jn = jmat(n2 // 2)
-    Jm = jmat(C0.shape[0] // 2)
-    M = lyap(A0.conj().T, -(C0.conj().T @ Jm @ C0))
-    return Jn @ M
+    Jn = np.repeat([1.0, -1.0], A0.shape[0] // 2)[:, None]
+    Jm = np.repeat([1.0, -1.0], C0.shape[0] // 2)[:, None]
+    return Jn * lyap(A0.conj().T, -(C0.conj().T @ (Jm * C0)), modal)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra import jmat, lyap
 from .model import ParamFamily, QLSystem, freq_response, is_hurwitz, spectral_gap
-from .stationary import InputCovariance, solve_lyapunov
+from .stationary import InputCovariance, _eigenbasis, solve_lyapunov
 
 GL_FIRST = 8      # Gauss-Legendre nodes per panel of the first frequency rule
 GL_MAX = 1024     # nodes per panel past which the frequency integral has not converged
@@ -250,7 +250,11 @@ def stationary_qfi_rate_time(family, theta0, V):
     m, n = sys0.m, sys0.n
     Jm, Jn = jmat(m), jmat(n)
     X = 0.5 * dOm + (dC.conj().T @ Jm @ C - C.conj().T @ Jm @ dC) / (4j)
-    B = lyap(A.conj().T, -X)
+    modal = _eigenbasis(sys0)
+    if modal is not None:  # A = W diag(lambda) W^-1, so A^dag = W^-dag diag(conj(lambda)) W^dag
+        lam, W, Wi = modal
+        modal = (lam.conj(), Wi.conj().T, W.conj().T)
+    B = lyap(A.conj().T, -X, modal)
     # along a pure gauge direction dC = -i C J R one finds B = R/2, so the
     # displacement generator D vanishes there, as it must
     D = dC + 2j * C @ Jn @ B

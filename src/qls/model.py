@@ -33,11 +33,11 @@ from .algebra import (
     is_doubled_up,
     is_symplectic,
     jmat,
+    modal_inverse,
 )
 
 RANK_TOL = 1e-10   # PBH-margin cutoff for the minimality decision
 STAB_TOL = 1e-12   # Hurwitz margin and pole-check radius, relative to max |lambda|
-MODAL_COND_MAX = 1e3   # kappa_F(V) past which freq_response solves densely (modal error ~2e-16 kappa_F)
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +48,8 @@ class QLSystem:
     Omega_- Hermitian and Omega_+ symmetric.  Instances are immutable: S, C
     and Omega are read-only private copies, so the cached drift ``A``, its
     eigendecomposition A = V diag(lambda) V^-1 (one ``eig``, which gives
-    ``poles`` and the modal form of ``freq_response``) can never go stale.
+    ``poles`` and the modal forms of ``freq_response`` and ``solve_lyapunov``)
+    can never go stale.
     Equality and hashing are by identity.
     """
 
@@ -127,14 +128,11 @@ class QLSystem:
 
     @cached_property
     def _modal(self):
-        """(lambda, V, V^-1, C V, V^-1 C^b) of A, or None when
-        kappa_F(V) = sqrt(2n) ||V^-1||_F > MODAL_COND_MAX."""
+        """(lambda, V, V^-1, C V, V^-1 C^b) of A, or None when V is singular or
+        kappa_F(V) = sqrt(2n) ||V^-1||_F > MODAL_COND_MAX (``algebra.modal_inverse``)."""
         lam, V = self._eig
-        try:
-            Vi = np.linalg.inv(V)
-        except np.linalg.LinAlgError:  # exactly defective
-            return None
-        if not np.sqrt(len(lam)) * np.linalg.norm(Vi) <= MODAL_COND_MAX:
+        Vi = modal_inverse(V)
+        if Vi is None:
             return None
         return lam, V, Vi, self.C @ V, Vi @ flat_adjoint(self.C)
 
@@ -362,8 +360,8 @@ def series_product(first, second):
     concatenated (first system's modes first); channel counts must agree.
     The drift is block lower-triangular in the parts, so the cascade keeps
     them as ``parts = (first, second)``: its cached ``poles`` are theirs,
-    concatenated, ``solve_lyapunov`` solves by blocks from their Schur forms
-    and ``power_spectrum`` multiplies their responses.
+    concatenated, ``solve_lyapunov`` solves by blocks from their cached
+    eigendecompositions and ``power_spectrum`` multiplies their responses.
     """
     if first.m != second.m:
         raise ValueError(f"channel counts differ: {first.m} vs {second.m}")

@@ -23,13 +23,14 @@ import numpy as np
 
 from .algebra import (
     Delta,
+    _eig_modal,
+    _lyap,
     du_blocks,
     factor_flat_gram,
     flat_adjoint,
     gramian_flat,
     is_doubled_up,
     jmat,
-    lyap,
     sigma_swap,
 )
 from .model import (
@@ -356,13 +357,15 @@ def physical_from_classical(ss, tol=1e-8):
     for M, name in ((A0, "A"), (B0, "B"), (C0, "C")):
         if M.size and not is_doubled_up(M, tol=1e-7):
             raise ValueError(f"{name} block of the realization is not doubled-up")
-    if A0.size and np.max(np.linalg.eigvals(A0).real) >= 0:
+    modal = _eig_modal(A0.conj().T)  # shared by the Hurwitz check and gramian_flat
+    poles = np.linalg.eigvals(A0) if modal is None else modal[0]
+    if poles.size and np.max(poles.real) >= 0:
         raise ValueError("realization must be Hurwitz")
     m2 = C0.shape[0]
     S = D
     if np.linalg.norm(D - np.eye(m2)) > 1e-8 * max(1.0, np.linalg.norm(D)):
         B0 = B0 @ np.linalg.inv(D)  # pull the scattering out of the strictly proper part
-    G = gramian_flat(A0, C0)
+    G = gramian_flat(A0, C0, modal)
     T0 = factor_flat_gram(G)
     T0inv = np.linalg.inv(T0)
     # consistency with the second PR condition: (T^b T) B0 = -C0^b
@@ -468,10 +471,13 @@ def ps_realize(ps, return_details=False):
     if np.linalg.norm(B1 + flat_adjoint(C2)) > 1e-6 * max(1.0, np.linalg.norm(C2)):
         raise IdentificationError("could not canonicalize B1 = -C2^b")
 
-    # flat Gramians of the two physicality equations must now agree
-    T3bT3 = gramian_flat(A0, C2)
+    # flat Gramians of the two physicality equations must now agree; A0^dag is
+    # diagonal, so its modal form is (conj(lambda), 1, 1)
+    eye = np.eye(2 * n, dtype=complex)
+    modal = (np.diagonal(A0).conj(), eye, eye)
+    T3bT3 = gramian_flat(A0, C2, modal)
     # output map B1^dag J of the (T1^b T1)^{-1} Gramian
-    T1bT1_inv = gramian_flat(A0, B1.conj().T @ jmat(n))
+    T1bT1_inv = gramian_flat(A0, B1.conj().T @ jmat(n), modal)
     if np.linalg.norm(T1bT1_inv - T3bT3) > 1e-6 * max(1.0, np.linalg.norm(T3bT3)):
         raise IdentificationError("input-side and output-side Gramians disagree beyond gauge")
 
@@ -501,9 +507,11 @@ def ps_realize(ps, return_details=False):
 # noisy identification (passive systems, inaccessible channels)
 
 
-def _lyap_noise(A0, Q):
-    """Solve A0^dag M + M A0 + Q = 0."""
-    return lyap(A0.conj().T, -Q)
+def _noise_solver(A0):
+    """Q -> the M with A0^dag M + M A0 + Q = 0, every solve from one ``eig`` of A0^dag (``algebra.lyap``)."""
+    Ad = A0.conj().T
+    modal = _eig_modal(Ad)
+    return lambda Q: _lyap(Ad, -Q, modal)[0]
 
 
 def noisy_realize(ss, n_noise, rng=None, restarts=50, tol=1e-8):
@@ -527,16 +535,17 @@ def noisy_realize(ss, n_noise, rng=None, restarts=50, tol=1e-8):
     m1 = C0.shape[0]
     if rng is None:
         rng = np.random.default_rng(0)
+    solve = _noise_solver(A0)
     if n_noise == 0:
         H_opt = np.zeros((n, n), dtype=complex)
         C1 = np.zeros((0, n), dtype=complex)
-        M = _lyap_noise(A0, C0.conj().T @ C0 + H_opt)
+        M = solve(C0.conj().T @ C0 + H_opt)
         defect = np.linalg.norm(M @ B0 + C0.conj().T)
         if defect > 1e-6 * max(1.0, np.linalg.norm(C0)):
             raise IdentificationError("data requires noise channels but n_noise = 0")
     else:
         # linear stage: M(H) affine in Hermitian H
-        M0 = _lyap_noise(A0, C0.conj().T @ C0)
+        M0 = solve(C0.conj().T @ C0)
         base = M0 @ B0 + C0.conj().T  # must be cancelled by L(H) B0
         basis, images = [], []
         for i in range(n):
@@ -546,7 +555,7 @@ def noisy_realize(ss, n_noise, rng=None, restarts=50, tol=1e-8):
                     E[i, j] += part[0]
                     E[j, i] += part[1]
                     basis.append(E)
-                    images.append((_lyap_noise(A0, E) @ B0).ravel())
+                    images.append((solve(E) @ B0).ravel())
         Amat = np.array(images).T
         Areal = np.vstack([Amat.real, Amat.imag])
         brhs = -np.concatenate([base.ravel().real, base.ravel().imag])
@@ -560,7 +569,7 @@ def noisy_realize(ss, n_noise, rng=None, restarts=50, tol=1e-8):
 
         def residual(x):
             C1m = (x[: n_noise * n] + 1j * x[n_noise * n :]).reshape(n_noise, n)
-            M = _lyap_noise(A0, C0.conj().T @ C0 + C1m.conj().T @ C1m)
+            M = solve(C0.conj().T @ C0 + C1m.conj().T @ C1m)
             r = (M @ B0 + C0.conj().T).ravel()
             return np.concatenate([r.real, r.imag])
 
@@ -580,7 +589,7 @@ def noisy_realize(ss, n_noise, rng=None, restarts=50, tol=1e-8):
                 f"no physical noise extension found (residual {np.sqrt(2*best_cost):.2e})"
             )
         C1 = (best[: n_noise * n] + 1j * best[n_noise * n :]).reshape(n_noise, n)
-        M = _lyap_noise(A0, C0.conj().T @ C0 + C1.conj().T @ C1)
+        M = solve(C0.conj().T @ C0 + C1.conj().T @ C1)
 
     vals, vecs = np.linalg.eigh(0.5 * (M + M.conj().T))
     if np.min(vals) <= 0:

@@ -22,10 +22,10 @@ import numpy as np
 
 from .algebra import (
     WilliamsonResult,
+    _lyap,
     _vacuum_basis,
     du_blocks,
     flat_adjoint,
-    lyap,
     lyap_cascade,
     williamson,
 )
@@ -108,11 +108,17 @@ def _vacuum(m):
 
 @dataclass(frozen=True, eq=False)
 class StationaryState:
-    """Stationary covariance P with its Williamson normal form and solve residual."""
+    """Stationary covariance P with its Williamson normal form, solve residual and route.
+
+    ``route`` names the Lyapunov solver that produced P: "modal" (the
+    drift's eigenbasis) or "schur" (Bartels-Stewart, for a defective or
+    ill-conditioned drift); see ``algebra.lyap``.
+    """
 
     P: np.ndarray
     normal_form: WilliamsonResult
     residual: float
+    route: str
 
     @property
     def symplectic_spectrum(self):
@@ -127,15 +133,26 @@ def _noise_matrix(sys, V):
     return Cb @ SVS @ Cb.conj().T
 
 
+def _eigenbasis(sys):
+    """(lambda, V, V^-1) of the system's drift from its cached modal form, or None."""
+    modal = sys._modal
+    return None if modal is None else modal[:3]
+
+
 def solve_lyapunov(sys, V):
     """Stationary covariance of a Hurwitz system for input V.
 
     Solves A P + P A^dag + C^b S V S^dag (C^b)^dag = 0 with ``algebra.lyap``
-    (intended scale: up to a few tens of modes) and reports the relative
-    residual (against the full drift) and the Williamson normal form of P.
-    On a cascade from ``series_product`` the drift is block lower-triangular
-    in the order [a1; a1#; a2; a2#], and ``algebra.lyap_cascade`` solves in
-    that order from the two parts' Schur forms, never the whole drift's.
+    from the drift's cached eigendecomposition (intended scale: up to a few
+    tens of modes) and reports the relative residual (against the full
+    drift), the route ("modal" or "schur") and the Williamson normal form
+    of P.  On a cascade from ``series_product`` the drift is block
+    lower-triangular in the order [a1; a1#; a2; a2#], and
+    ``algebra.lyap_cascade`` solves in that order from the two parts'
+    eigendecompositions, never factorizing the whole drift unless it falls
+    back to Schur.  Accuracy contract (``algebra.lyap``): a modal P has
+    relative residual at most 64 eps; otherwise P comes from the
+    backward-stable Schur route.
 
     Raises ValueError when the system is not Hurwitz (no unique solution).
     """
@@ -144,18 +161,21 @@ def solve_lyapunov(sys, V):
     A = sys.A
     Q = _noise_matrix(sys, V)
     if sys.parts is None:
-        P = lyap(A, -Q)
+        P, route = _lyap(A, -Q, _eigenbasis(sys))
     else:
-        n, n1 = sys.n, sys.parts[0].n
-        first, second = np.arange(n1), np.arange(n1, n)
-        order = np.concatenate([first, n + first, second, n + second])
+        first, second = sys.parts
+        n, n1 = sys.n, first.n
+        head, tail = np.arange(n1), np.arange(n1, n)
+        order = np.concatenate([head, n + head, tail, n + tail])
         block = np.ix_(order, order)
         P = np.empty_like(Q)
-        P[block] = lyap_cascade(A[block], -Q[block], 2 * n1)
+        P[block], route = lyap_cascade(A[block], -Q[block], 2 * n1,
+                                       _eigenbasis(first), _eigenbasis(second))
     P = 0.5 * (P + P.conj().T)  # A P + P A^dag symmetrises exactly
     scale = max(1.0, np.linalg.norm(A) * np.linalg.norm(P) + np.linalg.norm(Q))
-    resid = np.linalg.norm(A @ P + P @ A.conj().T + Q) / scale
-    return StationaryState(P=P, normal_form=williamson(P, sys.n), residual=float(resid))
+    AP = A @ P  # P is Hermitian, so P A^dag = (A P)^dag
+    resid = np.linalg.norm(AP + AP.conj().T + Q) / scale
+    return StationaryState(P=P, normal_form=williamson(P, sys.n), residual=float(resid), route=route)
 
 
 def power_spectrum(sys, V, s):

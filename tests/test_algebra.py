@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qls import algebra
 from qls.algebra import (
     Delta,
     du_blocks,
@@ -73,17 +74,96 @@ class TestDelta:
             Delta(np.ones((1, 2)), np.ones((2, 1)))
 
 
+def _hurwitz_draw(rng, n):
+    """Seeded Hurwitz X and Hermitian Q of size n."""
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    X -= (2.0 * np.sqrt(n) + 1.0) * np.eye(n)  # Hurwitz: unique solution
+    Q = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return X, Q + Q.conj().T
+
+
+def _mpmath_lyap(X, Q, dps=40):
+    """X M + M X^dag = Q by a dps-digit Kronecker solve (I (x) X + conj(X) (x) I) vec M = vec Q."""
+    import mpmath
+
+    n = X.shape[0]
+    K = np.kron(np.eye(n), X) + np.kron(X.conj(), np.eye(n))
+    with mpmath.workdps(dps):
+        mat = mpmath.matrix([[mpmath.mpc(z) for z in row] for row in K])
+        vec = mpmath.matrix([mpmath.mpc(z) for z in Q.ravel(order="F")])
+        sol = mpmath.lu_solve(mat, vec)
+        return np.array([complex(sol[k]) for k in range(n * n)]).reshape((n, n), order="F")
+
+
 class TestLyap:
+    """The contract of ``lyap``: modal solves within LYAP_RESID_MAX, else Bartels-Stewart."""
+
     @pytest.mark.parametrize("n", [0, 1, 2, 4, 8, 32])
     def test_bit_identical_to_sylvester_solve(self, rng, n):
+        """The Schur route, for any Q: bit-identical to scipy's Bartels-Stewart."""
         from scipy.linalg import solve_sylvester
 
         X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         X -= (2.0 * np.sqrt(n) + 1.0) * np.eye(n)  # Hurwitz: unique solution
         Q = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        M = lyap(X, Q)
+        M = algebra._schur_lyap(X, Q)
         assert np.array_equal(M, solve_sylvester(X, X.conj().T, Q))
         assert np.linalg.norm(X @ M + M @ X.conj().T - Q) <= 1e-12 * max(1.0, np.linalg.norm(Q))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_modal_route_against_mpmath(self, n):
+        rng = np.random.default_rng([n, 40])
+        X, Q = _hurwitz_draw(rng, n)
+        M, route = algebra._lyap(X, Q, algebra._eig_modal(X))
+        assert route == "modal"
+        exact = _mpmath_lyap(X, Q)
+        assert np.linalg.norm(M - exact) <= 1e-13 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 4, 8, 16, 32])
+    def test_modal_route_against_schur_route(self, n):
+        for seed in range(5):
+            X, Q = _hurwitz_draw(np.random.default_rng([n, seed]), n)
+            modal = algebra._eig_modal(X)
+            M, route = algebra._lyap(X, Q, modal)
+            assert route == "modal" and np.array_equal(lyap(X, Q), M)
+            assert np.array_equal(M, M.conj().T)
+            R = X @ M + M @ X.conj().T - Q
+            assert np.linalg.norm(R) <= algebra.LYAP_RESID_MAX * (
+                2.0 * np.linalg.norm(X) * np.linalg.norm(M) + np.linalg.norm(Q))
+            ref = algebra._schur_lyap(X, Q)
+            assert np.linalg.norm(M - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_given_modal_form_equals_computed_one(self, rng):
+        X, Q = _hurwitz_draw(rng, 5)
+        lam, V = np.linalg.eig(X)
+        assert np.array_equal(lyap(X, Q, (lam, V, np.linalg.inv(V))), lyap(X, Q))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_jordan_block_falls_back_bit_identical_to_sylvester_solve(self, n):
+        from scipy.linalg import solve_sylvester
+
+        X = -np.eye(n) + np.diag(np.ones(n - 1), 1) + 0j  # defective: one eigenvector
+        Q = np.random.default_rng(n).standard_normal((n, n)) + 0j
+        Q = Q + Q.T
+        assert algebra._eig_modal(X) is None
+        assert np.array_equal(lyap(X, Q), solve_sylvester(X, X.conj().T, Q))
+
+    def test_gm2_drift_falls_back_bit_identical_to_sylvester_solve(self):
+        from conftest import gm2_system
+        from scipy.linalg import solve_sylvester
+
+        A = gm2_system(0.0).A  # a 2 x 2 Jordan block per pole: kappa_F(V) ~ 1e8
+        Q = np.diag([1.0, 0.5, 0.25, 2.0]) + 0j
+        assert algebra._eig_modal(A) is None
+        assert np.array_equal(lyap(A, Q), solve_sylvester(A, A.conj().T, Q))
+
+    def test_non_hermitian_q_misses_the_residual_gate(self, rng):
+        from scipy.linalg import solve_sylvester
+
+        X, _ = _hurwitz_draw(rng, 4)
+        Q = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        M, route = algebra._lyap(X, Q, algebra._eig_modal(X))
+        assert route == "schur" and np.array_equal(M, solve_sylvester(X, X.conj().T, Q))
 
 
 class TestIsSymplectic:

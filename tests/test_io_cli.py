@@ -177,6 +177,31 @@ def write(path, payload):
     return str(path)
 
 
+def _cli_inputs(rng):
+    """JSON inputs of the data subcommands, keyed by name: rational data, a state space,
+    a (Xi_-, Xi_+) pair, a cavity QFI family and a coupling sweep of it."""
+    cascade = tf_as_rational(two_mode_cascade_example())
+    big = random_qlsystem(rng, 3, 1)
+    while np.min(np.abs(big.poles.imag)) < 5e-2:
+        big = random_qlsystem(rng, 3, 1)
+    vac = InputCovariance.vacuum(1)
+    family = {"base": qio.system_to_json(cavity(1.0, 0.0)), "fd_step": 1e-6,
+              "dependencies": [{"target": "Omega.minus", "row": 0, "col": 0, "coefficient": [1.0, 0.0]}]}
+    return {
+        "rtf": qio.rational_to_json(cascade),
+        "rps1": qio.rational_to_json(ps_as_rational(active_one_mode_example(), vac)),
+        "rps3": qio.rational_to_json(ps_as_rational(big, vac)),
+        "ss": {k: qio.matrix_to_json(v) for k, v in
+               (("A", [[-19.5 - 3j]]), ("B", [[-1.0]]), ("C", [[36.0]]), ("D", [[1.0]]))},
+        "pair": {"xi_minus": qio.rational_to_json(RationalMatrixFunction(
+                     [[1.0]], cascade.poles, [R[:1, :1] for R in cascade.residues])),
+                 "xi_plus": qio.rational_to_json(RationalMatrixFunction(
+                     [[0.0]], cascade.poles, [R[:1, 1:2] for R in cascade.residues]))},
+        "family": family,
+        "sweep": {"family": family, "couplings": [1.0, 0.7, 0.5], "coupling_target": "C.minus"},
+    }
+
+
 class TestCli:
     def test_validate(self, workdir, capsys):
         p = write(workdir / "sys.json", qio.system_to_json(cavity()))
@@ -487,16 +512,34 @@ class TestCli:
         (["validate", "{sys}"], False),
         (["tf", "{sys}", "--grid", "[[0, 1], [0, -2]]"], False),
         (["ps", "{sys}", "--input", "{input}"], False),
-        (["gm", "{sys}"], True),
+        (["gm", "{gm2_0}"], True),  # a defective drift: the Schur fallback
+        (["gm", "{sys}"], False),
+        (["split", "{gm2_m1}", "--input", "{sq05}"], False),
+        (["absorber", "{sys}"], False),
+        (["realize-tf", "{rtf}"], False),
+        (["realize-ps", "{rps1}"], False),
+        (["realize-ps", "{rps3}"], False),
+        (["realize-noisy", "{ss}", "--n-noise", "1", "--seed", "7"], True),  # scipy.optimize
+        (["cascade-id", "{pair}"], False),
+        (["qfi", "{family}", "--input", "{sq05}", "--method", "time"], False),
+        (["sweep", "{sweep}", "--input", "{sq05}"], False),
     ])
     def test_cli_loads_scipy_linalg_only_for_lyapunov_solves(self, workdir, rng, command,
                                                               loads_linalg):
-        """`python -m qls.cli` commands without a Lyapunov solve never import scipy.linalg."""
-        paths = {
-            "sys": write(workdir / "sys.json", qio.system_to_json(absorber_two_mode_example())),
-            "input": write(workdir / "v.json",
-                           qio.input_to_json(InputCovariance(*random_pure_input(rng, 1)))),
-        }
+        """`python -m qls.cli` loads scipy.linalg only for a defective drift or `realize-noisy`.
+
+        Every Lyapunov solve of a diagonalizable drift (stationary states,
+        flat Gramians, the time-route QFI) runs in its eigenbasis on numpy alone.
+        """
+        from conftest import gm2_system, squeezed_input
+
+        paths = {k: write(workdir / f"{k}.json", payload) for k, payload in _cli_inputs(rng).items()}
+        paths.update(sys=write(workdir / "sys.json", qio.system_to_json(absorber_two_mode_example())),
+                     input=write(workdir / "v.json",
+                                 qio.input_to_json(InputCovariance(*random_pure_input(rng, 1)))),
+                     gm2_0=write(workdir / "gm2_0.json", qio.system_to_json(gm2_system(0.0))),
+                     gm2_m1=write(workdir / "gm2_m1.json", qio.system_to_json(gm2_system(-1.0))),
+                     sq05=write(workdir / "sq05.json", qio.input_to_json(squeezed_input(0.5))))
         probe = ("import atexit, runpy, sys; atexit.register(lambda: print("
                  "'scipy.linalg' in sys.modules, file=sys.stderr)); "
                  "sys.argv[0] = 'qls'; runpy.run_module('qls.cli', run_name='__main__')")

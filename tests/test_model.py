@@ -3,9 +3,17 @@ import re
 import numpy as np
 import pytest
 
-from qls.algebra import TOL_NUM, TOL_STRUCT, Delta, du_blocks, flat_adjoint, flat_unitary_residual, jmat
-from qls.model import (
+from qls.algebra import (
     MODAL_COND_MAX,
+    TOL_NUM,
+    TOL_STRUCT,
+    Delta,
+    du_blocks,
+    flat_adjoint,
+    flat_unitary_residual,
+    jmat,
+)
+from qls.model import (
     ParamFamily,
     QLSystem,
     StateSpace,

@@ -85,6 +85,13 @@ class TestSolveLyapunov:
         with pytest.raises(ValueError):
             solve_lyapunov(sys, InputCovariance.vacuum(1))
 
+    def test_route_is_recorded(self):
+        vac = InputCovariance.vacuum(1)
+        modal = solve_lyapunov(absorber_two_mode_example(), vac)
+        assert modal.route == "modal" and modal.residual <= 1e-14
+        defective = solve_lyapunov(gm2_system(0.0), vac)  # kappa_F(V) ~ 1e8: Bartels-Stewart
+        assert defective.route == "schur" and defective.residual <= 1e-14
+
 
 def _separated_part(rng, n, m):
     """Seeded Hurwitz part whose Lyapunov equation is well conditioned.
@@ -123,21 +130,40 @@ class TestSolveLyapunovCascade:
         assert np.array_equal(state.P, state.P.conj().T)
 
     def test_no_schur_form_of_the_whole_drift(self, monkeypatch):
-        sizes = []
-        real = algebra._schur
+        schur_sizes, eig_sizes = [], []
+        schur, eig = algebra._schur, np.linalg.eig
 
-        def counting(X):
-            sizes.append(np.shape(X)[0])
-            return real(X)
+        def counting_schur(X):
+            schur_sizes.append(np.shape(X)[0])
+            return schur(X)
 
-        monkeypatch.setattr(algebra, "_schur", counting)
+        def counting_eig(X):
+            eig_sizes.append(np.shape(X)[0])
+            return eig(X)
+
+        monkeypatch.setattr(algebra, "_schur", counting_schur)
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
         rng = np.random.default_rng(7)
         cascade = series_product(_separated_part(rng, 3, 1), _separated_part(rng, 5, 1))
-        solve_lyapunov(cascade, InputCovariance.vacuum(1))
-        assert sorted(sizes) == [6, 10]
-        sizes.clear()
-        absorber.dual_system(absorber_two_mode_example())
-        assert max(sizes) == 4  # the 2-mode system's own solve, then the 4-mode cascade by blocks
+        assert solve_lyapunov(cascade, InputCovariance.vacuum(1)).route == "modal"
+        assert schur_sizes == [] and sorted(eig_sizes) == [6, 10]  # the parts' own eigs
+        eig_sizes.clear()
+        res = absorber.dual_system(absorber_two_mode_example())
+        assert schur_sizes == [] and max(eig_sizes) == 4  # 2-mode systems only, never the 4-mode cascade
+        assert res.combined.n == 4
+
+    def test_ill_conditioned_whole_drift_is_rerouted_to_schur(self):
+        """The 1 + 1 cascade of test_matches_dense_solve, solved whole: kappa_F(V) ~ 310."""
+        rng = np.random.default_rng([1, 1, 1])
+        cascade = series_product(_separated_part(rng, 1, 1), _separated_part(rng, 1, 1))
+        V = InputCovariance(*random_pure_input(rng, 1))
+        X, Q = cascade.A, -stationary._noise_matrix(cascade, V)
+        modal = algebra._eig_modal(X)
+        assert modal is not None and not algebra._meets_residual(X, algebra._modal_lyap(modal, Q), Q)
+        M, route = algebra._lyap(X, Q, modal)
+        assert route == "schur" and np.array_equal(M, algebra._schur_lyap(X, Q))
+        assert solve_lyapunov(QLSystem.from_drift(X, cascade.C, cascade.S), V).route == "schur"
+        assert solve_lyapunov(cascade, V).route == "modal"  # the parts are well conditioned
 
     def test_zero_mode_parts(self, rng):
         V = InputCovariance(*random_pure_input(rng, 1))
