@@ -19,6 +19,8 @@ absorber.  The Lyapunov cases come cached (one system, its
 eigendecomposition computed once) and ``fresh`` (the system, or the
 cascade's parts, rebuilt inside the timed call); ``lyap`` takes a Hurwitz
 X with a Hermitian right-hand side, ``lyap_defective`` a Jordan block.
+``noisy_realize`` takes channel 0 of a seeded passive system with n modes
+and 1 + n_noise channels, (n, n_noise) = (1, 1), (3, 1) and (6, 2).
 ``siso_cascade_identify`` takes the (Xi_-, Xi_+) data of the
 n = 2, 8 and 16 systems; the n = 32 system has a near-real pole pair,
 which the cascade route rejects.  The ``freq_response_grid`` cases evaluate
@@ -52,6 +54,7 @@ from qls import (
     is_minimal,
     is_symplectic,
     jmat,
+    noisy_realize,
     physical_from_classical,
     ps_as_rational,
     random_symplectic,
@@ -291,6 +294,20 @@ def test_siso_cascade_identify(benchmark, n):
     xi_m = RationalMatrixFunction([[1.0]], r.poles, [R[:1, :1] for R in r.residues])
     xi_p = RationalMatrixFunction([[0.0]], r.poles, [R[:1, 1:2] for R in r.residues])
     benchmark(siso_cascade_identify, xi_m, xi_p)
+
+
+def _accessible_block(n, n_noise):
+    """(A0, B0, C0, 1) of channel 0 of a seeded passive n-mode system with 1 + n_noise channels."""
+    rng = np.random.default_rng(300 + 10 * n + n_noise)
+    Cm = _cplx(rng, (1 + n_noise, n))
+    Om = _cplx(rng, (n, n))
+    A = -0.5j * (Om + Om.conj().T) - 0.5 * Cm.conj().T @ Cm
+    return StateSpace(A=A, B=-Cm[:1].conj().T, C=Cm[:1], D=np.eye(1))
+
+
+@pytest.mark.parametrize("n, n_noise", ((1, 1), (3, 1), (6, 2)), ids=("n1k1", "n3k1", "n6k2"))
+def test_noisy_realize(benchmark, n, n_noise):
+    benchmark(noisy_realize, _accessible_block(n, n_noise), n_noise)
 
 
 @pytest.mark.parametrize("points", (301, 25), ids=lambda k: f"K{k}")

@@ -168,9 +168,7 @@ def cmd_realize_ps(args):
 
 def cmd_realize_noisy(args):
     ss = _load(args.statespace, qio.statespace_from_json, "state space")
-    rng = np.random.default_rng(args.seed)
-    sys_ = noisy_realize(ss, args.n_noise, rng=rng)
-    _emit(args, qio.system_to_json(sys_))
+    _emit(args, qio.system_to_json(noisy_realize(ss, args.n_noise)))
 
 
 def cmd_cascade_id(args):
@@ -306,8 +304,8 @@ def build_parser():
 
     sp = add("realize-noisy", cmd_realize_noisy, help="passive noise extension of an accessible block")
     sp.add_argument("statespace")
-    sp.add_argument("--n-noise", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--n-noise", type=int, default=1, help="number of unobserved noise channels, 0..n")
+    sp.add_argument("--seed", type=int, default=0, help="accepted for older scripts; does not affect the result")
 
     sp = add("cascade-id", cmd_cascade_id, help="direct SISO cascade identification")
     sp.add_argument("rational", help="JSON with xi_minus and xi_plus rational data")

@@ -45,6 +45,8 @@ from .stationary import InputCovariance, _vacuum_rotated, power_spectrum, vacuum
 
 POLE_MATCH_TOL = 1e-6   # absolute pole-location matching
 RESIDUE_EPS = 1e-5      # radius for residue extraction by limit evaluation
+NOISE_RANK_TOL = 1e-12  # relative eigenvalue of C1^dag C1 below which a noise row is zero
+NOISE_RESTARTS = 50     # perturbed restarts of a noise-coupling polish stuck above the bound
 
 
 class IdentificationError(RuntimeError):
@@ -514,82 +516,138 @@ def _noise_solver(A0):
     return lambda Q: _lyap(Ad, -Q, modal)[0]
 
 
-def noisy_realize(ss, n_noise, rng=None, restarts=50, tol=1e-8):
+def _noise_rows(H, n_noise):
+    """C1 with C1^dag C1 the best rank-``n_noise`` PSD approximation of Hermitian H.
+
+    Rows are sqrt(lambda) v^dag over the ``n_noise`` largest eigenpairs in
+    descending order, each with its largest entry made real positive
+    (``_canonical_row_phase``).  An eigenvalue at most NOISE_RANK_TOL times
+    the largest gives a zero row: the polish reaches a rank-deficient H only
+    sublinearly, so it leaves such a row at about the square root of its
+    residual floor, in a direction set by rounding.
+    """
+    vals, vecs = np.linalg.eigh(H)
+    vals, vecs = vals[::-1][:n_noise], vecs[:, ::-1][:, :n_noise]
+    keep = vals > NOISE_RANK_TOL * np.max(np.abs(vals), initial=0.0)
+    rows = np.sqrt(np.where(keep, vals, 0.0))[:, None] * vecs.conj().T
+    return np.array([r * _canonical_row_phase(r[None]) if k else r for k, r in zip(keep, rows)])
+
+
+def _levenberg_marquardt(residual, jacobian, x):
+    """Minimise ||residual(x)||^2 from x by Marquardt-damped Gauss-Newton steps; returns (x, residual).
+
+    The damping mu scales D, the running maximum of diag(J^T J) with zeros
+    read as 1 (Moré 1978); mu starts at 1e-3, grows 10x on a rejected step
+    and shrinks 10x on an accepted one, after which J is re-evaluated.
+    Stops when the cost underflows, when a step no longer moves x, or after
+    200 trial steps.
+    """
+    r = residual(x)
+    cost, mu, D, J = r @ r, 1e-3, np.zeros(x.size), None
+    for _ in range(200):
+        if cost <= np.finfo(float).tiny:
+            break
+        if J is None:
+            J = jacobian(x)
+            D = np.maximum(D, np.einsum("ij,ij->j", J, J))
+            scale = np.diag(np.sqrt(np.where(D > 0, D, 1.0)))
+            rhs = np.concatenate([-r, np.zeros(x.size)])
+        # (J^T J + mu D) step = -J^T r, as least squares: no squared condition number
+        step = np.linalg.lstsq(np.vstack([J, np.sqrt(mu) * scale]), rhs, rcond=None)[0]
+        if np.linalg.norm(step) <= 1e-15 * (np.linalg.norm(x) + 1e-15):
+            break
+        r_new = residual(x + step)
+        if r_new @ r_new < cost:
+            x, r, cost, mu, J = x + step, r_new, r_new @ r_new, mu / 10.0, None
+        else:
+            mu *= 10.0
+    return x, r
+
+
+def _noise_coupling(solve, B0, C0, n_noise, bound):
+    """The n_noise x n coupling C1 of ``noisy_realize`` (n_noise >= 1); the caller checks it.
+
+    r = r0 + lin h(H) in the real coordinates h of Hermitian H, lin holding
+    the images M(E) B0 of a basis E.  The polish runs on x = (Re C1, Im C1),
+    where dr = lin h(dC^dag C1 + C1^dag dC) is the exact Jacobian.  A polish
+    that stalls above ``bound`` (a local minimum; seen with two or more
+    accessible channels) restarts from a perturbation of its best point, up
+    to NOISE_RESTARTS times, drawn from a fixed seed.
+    """
+    n = B0.shape[0]
+    # h(H): Re H on and above the diagonal, then Im H above it
+    iu, ju = np.triu_indices(n)
+    off = iu != ju
+    coords = lambda H: np.concatenate([H[..., iu, ju].real, H[..., iu[off], ju[off]].imag], axis=-1)
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    k = np.arange(len(iu))
+    basis[k, iu, ju] = basis[k, ju, iu] = 1.0
+    k = len(iu) + np.arange(off.sum())
+    basis[k, iu[off], ju[off]], basis[k, ju[off], iu[off]] = 1j, -1j
+    images = np.array([(solve(E) @ B0).ravel() for E in basis]).T
+    lin = np.vstack([images.real, images.imag])
+    base = (solve(C0.conj().T @ C0) @ B0 + C0.conj().T).ravel()
+    r0 = np.concatenate([base.real, base.imag])
+
+    size = n_noise * n
+    unit = np.eye(size).reshape(size, n_noise, n)
+    directions = np.concatenate([unit, 1j * unit]).conj().transpose(0, 2, 1)
+    to_c1 = lambda x: (x[:size] + 1j * x[size:]).reshape(n_noise, n)
+
+    def residual(x):
+        C = to_c1(x)
+        return r0 + lin @ coords(C.conj().T @ C)
+
+    def jacobian(x):
+        P = directions @ to_c1(x)
+        return lin @ coords(P + P.conj().transpose(0, 2, 1)).T
+
+    # linear stage: least-squares H, then its PSD rank-n_noise projection
+    h = np.linalg.lstsq(lin, -r0, rcond=None)[0]
+    C1 = _noise_rows(np.tensordot(h, basis, 1), n_noise)
+    best, r = _levenberg_marquardt(residual, jacobian, np.concatenate([C1.real.ravel(), C1.imag.ravel()]))
+    kick = np.random.default_rng(0)
+    for _ in range(NOISE_RESTARTS):
+        if np.linalg.norm(r) <= bound:
+            break
+        x0 = best + 0.3 * max(1.0, np.linalg.norm(best)) / np.sqrt(best.size) * kick.standard_normal(best.size)
+        x, rx = _levenberg_marquardt(residual, jacobian, x0)
+        if rx @ rx < r @ r:
+            best, r = x, rx
+    C1 = to_c1(best)
+    return _noise_rows(C1.conj().T @ C1, n_noise)
+
+
+def noisy_realize(ss, n_noise, rng=None):
     """Passive physical system matching an accessible-block transfer function.
 
     `ss` is a minimal classical realization (A0, B0, C0, 1) of the m1 x m1
     accessible block Xi_11(s) of a passive system with `n_noise` additional
-    unobserved channels (non-doubled representation).  The noise coupling C1
-    is fixed, up to the residual unitary freedom, by the physicality
-    condition M(C1) B0 = -C0^dag with
+    unobserved channels (non-doubled representation), 0 <= n_noise <= n.
+    The noise coupling C1 is fixed by the physicality condition
+    r(C1) = M B0 + C0^dag = 0, where H = C1^dag C1 and
 
-        A0^dag M + M A0 + C0^dag C0 + C1^dag C1 = 0,
+        A0^dag M + M A0 + C0^dag C0 + H = 0.
 
-    solved here as a linear system in H = C1^dag C1 followed by a PSD
-    projection and a least-squares polish with seeded restarts.
+    M is affine in H, so a linear least-squares stage gives a Hermitian H;
+    its PSD rank-``n_noise`` projection starts a Levenberg-Marquardt polish
+    of r over C1 (``_noise_coupling``).  C1 is then rebuilt from H by
+    ``_noise_rows``, which fixes its unitary freedom on the noise channels:
+    the result is a continuous function of ``ss``.  ``rng`` is accepted for
+    callers of the earlier seeded version and does not affect the result.
     """
-    from scipy.optimize import least_squares  # ~0.2 s to import; only needed here
-
     A0, B0, C0 = ss.A, ss.B, ss.C
     n = A0.shape[0]
-    m1 = C0.shape[0]
-    if rng is None:
-        rng = np.random.default_rng(0)
+    if not 0 <= n_noise <= n:
+        raise ValueError(f"n_noise must be between 0 and n = {n}, got {n_noise}")
     solve = _noise_solver(A0)
-    if n_noise == 0:
-        H_opt = np.zeros((n, n), dtype=complex)
-        C1 = np.zeros((0, n), dtype=complex)
-        M = solve(C0.conj().T @ C0 + H_opt)
-        defect = np.linalg.norm(M @ B0 + C0.conj().T)
-        if defect > 1e-6 * max(1.0, np.linalg.norm(C0)):
-            raise IdentificationError("data requires noise channels but n_noise = 0")
-    else:
-        # linear stage: M(H) affine in Hermitian H
-        M0 = solve(C0.conj().T @ C0)
-        base = M0 @ B0 + C0.conj().T  # must be cancelled by L(H) B0
-        basis, images = [], []
-        for i in range(n):
-            for j in range(i, n):
-                for part in ((1.0, 1.0), (1j, -1j)) if i != j else ((1.0, 1.0),):
-                    E = np.zeros((n, n), dtype=complex)
-                    E[i, j] += part[0]
-                    E[j, i] += part[1]
-                    basis.append(E)
-                    images.append((solve(E) @ B0).ravel())
-        Amat = np.array(images).T
-        Areal = np.vstack([Amat.real, Amat.imag])
-        brhs = -np.concatenate([base.ravel().real, base.ravel().imag])
-        coef, *_ = np.linalg.lstsq(Areal, brhs, rcond=None)
-        H = sum(c * E for c, E in zip(coef, basis))
-        H = 0.5 * (H + H.conj().T)
-        vals, vecs = np.linalg.eigh(H)
-        vals = np.clip(vals, 0.0, None)
-        order = np.argsort(vals)[::-1][:n_noise]
-        C1 = (np.sqrt(vals[order])[:, None] * vecs[:, order].conj().T)
-
-        def residual(x):
-            C1m = (x[: n_noise * n] + 1j * x[n_noise * n :]).reshape(n_noise, n)
-            M = solve(C0.conj().T @ C0 + C1m.conj().T @ C1m)
-            r = (M @ B0 + C0.conj().T).ravel()
-            return np.concatenate([r.real, r.imag])
-
-        best, best_cost = None, np.inf
-        x0 = np.concatenate([C1.real.ravel(), C1.imag.ravel()])
-        for attempt in range(restarts):
-            res = least_squares(residual, x0, xtol=1e-14, ftol=1e-14, gtol=1e-14)
-            if res.cost < best_cost:
-                best, best_cost = res.x, res.cost
-            if best_cost < 1e-20:
-                break
-            x0 = best + 0.3 * rng.standard_normal(best.shape) * max(
-                1.0, np.linalg.norm(best)
-            ) / max(1.0, np.sqrt(best.size))
-        if best is None or np.sqrt(2 * best_cost) > 1e-6 * max(1.0, np.linalg.norm(C0)):
-            raise IdentificationError(
-                f"no physical noise extension found (residual {np.sqrt(2*best_cost):.2e})"
-            )
-        C1 = (best[: n_noise * n] + 1j * best[n_noise * n :]).reshape(n_noise, n)
-        M = solve(C0.conj().T @ C0 + C1.conj().T @ C1)
+    bound = 1e-6 * max(1.0, np.linalg.norm(C0))
+    C1 = _noise_coupling(solve, B0, C0, n_noise, bound) if n_noise else np.zeros((0, n), dtype=complex)
+    M = solve(C0.conj().T @ C0 + C1.conj().T @ C1)
+    defect = np.linalg.norm(M @ B0 + C0.conj().T)
+    if defect > bound:
+        raise IdentificationError("data requires noise channels but n_noise = 0" if n_noise == 0
+                                  else f"no physical noise extension found (residual {defect:.2e})")
 
     vals, vecs = np.linalg.eigh(0.5 * (M + M.conj().T))
     if np.min(vals) <= 0:

@@ -343,6 +343,17 @@ class TestCli:
         Cm = du_blocks(rec.C)[0]
         assert abs(abs(Cm[0, 0]) - 6.0) < 1e-7
 
+    @pytest.mark.parametrize("n_noise", [2, -1])
+    def test_realize_noisy_bad_n_noise_exits_2(self, workdir, capsys, n_noise):
+        ss = {"A": qio.matrix_to_json([[-19.5 - 3j]]), "B": qio.matrix_to_json([[-1.0]]),
+              "C": qio.matrix_to_json([[36.0]]), "D": qio.matrix_to_json([[1.0]])}
+        p = write(workdir / "ss.json", ss)
+        out = workdir / "sys.json"
+        assert main(["realize-noisy", p, "--n-noise", str(n_noise), "-o", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input" and err["message"].startswith("n_noise must be between 0 and n = 1")
+        assert not out.exists()
+
     def test_cascade_id(self, workdir):
         sys = two_mode_cascade_example()
         tfr = tf_as_rational(sys)
@@ -519,17 +530,18 @@ class TestCli:
         (["realize-tf", "{rtf}"], False),
         (["realize-ps", "{rps1}"], False),
         (["realize-ps", "{rps3}"], False),
-        (["realize-noisy", "{ss}", "--n-noise", "1", "--seed", "7"], True),  # scipy.optimize
+        (["realize-noisy", "{ss}", "--n-noise", "1", "--seed", "7"], False),
         (["cascade-id", "{pair}"], False),
         (["qfi", "{family}", "--input", "{sq05}", "--method", "time"], False),
         (["sweep", "{sweep}", "--input", "{sq05}"], False),
     ])
     def test_cli_loads_scipy_linalg_only_for_lyapunov_solves(self, workdir, rng, command,
                                                               loads_linalg):
-        """`python -m qls.cli` loads scipy.linalg only for a defective drift or `realize-noisy`.
+        """`python -m qls.cli` loads scipy.linalg only for a defective drift, and never scipy.optimize.
 
         Every Lyapunov solve of a diagonalizable drift (stationary states,
-        flat Gramians, the time-route QFI) runs in its eigenbasis on numpy alone.
+        flat Gramians, the time-route QFI, the noise-coupling polish of
+        `realize-noisy`) runs in its eigenbasis on numpy alone.
         """
         from conftest import gm2_system, squeezed_input
 
@@ -541,12 +553,12 @@ class TestCli:
                      gm2_m1=write(workdir / "gm2_m1.json", qio.system_to_json(gm2_system(-1.0))),
                      sq05=write(workdir / "sq05.json", qio.input_to_json(squeezed_input(0.5))))
         probe = ("import atexit, runpy, sys; atexit.register(lambda: print("
-                 "'scipy.linalg' in sys.modules, file=sys.stderr)); "
+                 "'scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules, file=sys.stderr)); "
                  "sys.argv[0] = 'qls'; runpy.run_module('qls.cli', run_name='__main__')")
         args = [part.format(**paths) for part in command] + ["-o", str(workdir / "out.json")]
         out = _run_python(["-c", probe] + args, check=False)
         assert out.returncode == 0, out.stderr
-        assert out.stderr.strip().splitlines()[-1] == str(loads_linalg)
+        assert out.stderr.strip().splitlines()[-1] == f"False {loads_linalg}"
 
     def test_determinism_across_runs(self, workdir):
         p = write(workdir / "sys.json", qio.system_to_json(absorber_two_mode_example()))

@@ -16,6 +16,7 @@ from qls.realization import (
     RESIDUE_EPS,
     OneModeParams,
     RationalMatrixFunction,
+    _noise_rows,
     accessible_block,
     gilbert_realize,
     noisy_realize,
@@ -393,6 +394,57 @@ class TestNoisyRealize:
         f = accessible_block(sys, [0])
         for s in (-0.3j, -5j, 2.0, 0.5 + 1j):
             assert abs(f(s)[0, 0] - (1 - 36.0 / (s + 3j + 19.5))) < 1e-8
+
+    @staticmethod
+    def _accessible_data(seed, n, n_noise):
+        """A seeded passive system with 1 + n_noise channels and the state space of its channel-0 block."""
+        full = random_qlsystem(np.random.default_rng(seed), n, 1 + n_noise, passive=True)
+        Am = du_blocks(full.A)[0]
+        c1 = du_blocks(full.C)[0][0:1, :]
+        return full, StateSpace(A=Am, B=-c1.conj().T, C=c1, D=np.eye(1))
+
+    @pytest.mark.parametrize("n, n_noise", [(n, k) for n in range(1, 7) for k in (1, 2) if k <= n])
+    def test_seeded_round_trip(self, n, n_noise):
+        full, ss = self._accessible_data(100 * n + n_noise, n, n_noise)
+        rec = noisy_realize(ss, n_noise)
+        fa, fb = accessible_block(rec, [0]), accessible_block(full, [0])
+        for s in default_grid(full):
+            assert np.linalg.norm(fa(s) - fb(s)) <= 1e-8
+        Arec, Crec = du_blocks(rec.A)[0], du_blocks(rec.C)[0]
+        assert np.linalg.norm(Arec + Arec.conj().T + Crec.conj().T @ Crec) <= 1e-8
+
+    @pytest.mark.parametrize("case", ["criterion_4", "n3_noise1", "n3_noise2"])
+    def test_noise_coupling_is_canonical(self, case):
+        """C1 is rebuilt from C1^dag C1, so rounding-level input changes move no entry of the output."""
+        if case == "criterion_4":
+            ss, n_noise = StateSpace(A=[[-19.5 - 3j]], B=[[-1.0]], C=[[36.0]], D=np.eye(1)), 1
+        else:
+            n_noise = int(case[-1])
+            ss = self._accessible_data(31 + n_noise, 3, n_noise)[1]
+        ref = noisy_realize(ss, n_noise)
+        bump = np.random.default_rng(5)
+        for _ in range(5):
+            rel = lambda X: X * (1 + 1e-15 * (bump.standard_normal(X.shape) + 1j * bump.standard_normal(X.shape)))
+            rec = noisy_realize(StateSpace(A=rel(ss.A), B=rel(ss.B), C=rel(ss.C), D=ss.D), n_noise)
+            for X, Y in ((ref.S, rec.S), (ref.C, rec.C), (ref.Omega, rec.Omega)):
+                assert np.all(np.abs(Y - X) <= 1e-9 * np.abs(X))
+
+    def test_noise_rows_order_and_phase(self, rng):
+        C = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        H = C.conj().T @ C
+        rows = _noise_rows(H, 3)
+        assert np.linalg.norm(rows.conj().T @ rows - H) <= 1e-12 * np.linalg.norm(H)
+        norms = np.linalg.norm(rows, axis=1)
+        assert norms[0] >= norms[1] > 0 and not rows[2].any()  # rank 2: the third row is zero
+        for row in rows[:2]:
+            lead = row[np.argmax(np.abs(row))]
+            assert lead.real > 0 and abs(lead.imag) <= 1e-15 * lead.real
+
+    @pytest.mark.parametrize("n_noise", [2, -1])
+    def test_n_noise_out_of_range(self, n_noise):
+        ss = StateSpace(A=[[-19.5 - 3j]], B=[[-1.0]], C=[[36.0]], D=np.eye(1))
+        with pytest.raises(ValueError, match="n_noise must be between 0 and n = 1"):
+            noisy_realize(ss, n_noise)
 
     def test_zero_noise_channels(self, rng):
         sys = cavity(1.21, 0.6)
