@@ -19,13 +19,13 @@ The Lyapunov solvers work in the eigenbasis X = V diag(lambda) V^-1 that a
 division.  Their accuracy contract: a modal solution is returned only when
 its relative residual is at most LYAP_RESID_MAX (64 eps); otherwise, and
 for an X without a usable eigenbasis (kappa_F(V) > MODAL_COND_MAX, the same
-cutoff ``freq_response`` uses), Bartels-Stewart from a complex Schur form
-solves the equation.  Only that fallback imports ``scipy.linalg``.
+cutoff ``freq_response`` uses), ``scipy.linalg.solve_sylvester``
+(Bartels-Stewart) solves the equation.  Only that fallback imports
+``scipy.linalg``.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -162,7 +162,7 @@ class WilliamsonResult:
         self.symplectic_eigenvalues.flags.writeable = self.transform.flags.writeable = False
 
 
-def williamson(V, n=None, tol=TOL_NUM):
+def williamson(V, n=None):
     """Williamson decomposition of a Gaussian covariance V = <a a^dag> (doubled-up).
 
     The symplectic eigenvalues are the thermal occupations n_i of the
@@ -171,7 +171,6 @@ def williamson(V, n=None, tol=TOL_NUM):
     Args:
         V: 2n x 2n covariance in the [a; a#] ordering, blocks [[N^T+1, M], [M^dag, N]].
         n: mode count (inferred from the shape when omitted).
-        tol: physicality tolerance on the eigenvalues.
 
     Returns:
         WilliamsonResult with eigenvalues sorted ascending.
@@ -179,7 +178,9 @@ def williamson(V, n=None, tol=TOL_NUM):
     Raises:
         ValueError: if V is not a physical state covariance: not Hermitian,
             V - J/2 not positive definite, a symplectic spectrum that does
-            not pair up, or some n_i < -tol (thresholds relative to ||V||).
+            not pair up, or some n_i < -1e-7 (thresholds relative to
+            max(1, ||V||)).  Occupations between that floor and 0 are
+            clipped to 0.
     """
     V = np.asarray(V, dtype=complex)
     if n is None:
@@ -202,7 +203,7 @@ def williamson(V, n=None, tol=TOL_NUM):
     if np.max(np.abs(k[n:] + k[:n][::-1]), initial=0.0) > 1e-6 * scale:
         raise ValueError("symplectic spectrum of V does not pair up; V is not a valid covariance")
     nus = 0.5 * (k[n:] - k[:n][::-1]) - 0.5  # ascending
-    if np.min(nus, initial=np.inf) < -max(tol, 1e-7) * scale:
+    if np.min(nus, initial=np.inf) < -1e-7 * scale:
         raise ValueError(f"non-physical covariance: symplectic eigenvalue {np.min(nus):.3e} < 0")
     nus = np.clip(nus, 0.0, None)
 
@@ -246,7 +247,7 @@ def _herm_sqrt(H):
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def factor_flat_gram(G, tol=TOL_NUM):
+def factor_flat_gram(G):
     """Factor a flat-self-adjoint matrix as G = T^b T with T doubled-up.
 
     G is a flat Gram matrix N^b N of an invertible doubled-up N exactly when
@@ -265,8 +266,9 @@ def factor_flat_gram(G, tol=TOL_NUM):
 
     Raises:
         ValueError: for non-square, odd-dimensional, non-flat-self-adjoint
-            or singular input, and when the inertia of J G is not (n, n)
-            (G is then not a flat Gram matrix).
+            or singular input, when the inertia of J G is not (n, n) (G is
+            then not a flat Gram matrix), and when the relative residual of
+            T^b T = G exceeds 1e-7.
     """
     G = np.asarray(G, dtype=complex)
     n2 = G.shape[0]
@@ -290,7 +292,7 @@ def factor_flat_gram(G, tol=TOL_NUM):
     left, _, right = np.linalg.svd(T[:n, :n] + T[:n, n:])
     T = Delta(right.conj().T @ left.conj().T) @ T
     resid = np.linalg.norm(flat_adjoint(T) @ T - G) / scale
-    if resid > max(tol, 1e-7):
+    if resid > 1e-7:
         raise ValueError(f"flat-Gram factorization failed (residual {resid:.2e})")
     return T
 
@@ -352,52 +354,16 @@ def _meets_residual(X, M, Q):
     return _fro(R + R.conj().T - Q) <= LYAP_RESID_MAX * (2.0 * _fro(X) * _fro(M) + _fro(Q))
 
 
-def _schur(X):
-    """Complex Schur form X = U R U^dag from the raw LAPACK ``zgees`` handle.
-
-    Cheaper than ``scipy.linalg.schur`` at small sizes; the same workspace
-    size makes R and U bit-identical to ``schur(X, output="real")``.
-    """
-    from scipy.linalg.lapack import zgees
-
-    X = np.asarray_chkfinite(X, dtype=complex)
-    R, _, _, U, _, info = zgees(_no_sort, X, lwork=_gees_lwork(X.shape[0]))
-    if info:
-        from scipy.linalg import LinAlgError
-
-        raise LinAlgError(f"Schur form not found (gees info {info})")
-    return R, U
-
-
-def _no_sort(_):
-    return None
-
-
-@lru_cache(maxsize=None)
-def _gees_lwork(n):
-    """``zgees``' optimal workspace for n x n input, queried once per size.
-
-    LAPACK sizes it from n and its block sizes alone, never from the entries.
-    """
-    from scipy.linalg.lapack import zgees
-
-    return int(zgees(_no_sort, np.zeros((n, n), dtype=complex), lwork=-1)[-2][0].real)
-
-
 def _schur_lyap(X, Q):
-    """Bartels-Stewart: one Schur form X = U R U^dag, then one ``trsyl`` solve of
-    R Y + Y R^dag = U^dag Q U and M = U Y U^dag.
+    """Bartels-Stewart: ``scipy.linalg.solve_sylvester(X, X^dag, Q)``; imports ``scipy.linalg``.
 
-    Bit-identical to ``scipy.linalg.solve_sylvester(X, X^dag, Q)``; imports ``scipy.linalg``.
+    An empty Q gives an empty M (scipy would return uninitialised memory).
     """
     if np.size(Q) == 0:
         return np.zeros(np.shape(Q), dtype=complex)
-    from scipy.linalg.lapack import ztrsyl
+    from scipy.linalg import solve_sylvester
 
-    R, U = _schur(X)
-    F = np.dot(np.dot(U.conj().T, Q), U)
-    Y, scale, _ = ztrsyl(R, R, F, tranb="C")
-    return np.dot(np.dot(U, scale * Y), U.conj().T)
+    return solve_sylvester(X, X.conj().T, Q)
 
 
 def lyap(X, Q, modal=None):
@@ -412,7 +378,7 @@ def lyap(X, Q, modal=None):
     Accuracy contract: the returned M has relative residual
     ||X M + M X^dag - Q||_F / (2 ||X||_F ||M||_F + ||Q||_F) <= LYAP_RESID_MAX
     (64 eps), or it comes from Bartels-Stewart (``_schur_lyap``, backward
-    stable, bit-identical to ``scipy.linalg.solve_sylvester(X, X^dag, Q)``).
+    stable: ``scipy.linalg.solve_sylvester(X, X^dag, Q)``).
     That route is taken when X has no usable eigenbasis (``modal_inverse``:
     kappa_F(V) > MODAL_COND_MAX, e.g. a defective X) or when the modal
     solution, whose error grows as eps kappa_F(V)^2, misses the residual

@@ -39,7 +39,7 @@ from .realization import (
     ps_realize,
     siso_cascade_identify,
 )
-from .stationary import InputCovariance, is_globally_minimal, power_spectrum, pure_mixed_split, solve_lyapunov
+from .stationary import InputCovariance, _global_minimality, power_spectrum, pure_mixed_split
 
 
 class InputError(ValueError):
@@ -128,8 +128,7 @@ def cmd_gm(args):
     V = _load_input(args.input, sys_.m)
     if not is_hurwitz(sys_):
         raise InputError("global minimality needs a Hurwitz system")
-    state = solve_lyapunov(sys_, V)
-    verdict = is_globally_minimal(sys_, V, gm_tol=args.gm_tol)
+    verdict, state = _global_minimality(sys_, V, args.gm_tol)
     _emit(args, {
         "globally_minimal": bool(verdict),
         "symplectic_spectrum": [float(v) for v in state.symplectic_spectrum],

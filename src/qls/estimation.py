@@ -32,6 +32,7 @@ from .stationary import InputCovariance, _eigenbasis, solve_lyapunov
 
 GL_FIRST = 8      # Gauss-Legendre nodes per panel of the first frequency rule
 GL_MAX = 1024     # nodes per panel past which the frequency integral has not converged
+QUAD_RTOL = 1e-10  # relative accuracy the frequency integral is refined to
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ def _dpsi(sys, Vm, omegas, tangent):
     return G + G.conj().transpose(0, 2, 1), G
 
 
-def stationary_qfi_rate_freq(family, theta0, V, rtol=1e-10):
+def stationary_qfi_rate_freq(family, theta0, V):
     """Stationary QFI rate by frequency integration of the Gaussian per-mode QFI.
 
     f(w) = -Tr(J dPsi(w) J dPsi(w)), dPsi = dXi V Xi^dag + h.c., is
@@ -172,7 +173,7 @@ def stationary_qfi_rate_freq(family, theta0, V, rtol=1e-10):
     +/-Im(lambda) and +/-Im(lambda) +/- |Re(lambda)| for every pole lambda,
     so each peak is resolved at its own width.  Each panel doubles its
     Gauss-Legendre nodes from GL_FIRST until two rules agree to its share of
-    `rtol` times the rate (or of 1e-13 times the integral of
+    QUAD_RTOL (1e-10) times the rate (or of 1e-13 times the integral of
     ||dXi V Xi^dag||^2, the only scale a vanishing rate leaves).
     RuntimeError is raised when a panel has not converged at GL_MAX nodes,
     e.g. when a theta-dependent S keeps dPsi from decaying at large |w|.
@@ -214,7 +215,7 @@ def stationary_qfi_rate_freq(family, theta0, V, rtol=1e-10):
         new, scales[active] = rule(active, k)
         diff = np.abs(new - vals[active])
         vals[active] = new
-        tol = (rtol * abs(vals.sum()) + 1e-13 * scales.sum()) / len(half)
+        tol = (QUAD_RTOL * abs(vals.sum()) + 1e-13 * scales.sum()) / len(half)
         quad_error += float(diff[diff <= tol].sum())
         active = active[diff > tol]
     return QFIReport(
@@ -321,13 +322,14 @@ def destabilized_scaling_check(family_builder, couplings, V, theta0=0.0):
     return {"rows": rows, "slope": slope}
 
 
-def multiparam_noon_bounds(Jac, N, d=None):
+def multiparam_noon_bounds(Jac, N):
     """Cramer-Rao traces for d-parameter estimation with photon budget N.
 
-    `Jac` is the Jacobian of the frequency-phase map; strategy 1 splits the
-    photons over d independent probes, strategy 2 uses a single entangled
-    probe with optimized weight alpha.  With H = ||cof(Jac)||_F^2 and
-    K = 1/2 sum_j sum_{l,m} (P_{jl} - P_{jm})^2 over the cofactor matrix P:
+    `Jac` is the d x d Jacobian of the frequency-phase map; strategy 1 splits
+    the photons over d independent probes, strategy 2 uses a single
+    entangled probe with optimized weight alpha.  With H = ||cof(Jac)||_F^2
+    and K = 1/2 sum_j sum_{l,m} (P_{jl} - P_{jm})^2 over the cofactor matrix
+    P, evaluated as d sum_{j,l} (P_{jl} - mean_l P_{jl})^2:
 
         strategy 1:      d^2 H / (N^2 |Jac|^2)
         strategy 2 min:  (2 d H - K + sqrt(4 d H (d H - K))) / (4 N^2 |Jac|^2)
@@ -335,18 +337,13 @@ def multiparam_noon_bounds(Jac, N, d=None):
     Returns the two traces, the optimal alpha^2 and their ratio.
     """
     Jac = np.atleast_2d(np.asarray(Jac, dtype=float))
-    if d is None:
-        d = Jac.shape[0]
+    d = Jac.shape[0]
     det = np.linalg.det(Jac)
-    if abs(det) < 1e-12 * max(1.0, np.linalg.norm(Jac) ** Jac.shape[0]):
+    if abs(det) < 1e-12 * max(1.0, np.linalg.norm(Jac) ** d):
         raise ValueError("singular Jacobian: parameters are not identifiable")
     cof = np.linalg.inv(Jac).T * det
     H = float(np.linalg.norm(cof, "fro") ** 2)
-    K = 0.0
-    for j in range(d):
-        for l in range(d):
-            for mdx in range(d):
-                K += 0.5 * (cof[j, l] - cof[j, mdx]) ** 2
+    K = d * float(np.sum((cof - cof.mean(axis=1, keepdims=True)) ** 2))
     strategy1 = d * d * H / (N * N * det * det)
     disc = np.sqrt(max(4.0 * d * H * (d * H - K), 0.0))
     strategy2 = (2.0 * d * H - K + disc) / (4.0 * N * N * det * det)

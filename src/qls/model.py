@@ -408,30 +408,32 @@ def concatenate(a, b):
     return QLSystem(S=parts["S"], C=parts["C"], Omega=parts["Omega"])
 
 
-def gauge_transform(sys, T, tol=TOL_NUM):
+def gauge_transform(sys, T):
     """Symplectic change of system basis: C' = C T^b, J Omega' = T J Omega T^b.
 
-    Leaves the transfer function invariant (S unchanged).
+    Leaves the transfer function invariant (S unchanged).  T must be
+    symplectic to ``is_symplectic``'s tolerance 1e-7.
     """
     T = np.asarray(T, dtype=complex)
-    if not is_symplectic(T, tol=max(tol, 1e-7)):
+    if not is_symplectic(T, tol=1e-7):
         raise ValueError("gauge transformation must be symplectic")
     Tb = flat_adjoint(T)
     return QLSystem.from_drift(T @ (sys.A @ Tb), sys.C @ Tb, sys.S)
 
 
-def default_grid(sys, points=41, avoid=1e-6):
+def default_grid(sys, points=41):
     """Laplace-axis test grid s = -i w, log-spaced from the spectral structure.
 
-    Frequencies span [1e-2 * gap, 1e2 * ||A||] symmetrically plus w = 0,
-    nudged off any pole by `avoid`; a 0-mode system takes gap = 1.
+    Frequencies span [1e-2 * gap, 1e2 * ||A||] symmetrically plus w = 0;
+    a point within 1e-6 of a pole is moved 1e-6 along the axis.  A 0-mode
+    system takes gap = 1.
     """
     A = sys.A
     gap = max(spectral_gap(sys), 1e-6) if sys.n else 1.0
     top = max(np.linalg.norm(A), 10 * gap)
     w = np.logspace(np.log10(1e-2 * gap), np.log10(1e2 * top), points // 2)
     s = -1j * np.concatenate([-w[::-1], [0.0], w])
-    s[np.min(np.abs(s[:, None] - sys.poles), axis=1, initial=np.inf) < avoid] -= avoid * 1j
+    s[np.min(np.abs(s[:, None] - sys.poles), axis=1, initial=np.inf) < 1e-6] -= 1e-6j
     return s
 
 

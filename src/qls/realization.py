@@ -128,12 +128,12 @@ def ps_as_rational(sys, V):
     return rational_from_callable(lambda s: power_spectrum(rotated, vac, s) @ J, poles, const)
 
 
-def _rank_one_factor(R, tol=1e-6):
-    """R = col @ row with col a column and row a row; errors if rank(R) > 1."""
+def _rank_one_factor(R):
+    """R = col @ row with col a column and row a row; errors if sigma_2 > 1e-6 sigma_1."""
     U, sv, Vh = np.linalg.svd(R)
     if sv[0] == 0:
         raise IdentificationError("zero residue cannot be rank-one factored")
-    if len(sv) > 1 and sv[1] > tol * sv[0]:
+    if len(sv) > 1 and sv[1] > 1e-6 * sv[0]:
         raise IdentificationError(f"residue has rank > 1 (sigma2/sigma1 = {sv[1]/sv[0]:.2e})")
     col = U[:, :1] * np.sqrt(sv[0])
     row = Vh[:1, :] * np.sqrt(sv[0])
@@ -345,7 +345,7 @@ def gilbert_realize(tf):
     return ss
 
 
-def physical_from_classical(ss, tol=1e-8):
+def physical_from_classical(ss):
     """Physical system (S, C, Omega) from a minimal doubled-up realization of Xi(s).
 
     Solves the flat Gramian T^b T = int J (C0 e^{A0 t})^dag J (C0 e^{A0 t}) dt,
@@ -675,11 +675,11 @@ def accessible_block(sys, channels):
     return f
 
 
-def nus_detect(sys, accessible, nus_tol=1e-8):
+def nus_detect(sys, accessible):
     """Basis of the noise-unobservable subspace of a passive system.
 
     Returns the left eigenvectors y of A_- (columns, y^dag A = lambda y^dag)
-    whose noise-block coupling vanishes: C_noise y = 0 within nus_tol.
+    whose noise-block coupling vanishes: ||C_noise y|| <= 1e-8 ||C_noise|| ||y||.
     """
     if not sys.is_passive:
         raise ValueError("noise-unobservable subspaces are defined for passive systems")
@@ -692,6 +692,6 @@ def nus_detect(sys, accessible, nus_tol=1e-8):
     cscale = max(np.linalg.norm(c2), 1e-30)
     for k in range(vecs.shape[1]):
         y = vecs[:, k]
-        if np.linalg.norm(c2 @ y) <= nus_tol * cscale * np.linalg.norm(y):
+        if np.linalg.norm(c2 @ y) <= 1e-8 * cscale * np.linalg.norm(y):
             out.append(y)
     return out

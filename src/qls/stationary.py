@@ -225,6 +225,11 @@ def is_globally_minimal(sys, V, gm_tol=GM_TOL):
     Raises ValueError for mixed inputs, where purity of the stationary state
     no longer witnesses global minimality.
     """
+    return _global_minimality(sys, V, gm_tol)[0]
+
+
+def _global_minimality(sys, V, gm_tol):
+    """``is_globally_minimal``'s verdict together with the StationaryState it was read from."""
     if not V.is_pure:
         raise ValueError("global minimality test supports pure inputs only")
     if not is_minimal(sys):
@@ -242,16 +247,16 @@ def is_globally_minimal(sys, V, gm_tol=GM_TOL):
             f"(spectral: {verdict}, controllability: {control}); "
             "the system sits too close to the pure/mixed boundary"
         )
-    return verdict
+    return verdict, state
 
 
-def siso_passive_gm(sys, V, tol=1e-9):
+def siso_passive_gm(sys, V):
     """Global minimality of a passive SISO system with squeezed input (M != 0).
 
     The verdict depends only on the spectrum of A: the system is globally
     minimal iff no eigenvalue is real and no two eigenvalues are complex
-    conjugates of each other.  Returns the verdict together with the list
-    of reducible eigenvalues.
+    conjugates of each other, both to 1e-9 max(1, max |lambda|).  Returns
+    the verdict together with the list of reducible eigenvalues.
     """
     if not sys.is_passive or sys.m != 1:
         raise ValueError("this criterion applies to passive SISO systems")
@@ -262,11 +267,11 @@ def siso_passive_gm(sys, V, tol=1e-9):
     scale = max(1.0, np.max(np.abs(eigs)))
     reducible = []
     for i, lam in enumerate(eigs):
-        if abs(lam.imag) <= tol * scale:
+        if abs(lam.imag) <= 1e-9 * scale:
             reducible.append(lam)
             continue
         for j, mu in enumerate(eigs):
-            if j != i and abs(lam - np.conj(mu)) <= tol * scale:
+            if j != i and abs(lam - np.conj(mu)) <= 1e-9 * scale:
                 reducible.append(lam)
                 break
     return {"globally_minimal": len(reducible) == 0, "reducible_eigs": reducible}

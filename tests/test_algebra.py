@@ -100,14 +100,16 @@ class TestLyap:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 4, 8, 32])
     def test_bit_identical_to_sylvester_solve(self, rng, n):
-        """The Schur route, for any Q: bit-identical to scipy's Bartels-Stewart."""
-        from scipy.linalg import solve_sylvester
-
+        """The Schur route (scipy's Bartels-Stewart), for any Q: against mpmath up to n = 4,
+        and a residual bound at every size; an empty Q gives an empty M."""
         X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         X -= (2.0 * np.sqrt(n) + 1.0) * np.eye(n)  # Hurwitz: unique solution
         Q = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         M = algebra._schur_lyap(X, Q)
-        assert np.array_equal(M, solve_sylvester(X, X.conj().T, Q))
+        assert M.shape == (n, n) and M.dtype == complex
+        if 0 < n <= 4:
+            exact = _mpmath_lyap(X, Q)
+            assert np.linalg.norm(M - exact) <= 1e-13 * np.linalg.norm(exact)
         assert np.linalg.norm(X @ M + M @ X.conj().T - Q) <= 1e-12 * max(1.0, np.linalg.norm(Q))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])

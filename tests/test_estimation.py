@@ -272,6 +272,27 @@ class TestMultiparam:
         with pytest.raises(ValueError):
             multiparam_noon_bounds(np.zeros((2, 2)), N=1.0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_closed_form_matches_triple_sum(self, d):
+        """The bounds from K as d times the row variances equal those from the triple sum of K."""
+        rng = np.random.default_rng([d, 24])
+        J, N = rng.standard_normal((d, d)) + 2.0 * np.eye(d), 3.0
+        det = np.linalg.det(J)
+        cof = np.linalg.inv(J).T * det
+        H = np.linalg.norm(cof, "fro") ** 2
+        K = 0.0
+        for j in range(d):
+            for l in range(d):
+                for mdx in range(d):
+                    K += 0.5 * (cof[j, l] - cof[j, mdx]) ** 2
+        disc = np.sqrt(max(4.0 * d * H * (d * H - K), 0.0))
+        strategy2 = (2.0 * d * H - K + disc) / (4.0 * N * N * det * det)
+        out = multiparam_noon_bounds(J, N)
+        assert out["trace_cr_strategy1"] == pytest.approx(d * d * H / (N * N * det * det), rel=1e-12)
+        assert out["trace_cr_strategy2_min"] == pytest.approx(strategy2, rel=1e-12)
+        alpha2 = (2.0 * d * H - disc) / (2.0 * d * K) if K > 0 else 1.0 / (2.0 * d)
+        assert out["alpha_opt_sq"] == pytest.approx(alpha2, rel=1e-12)
+
 
 class TestEnsembleProfile:
     @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])

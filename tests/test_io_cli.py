@@ -255,6 +255,26 @@ class TestCli:
         assert main(["gm", p]) == 0
         assert json.loads(capsys.readouterr().out)["globally_minimal"] is True
 
+    @pytest.mark.parametrize("example, route", [("absorber", "modal"), ("gm2_0", "schur")])
+    def test_gm_solves_the_lyapunov_equation_once(self, workdir, capsys, monkeypatch, example, route):
+        from conftest import gm2_system
+        from qls import stationary
+
+        sys = absorber_two_mode_example() if example == "absorber" else gm2_system(0.0)
+        routes, lyap = [], stationary._lyap  # every solve_lyapunov of a non-cascade runs _lyap once
+
+        def counting_lyap(*args):
+            P, route = lyap(*args)
+            routes.append(route)
+            return P, route
+
+        monkeypatch.setattr(stationary, "_lyap", counting_lyap)
+        assert main(["gm", write(workdir / "sys.json", qio.system_to_json(sys))]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert routes == [route]
+        assert out["symplectic_spectrum"] == [float(v) for v in stationary.solve_lyapunov(
+            sys, InputCovariance.vacuum(1)).symplectic_spectrum]
+
     def test_gm_non_hurwitz_exits_2(self, workdir, capsys):
         from qls.model import QLSystem
 

@@ -12,6 +12,7 @@ from qls.algebra import (
     flat_adjoint,
     flat_unitary_residual,
     jmat,
+    williamson,
 )
 from qls.model import (
     ParamFamily,
@@ -623,6 +624,7 @@ class TestValidationThresholds:
     C = 5.0 * Delta([[0.6, -0.8j]], [[0.3, 0.1]])                  # doubled-up, ||C|| ~ 7
     OM = 20.0 * Delta([[1.0, 0.5 - 0.2j], [0.5 + 0.2j, -0.3]],     # Hermitian minus block,
                       [[0.2, 0.1j], [0.1j, 0.4]])                  # symmetric plus block
+    T = Delta(np.diag([np.cosh(0.7), 1.0]), np.diag([np.sinh(0.7), 0.0]))  # symplectic, n = 2
 
     @staticmethod
     def _build(S=S, C=C, Omega=OM):
@@ -663,6 +665,27 @@ class TestValidationThresholds:
         om, op = (b.copy() for b in du_blocks(self.OM))
         op[0, 1] += factor * 10 * TOL_STRUCT * np.linalg.norm(self.OM) / np.sqrt(2)
         self._check(ok, "Omega_+ must be symmetric", Omega=Delta(om, op))
+
+    @FACTORS
+    def test_gauge_not_symplectic(self, factor, ok):
+        # sqrt(1 + e) T on 2 modes gives ||T^b T - 1|| = ||T T^b - 1|| = 2 e, tolerated up to 1e-7
+        T = np.sqrt(1.0 + factor * 1e-7 / 2) * self.T
+        if ok:
+            gauge_transform(self._build(), T)
+        else:
+            with pytest.raises(ValueError, match="^gauge transformation must be symplectic$"):
+                gauge_transform(self._build(), T)
+
+    @FACTORS
+    def test_williamson_occupation_below_zero(self, factor, ok):
+        # occupations (-e, 0.5) squeezed by T: an occupation down to -1e-7 max(1, ||V||) is clipped to 0
+        canonical = lambda e: self.T @ np.diag([1.0 - e, 1.5, -e, 0.5]) @ self.T.conj().T
+        V = canonical(factor * 1e-7 * np.linalg.norm(canonical(0.0)))
+        if ok:
+            assert np.array_equal(williamson(V).symplectic_eigenvalues[:1], [0.0])
+        else:
+            with pytest.raises(ValueError, match="^non-physical covariance: symplectic eigenvalue "):
+                williamson(V)
 
     def _check(self, ok, message, **parts):
         if ok:

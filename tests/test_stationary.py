@@ -131,17 +131,17 @@ class TestSolveLyapunovCascade:
 
     def test_no_schur_form_of_the_whole_drift(self, monkeypatch):
         schur_sizes, eig_sizes = [], []
-        schur, eig = algebra._schur, np.linalg.eig
+        schur, eig = algebra._schur_lyap, np.linalg.eig
 
-        def counting_schur(X):
+        def counting_schur(X, Q):
             schur_sizes.append(np.shape(X)[0])
-            return schur(X)
+            return schur(X, Q)
 
         def counting_eig(X):
             eig_sizes.append(np.shape(X)[0])
             return eig(X)
 
-        monkeypatch.setattr(algebra, "_schur", counting_schur)
+        monkeypatch.setattr(algebra, "_schur_lyap", counting_schur)
         monkeypatch.setattr(np.linalg, "eig", counting_eig)
         rng = np.random.default_rng(7)
         cascade = series_product(_separated_part(rng, 3, 1), _separated_part(rng, 5, 1))
