@@ -23,7 +23,9 @@ X with a Hermitian right-hand side, ``lyap_defective`` a Jordan block.
 and 1 + n_noise channels, (n, n_noise) = (1, 1), (3, 1) and (6, 2).
 ``siso_cascade_identify`` takes the (Xi_-, Xi_+) data of the
 n = 2, 8 and 16 systems; the n = 32 system has a near-real pole pair,
-which the cascade route rejects.  The ``freq_response_grid`` cases evaluate
+which the cascade route rejects.  ``ps_realize`` takes each size's vacuum
+power-spectrum data and skips n = 32 for the same reason; ``dual_system``
+takes each size's system.  The ``freq_response_grid`` cases evaluate
 the spectra workload's sizes, (n, m, K) = (1, 1, 301), (4, 2, 301),
 (16, 1, 81) and (32, 2, 25), on K points spanning the poles' frequencies
 +/- 3, plain and along a seeded tangent: ``fresh`` builds the system inside
@@ -57,6 +59,7 @@ from qls import (
     noisy_realize,
     physical_from_classical,
     ps_as_rational,
+    ps_realize,
     random_symplectic,
     series_product,
     siso_cascade_identify,
@@ -68,6 +71,7 @@ from qls import (
 from qls import io as qio
 from qls.algebra import du_blocks, gramian_flat, lyap
 from qls.model import freq_response
+from qls.realization import IdentificationError
 
 SIZES = (2, 8, 32)
 
@@ -286,6 +290,19 @@ def test_tf_as_rational(benchmark, sys):
 
 def test_ps_as_rational(benchmark, sys):
     benchmark(ps_as_rational, sys, INPUT)
+
+
+def test_ps_realize(benchmark, sys):
+    data = ps_as_rational(sys, InputCovariance.vacuum(1))
+    try:
+        ps_realize(data)
+    except IdentificationError as exc:
+        pytest.skip(f"ps_realize rejects this system's data: {exc}")
+    benchmark(ps_realize, data)
+
+
+def test_dual_system(benchmark, sys):
+    benchmark(dual_system, sys)
 
 
 @pytest.mark.parametrize("n", (2, 8, 16), ids=lambda n: f"n{n}")

@@ -273,7 +273,7 @@ def stationary_qfi_rate_time(family, theta0, V):
     )
 
 
-def gauge_tangent_family(sys, R, V=None):
+def gauge_tangent_family(sys, R):
     """Family moving along the unidentifiable gauge direction generated by R.
 
     R must be Hermitian and doubled-up; the tangent dC = -i C J R,

@@ -1,12 +1,15 @@
 """Reconstruction of physical systems from transfer-function and power-spectrum data.
 
-Three reconstruction routes are implemented:
+Four reconstruction routes are implemented:
 
 * the direct SISO route: the indirect route's realization of (Xi_-, Xi_+),
   deflated one conjugate pole pair at a time into one-mode cascade stages;
 * the indirect route: a (non-physical) doubled-up Gilbert realization of the
   rational data followed by the similarity transform T with T^b T fixed by a
   flat Gramian, which restores physical realizability;
+* the power-spectrum route for globally minimal systems: a seed read off
+  the residues of Psi(s) J with B1 = -C2^b, so that one flat Gramian fixes
+  both physicality conditions;
 * the noisy route for passive systems observed through a subset of channels,
   which extends a classical realization of the accessible block with noise
   couplings fixed by the physicality conditions.
@@ -138,6 +141,14 @@ def _rank_one_factor(R):
     col = U[:, :1] * np.sqrt(sv[0])
     row = Vh[:1, :] * np.sqrt(sv[0])
     return col, row
+
+
+def _pole_index(poles, p, missing):
+    """Index of the pole within POLE_MATCH_TOL max(1, |p|) of p; IdentificationError(missing) if none."""
+    k = int(np.argmin(np.abs(poles - p)))
+    if abs(poles[k] - p) > POLE_MATCH_TOL * max(1.0, abs(p)):
+        raise IdentificationError(missing)
+    return k
 
 
 def _canonical_row_phase(row):
@@ -296,8 +307,10 @@ def siso_cascade_identify(xi_minus, xi_plus, pole_order="damping"):
 def gilbert_realize(tf):
     """Minimal doubled-up state-space realization of a rational transfer function.
 
-    Requires distinct poles with nonzero imaginary parts and rank-one
-    residues, mirrored so that conj(p) carries residue Sigma conj(R) Sigma.
+    Requires distinct poles with nonzero imaginary parts, each with its
+    conjugate among the poles (matched within POLE_MATCH_TOL max(1, |p|)),
+    and rank-one residues, mirrored so that conj(p) carries residue
+    Sigma conj(R) Sigma.
     Returns a StateSpace with A0 diagonal; D is the constant term.
     """
     poles = np.array(tf.poles)
@@ -309,8 +322,10 @@ def gilbert_realize(tf):
     for i, p in enumerate(poles):
         if abs(p.imag) <= 1e-9 * scale:
             raise IdentificationError("poles on the real axis are not supported")
-        if np.min(np.abs(np.delete(poles, i) - p)) <= POLE_MATCH_TOL * max(1.0, scale):
+        if np.min(np.abs(np.delete(poles, i) - p), initial=np.inf) <= POLE_MATCH_TOL * max(1.0, scale):
             raise IdentificationError("repeated poles are not supported")
+    partner = [_pole_index(poles, np.conj(p), f"pole {p} has no conjugate partner in the data")
+               for p in poles]
     m2 = tf.shape[0]
     if m2 % 2:
         raise ValueError("transfer data must act on doubled field coordinates")
@@ -321,8 +336,7 @@ def gilbert_realize(tf):
     mirror_B, mirror_C = [], []
     for i in upper:
         p = poles[i]
-        j = int(np.argmin(np.abs(poles - np.conj(p))))
-        R, Rbar = tf.residues[i], tf.residues[j]
+        R, Rbar = tf.residues[i], tf.residues[partner[i]]
         if np.linalg.norm(Rbar - Sig @ R.conj() @ Sig) > 1e-6 * max(1.0, np.linalg.norm(R)):
             raise IdentificationError(f"residues at {p} and its conjugate are not mirrored")
         col, row = _rank_one_factor(R)
@@ -340,7 +354,8 @@ def gilbert_realize(tf):
     # round-trip defect against the rational data
     smax = 3.0 * max(1.0, scale)
     for s in (1j * smax, 0.37 + 0.91j * smax, -1j * 0.23 * smax + 0.11):
-        if np.linalg.norm(ss.transfer(s) - tf(s)) > 1e-6 * max(1.0, np.linalg.norm(tf(s))):
+        ref = tf(s)
+        if np.linalg.norm(ss.transfer(s) - ref) > 1e-6 * max(1.0, np.linalg.norm(ref)):
             raise IdentificationError("Gilbert realization does not reproduce the data")
     return ss
 
@@ -398,10 +413,13 @@ def ps_realize(ps, return_details=False):
     The rational data must have 4n simple poles off the real axis: the 2n
     stable eigenvalues of the drift matrix plus their unstable mirrors.
     A doubled-up Gilbert seed (A0, [B1; B2], [C1, C2]) is canonicalized with
-    unit diagonal entries on C2 and B1 = -C2^b; the input-side and
-    output-side flat Gramians of the physicality conditions then coincide,
-    T3 is their flat-Gram factor from ``factor_flat_gram`` (fixed up to a
-    symplectic gauge), and (A, C) = (T3 A0 T3^{-1}, C2 T3^{-1}).
+    unit diagonal entries on C2 and B1 = -C2^b.  Then B1^dag J = -J C2, so
+    the input-side physicality condition integrates the same flat Gramian
+    as the output-side one, and one Gramian is enough: T3 is the flat-Gram
+    factor of T3^b T3 from ``factor_flat_gram`` (fixed up to a symplectic
+    gauge), and (A, C) = (T3 A0 T3^{-1}, C2 T3^{-1}).  IdentificationError
+    is raised when a residue is not rank-one, a mirror pair or a row of B1
+    is not collinear with its counterpart, or a mirrored pole is missing.
 
     Returns the reconstructed QLSystem (vacuum input, S = 1 data); with
     ``return_details`` also a dict holding the seed and the Gramian T3^b T3.
@@ -429,10 +447,7 @@ def ps_realize(ps, return_details=False):
         raise IdentificationError("stable poles do not form conjugate pairs")
 
     def residue_at(p):
-        k = int(np.argmin(np.abs(poles - p)))
-        if abs(poles[k] - p) > POLE_MATCH_TOL * max(1.0, abs(p)):
-            raise IdentificationError(f"expected pole {p} missing from data")
-        return ps.residues[k]
+        return ps.residues[_pole_index(poles, p, f"expected pole {p} missing from data")]
 
     Sig = sigma_swap(m2 // 2)
 
@@ -460,44 +475,24 @@ def ps_realize(ps, return_details=False):
         _match_scale(rowI.conj() @ Sig, rowK, "unstable mirror")
         B1_first.append(rowI)
 
-    # enforce B1 = -C2^b rowwise; the rescale moves onto C1, which is discarded
+    # B1 = -C2^b, each unstable-mirror row checked collinear with its row; the
+    # rescale moves onto C1, which is discarded
     A0 = np.diag(np.concatenate([lam, np.conj(lam)]))
     C2 = np.hstack([np.hstack(C2_first), np.hstack([Sig @ c.conj() for c in C2_first])])
-    mC2b = -flat_adjoint(C2)
-    rows_fixed = []
+    B1 = -flat_adjoint(C2)
     for i, rowI in enumerate(B1_first):
-        target = mC2b[i : i + 1, :]
-        _match_scale(rowI, target, "B1 = -C2^b")  # collinearity check
-        rows_fixed.append(target)
-    B1 = np.vstack(rows_fixed + [np.conj(r) @ Sig for r in rows_fixed])
-    if np.linalg.norm(B1 + flat_adjoint(C2)) > 1e-6 * max(1.0, np.linalg.norm(C2)):
-        raise IdentificationError("could not canonicalize B1 = -C2^b")
+        _match_scale(rowI, B1[i : i + 1, :], "B1 = -C2^b")
 
-    # flat Gramians of the two physicality equations must now agree; A0^dag is
-    # diagonal, so its modal form is (conj(lambda), 1, 1)
+    # One Gramian is enough: B1 = -C2^b gives B1^dag J_n = -J_m C2, so the
+    # input-side Gramian (T1^b T1)^{-1} integrates the same C2^dag J C2 as the
+    # output-side T3^b T3, and T1 = -(T3^{-1})^b yields the same (A, -C).
+    # A0^dag is diagonal, so its modal form is (conj(lambda), 1, 1).
     eye = np.eye(2 * n, dtype=complex)
-    modal = (np.diagonal(A0).conj(), eye, eye)
-    T3bT3 = gramian_flat(A0, C2, modal)
-    # output map B1^dag J of the (T1^b T1)^{-1} Gramian
-    T1bT1_inv = gramian_flat(A0, B1.conj().T @ jmat(n), modal)
-    if np.linalg.norm(T1bT1_inv - T3bT3) > 1e-6 * max(1.0, np.linalg.norm(T3bT3)):
-        raise IdentificationError("input-side and output-side Gramians disagree beyond gauge")
-
+    T3bT3 = gramian_flat(A0, C2, (np.diagonal(A0).conj(), eye, eye))
     T3 = factor_flat_gram(T3bT3)
     T3inv = np.linalg.inv(T3)
     A = T3 @ A0 @ T3inv
     C = C2 @ T3inv
-    # input-side route cross-check: T1 = -(T3^{-1})^b reproduces (A, +/-C)
-    T1 = -flat_adjoint(T3inv)
-    T1inv = np.linalg.inv(T1)
-    A_alt = flat_adjoint(T1 @ flat_adjoint(A0) @ T1inv)
-    C_alt = -flat_adjoint(T1 @ B1)
-    if np.linalg.norm(A_alt - A) > 1e-6 * max(1.0, np.linalg.norm(A)):
-        raise IdentificationError("realizations from the two routes disagree")
-    if min(np.linalg.norm(C_alt - C), np.linalg.norm(C_alt + C)) > 1e-6 * max(
-        1.0, np.linalg.norm(C)
-    ):
-        raise IdentificationError("coupling matrices from the two routes disagree")
 
     sys = QLSystem.from_drift(A, C)
     if return_details:

@@ -326,7 +326,7 @@ def test_criterion_8_property_suite():
 
         if counts["gauge_qfi"] < 15:
             R = random_hermitian_doubled_up(rng, sys.n)
-            fam = gauge_tangent_family(sys, R, V)
+            fam = gauge_tangent_family(sys, R)
             scale = np.linalg.norm(sys.C) ** 2 + np.linalg.norm(sys.Omega) ** 2
             val = abs(stationary_qfi_rate_time(fam, 0.0, V).value) / scale
             worst["gauge_qfi"] = max(worst["gauge_qfi"], val)

@@ -290,6 +290,17 @@ class TestCli:
         rec = qio.system_from_json(json.load(open(out)))
         assert tf_equal(rec, sys, tol=1e-6)
 
+    def test_realize_tf_unpaired_pole_exits_3(self, workdir, capsys):
+        r = tf_as_rational(cavity())
+        k = next(i for i, z in enumerate(r.poles) if z.imag > 0)
+        one_pole = RationalMatrixFunction(r.constant, (r.poles[k],), (r.residues[k],))
+        p = write(workdir / "tf.json", qio.rational_to_json(one_pole))
+        out = workdir / "rec.json"
+        assert main(["realize-tf", p, "-o", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numerical" and "has no conjugate partner" in err["message"]
+        assert not out.exists()
+
     def test_realize_ps(self, workdir):
         sys = active_one_mode_example()
         psr = ps_as_rational(sys, InputCovariance.vacuum(1))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,19 @@ class TestGilbertRealize:
         with pytest.raises(IdentificationError):
             gilbert_realize(r)
 
+    @pytest.mark.parametrize("shape", ["one_pole", "conjugate_moved"])
+    def test_unpaired_pole_named(self, shape):
+        r = tf_as_rational(cavity(2.0, 1.3))
+        p = next(z for z in r.poles if z.imag > 0)
+        k = r.poles.index(np.conj(p))
+        if shape == "one_pole":
+            poles, residues = (p,), (r.residues[1 - k],)
+        else:
+            poles = tuple(z + 0.5 if i == k else z for i, z in enumerate(r.poles))
+            residues = r.residues
+        with pytest.raises(IdentificationError, match=re.escape(f"pole {p} has no conjugate partner")):
+            gilbert_realize(RationalMatrixFunction(r.constant, poles, residues))
+
 
 class TestPhysicalFromClassical:
     def test_cavity_recovery(self):
@@ -380,6 +395,60 @@ class TestPsRealize:
         vac = InputCovariance.vacuum(1)
         with pytest.raises(IdentificationError):
             ps_realize(ps_as_rational(dpa(3.0, 1.0, detuning=0.0), vac))
+
+    def test_one_flat_gramian_per_call(self, monkeypatch):
+        """Once B1 = -C2^b, the input-side Gramian is the output-side one: one solve, one factor."""
+        import qls.realization as realization
+
+        calls = []
+        for name in ("gramian_flat", "factor_flat_gram"):
+            wrapped = getattr(realization, name)
+            monkeypatch.setattr(realization, name,
+                                lambda *a, name=name, wrapped=wrapped: calls.append(name) or wrapped(*a))
+        vac = InputCovariance.vacuum(1)
+        draws = np.random.default_rng(3)
+        seeded = next(s for s in (random_qlsystem(draws, 3, 1) for _ in range(100))
+                      if np.min(np.abs(s.poles.imag)) > 5e-2 and is_globally_minimal(s, vac))
+        for sys in (active_one_mode_example(), seeded):
+            calls.clear()
+            rec = ps_realize(ps_as_rational(sys, vac))
+            assert calls == ["gramian_flat", "factor_flat_gram"]
+            assert rec.n == sys.n
+
+    @staticmethod
+    def _perturbed(edit_residues=(), move_pole=None):
+        """The active one-mode example's data with residues at given poles replaced by f(R),
+        or one pole moved; lam is its stable pole in the upper half-plane."""
+        ps = ps_as_rational(active_one_mode_example(), InputCovariance.vacuum(1))
+        lam = next(p for p in ps.poles if p.real < 0 and p.imag > 0)
+        at = lambda z: int(np.argmin(np.abs(np.array(ps.poles) - z(lam))))
+        residues, poles = list(ps.residues), list(ps.poles)
+        for z, f in edit_residues:
+            residues[at(z)] = f(residues[at(z)])
+        if move_pole is not None:
+            poles[at(move_pole)] += 0.5
+        return RationalMatrixFunction(ps.constant, poles, residues)
+
+    @pytest.mark.parametrize("case, message", [
+        ("stable", "stable mirror factors are not collinear"),
+        ("unstable", "unstable mirror factors are not collinear"),
+        ("B1", "B1 = -C2\\^b factors are not collinear"),
+        ("missing", r"expected pole \(24-1\.73\d*j\) missing from data"),
+    ])
+    def test_inconsistent_data_rejected(self, case, message):
+        """Each data check of ps_realize fires on the data it guards.  A sheared residue at
+        conj(lam) breaks the stable Sigma-mirror; at -lam, the unstable one; at -conj(lam) and,
+        mirrored, at -lam, it keeps the mirror but tilts the row off -C2^b."""
+        shear, Sig = np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        edits = {
+            "stable": dict(edit_residues=[(np.conj, lambda R: shear @ R)]),
+            "unstable": dict(edit_residues=[(lambda z: -z, lambda R: R @ shear)]),
+            "B1": dict(edit_residues=[(lambda z: -np.conj(z), lambda R: R @ shear),
+                                      (lambda z: -z, lambda R: R @ Sig @ shear @ Sig)]),
+            "missing": dict(move_pole=lambda z: -z),
+        }
+        with pytest.raises(IdentificationError, match=message):
+            ps_realize(self._perturbed(**edits[case]))
 
 
 class TestNoisyRealize:
