@@ -18,7 +18,9 @@ cascade Lyapunov case solves the cascade of each size's system into its
 absorber.  The Lyapunov cases come cached (one system, its
 eigendecomposition computed once) and ``fresh`` (the system, or the
 cascade's parts, rebuilt inside the timed call); ``lyap`` takes a Hurwitz
-X with a Hermitian right-hand side, ``lyap_defective`` a Jordan block.
+X with a Hermitian right-hand side, ``lyap_defective`` a Jordan block and
+``lyap_gm2_drift`` the drift of the two-mode gm2 example at x = 0 (a
+2 x 2 Jordan block per pole), both solved by the sign-function fallback.
 ``noisy_realize`` takes channel 0 of a seeded passive system with n modes
 and 1 + n_noise channels, (n, n_noise) = (1, 1), (3, 1) and (6, 2).
 ``siso_cascade_identify`` takes the (Xi_-, Xi_+) data of the
@@ -230,11 +232,16 @@ def test_lyap(benchmark, size):
     benchmark(lyap, X, _hermitian_rhs(rng, size))
 
 
-@pytest.mark.parametrize("size", (2, 4), ids=lambda k: f"size{k}")
+@pytest.mark.parametrize("size", (2, 4, 32), ids=lambda k: f"size{k}")
 def test_lyap_defective(benchmark, size):
     """A Hurwitz Jordan block, which has no eigenbasis."""
     X = (-1.0 - 0.5j) * np.eye(size) + np.eye(size, k=1)
     benchmark(lyap, X, _hermitian_rhs(np.random.default_rng(size), size))
+
+
+def test_lyap_gm2_drift(benchmark):
+    X = QLSystem.passive([[1.0]], [[0.0, 2.0 * np.sqrt(2.0)]], 2.0 * np.ones((2, 2))).A
+    benchmark(lyap, X, np.diag([1.0, 0.5, 0.25, 2.0]) + 0j)
 
 
 def test_gramian_flat(benchmark, sys):

@@ -16,12 +16,15 @@ eigenproblem (no non-Hermitian ``eig``), plus the Lyapunov solvers
 
 The Lyapunov solvers work in the eigenbasis X = V diag(lambda) V^-1 that a
 ``QLSystem`` already caches, where X M + M X^dag = Q is one elementwise
-division.  Their accuracy contract: a modal solution is returned only when
-its relative residual is at most LYAP_RESID_MAX (64 eps); otherwise, and
-for an X without a usable eigenbasis (kappa_F(V) > MODAL_COND_MAX, the same
-cutoff ``freq_response`` uses), ``scipy.linalg.solve_sylvester``
-(Bartels-Stewart) solves the equation.  Only that fallback imports
-``scipy.linalg``.
+division.  Their accuracy contract: a solution is returned only when its
+relative residual is at most LYAP_RESID_MAX (64 eps).  A modal solution
+that misses it, and an X without a usable eigenbasis (kappa_F(V) >
+MODAL_COND_MAX, the same cutoff ``freq_response`` uses), go to the
+fallback ``_sign_lyap``: Newton's iteration for the matrix sign function
+with iterative refinement, on numpy alone.  Only a sign solve that still
+misses, on a strongly non-normal X, goes on to Bartels-Stewart
+(``_schur_lyap``, the one place here that imports ``scipy.linalg``); one
+that misses there too raises ``np.linalg.LinAlgError``.
 """
 
 import math
@@ -32,7 +35,9 @@ import numpy as np
 TOL_STRUCT = 1e-10  # relative, doubled-up structure checks
 TOL_NUM = 1e-8      # relative, algebraic residuals
 MODAL_COND_MAX = 1e3   # kappa_F(V) past which an eigenbasis is not used (``modal_inverse``)
-LYAP_RESID_MAX = 64 * np.finfo(float).eps   # relative residual a modal Lyapunov solve must meet
+LYAP_RESID_MAX = 64 * np.finfo(float).eps   # relative residual every Lyapunov solve must meet
+SIGN_ITER_MAX = 100    # Newton steps of ``_sign_steps`` before the residual gate decides
+SIGN_REFINE_MAX = 3    # refinement steps of ``_sign_lyap`` on a residual that misses the gate
 
 
 def jmat(n):
@@ -321,8 +326,13 @@ def _eig_modal(X):
     return None if Vi is None else (lam, V, Vi)
 
 
+def _dagger(M):
+    """The conjugate transpose of a matrix or of each matrix in a stack (..., n, n)."""
+    return M.swapaxes(-1, -2).conj()
+
+
 def _hermitian(M):
-    return 0.5 * (M + M.conj().T)
+    return 0.5 * (M + _dagger(M))
 
 
 def _modal_sylvester(a, b, F):
@@ -338,7 +348,7 @@ def _modal_sylvester(a, b, F):
 
 
 def _modal_lyap(modal, Q):
-    """``_modal_sylvester`` with both forms ``modal``, for Hermitian Q: Y and M are made Hermitian.
+    """``_modal_sylvester`` with both forms ``modal``, for Hermitian Q (or a stack of them): Y and M are made Hermitian.
 
     Both symmetrisations are exact for Hermitian Q: Y's drops the rounding
     of the first basis change, M's that of the second.
@@ -348,22 +358,110 @@ def _modal_lyap(modal, Q):
     return _hermitian(V @ _hermitian(Y) @ V.conj().T)
 
 
-def _meets_residual(X, M, Q):
-    """||X M + M X^dag - Q||_F <= LYAP_RESID_MAX (2 ||X||_F ||M||_F + ||Q||_F), for Hermitian M."""
+def _fro_stack(A):
+    """``_fro`` of a matrix, or of each matrix of a stack (..., n, n)."""
+    return _fro(A) if A.ndim == 2 else np.linalg.norm(A, axis=(-2, -1))
+
+
+def _relative_residuals(X, M, Q):
+    """||Q - X M - M X^dag||_F / (2 ||X||_F ||M||_F + ||Q||_F) for Hermitian M, or each M of a stack, with the residuals."""
     R = X @ M
-    return _fro(R + R.conj().T - Q) <= LYAP_RESID_MAX * (2.0 * _fro(X) * _fro(M) + _fro(Q))
+    R = Q - R - _dagger(R)
+    scale = 2.0 * _fro(X) * _fro_stack(M) + _fro_stack(Q)
+    return _fro_stack(R) / np.fmax(scale, 1e-300), R  # scale is 0 only where R is
 
 
-def _schur_lyap(X, Q):
-    """Bartels-Stewart: ``scipy.linalg.solve_sylvester(X, X^dag, Q)``; imports ``scipy.linalg``.
+def _meets_residual(X, M, Q):
+    """The accuracy gate of every Lyapunov solve: relative residual <= LYAP_RESID_MAX (a NaN misses); per matrix of a stack."""
+    return _relative_residuals(X, M, Q)[0] <= LYAP_RESID_MAX
 
-    An empty Q gives an empty M (scipy would return uninitialised memory).
+
+def _sign_steps(X):
+    """The steps (c / 2, Z^-1, Z^-dag / 2c) of Newton's iteration for sign(X), from Z = X.
+
+    Z <- (c Z + Z^-1 / c) / 2 converges quadratically to sign(X) = -1 for
+    Hurwitz X, defective or not (Roberts 1980).  The determinant scaling
+    c = |det Z|^(-1/n) (Higham, Functions of Matrices, ch. 5) shortens the
+    first steps; it stops once a step moves Z by less than 1e-2 relative.
+    The iteration stops after the step that moves Z by less than 1e-8
+    relative, as the next would move it by about the square of that, or
+    after SIGN_ITER_MAX steps.
     """
-    if np.size(Q) == 0:
-        return np.zeros(np.shape(Q), dtype=complex)
+    n = len(X)
+    Z, scaled, steps = X, True, []
+    for _ in range(SIGN_ITER_MAX):
+        Zi = np.linalg.inv(Z)
+        c = math.exp(-np.linalg.slogdet(Z)[1] / n) if scaled else 1.0
+        steps.append((0.5 * c, Zi, Zi.conj().T * (0.5 / c)))
+        Z, Z_old = 0.5 * c * Z + Zi * (0.5 / c), Z
+        move = _fro(Z - Z_old) / _fro(Z)
+        if not move > 1e-8:  # converged, or overflowed to NaN
+            break
+        scaled = move > 1e-2
+    return steps
+
+
+def _sign_solve(steps, W):
+    """-W_inf / 2 from W <- (c W + Z^-1 W Z^-dag / c) / 2 over the ``_sign_steps`` of X.
+
+    The steps are those of Newton's sign iteration on [[X, W], [0, -X^dag]],
+    whose sign is [[-1, -2 M], [0, 1]] for X M + M X^dag = W; the map is
+    linear in W, so it also solves for a residual, or a stack of right-hand sides.
+    """
+    for h, Zi, Zk in steps:
+        W = h * W + Zi @ W @ Zk
+    return -0.5 * W
+
+
+def _sign_lyap(X, Q):
+    """``lyap`` without an eigenbasis, for Hermitian Q or a stack (..., n, n) of them.
+
+    The sign-function solve (Roberts 1980; Benner & Quintana-Orti 1999) is
+    refined: while a matrix misses LYAP_RESID_MAX, the same steps solve for
+    its residual R = Q - (X M + M X^dag) and M += that correction, up to
+    SIGN_REFINE_MAX times; each costs two matrix products per step.  M is
+    made Hermitian after each solve.  Unlike Bartels-Stewart the iteration
+    is not backward stable: it inverts X itself, so on a strongly non-normal
+    X (kappa(X) past ~1e7, in a dense basis) it can miss the gate, or
+    overflow to a NaN residual, which misses too.  The matrices that still
+    miss go to ``_schur_lyap``; only that last resort imports scipy.
+    """
+    Q = np.asarray(Q, dtype=complex)
+    if Q.size == 0:
+        return np.zeros(Q.shape, dtype=complex)
+    Qs = Q.reshape((-1,) + Q.shape[-2:])
+    with np.errstate(all="ignore"):
+        steps = _sign_steps(X)
+        M = _hermitian(_sign_solve(steps, Qs))
+        for refinements in range(SIGN_REFINE_MAX + 1):
+            resid, R = _relative_residuals(X, M, Qs)
+            miss = ~(resid <= LYAP_RESID_MAX)
+            if not miss.any() or refinements == SIGN_REFINE_MAX:
+                break
+            M[miss] = _hermitian(M[miss] + _sign_solve(steps, R[miss]))
+        if miss.any():
+            M[miss] = _schur_lyap(X, Qs[miss])
+    return M.reshape(Q.shape)
+
+
+def _schur_lyap(X, Qs):
+    """Bartels-Stewart (``scipy.linalg.solve_sylvester``, backward stable) for a stack of Q, M made Hermitian.
+
+    The last resort of ``_sign_lyap``, and the only Lyapunov solver that
+    imports ``scipy.linalg``.
+
+    Raises:
+        np.linalg.LinAlgError: when a matrix still misses LYAP_RESID_MAX (a
+            non-Hermitian Q always does), with its relative residual.
+    """
     from scipy.linalg import solve_sylvester
 
-    return solve_sylvester(X, X.conj().T, Q)
+    M = _hermitian(np.array([solve_sylvester(X, X.conj().T, Q) for Q in Qs]))
+    resid = _relative_residuals(X, M, Qs)[0]
+    if not np.all(resid <= LYAP_RESID_MAX):
+        raise np.linalg.LinAlgError(f"Lyapunov solve missed its accuracy bound: relative residual "
+                                    f"{np.max(resid):.2e} > {LYAP_RESID_MAX:.2e}")
+    return M
 
 
 def lyap(X, Q, modal=None):
@@ -377,26 +475,38 @@ def lyap(X, Q, modal=None):
 
     Accuracy contract: the returned M has relative residual
     ||X M + M X^dag - Q||_F / (2 ||X||_F ||M||_F + ||Q||_F) <= LYAP_RESID_MAX
-    (64 eps), or it comes from Bartels-Stewart (``_schur_lyap``, backward
-    stable: ``scipy.linalg.solve_sylvester(X, X^dag, Q)``).
-    That route is taken when X has no usable eigenbasis (``modal_inverse``:
+    (64 eps).  When X has no usable eigenbasis (``modal_inverse``:
     kappa_F(V) > MODAL_COND_MAX, e.g. a defective X) or when the modal
-    solution, whose error grows as eps kappa_F(V)^2, misses the residual
-    bound; only it imports ``scipy.linalg``.  The forward error is then that
-    of a backward-stable solve, at most the equation's condition number
-    times the residual.
+    solution, whose error grows as eps kappa_F(V)^2, misses that bound,
+    ``_sign_lyap`` (the matrix sign function, refined, with Bartels-Stewart
+    as its last resort) solves instead.  The forward error is then at most
+    the equation's condition number times the residual.
+
+    Raises:
+        np.linalg.LinAlgError: when no route meets the bound (a
+            non-Hermitian Q always misses; ``_schur_lyap``).
     """
     X = np.asarray(X, dtype=complex)
     return _lyap(X, Q, _eig_modal(X) if modal is None else modal)[0]
 
 
 def _lyap(X, Q, modal):
-    """``lyap`` from the modal form ``modal`` (None: Schur at once), with the route taken: "modal" or "schur"."""
-    if modal is not None:
-        M = _modal_lyap(modal, Q)
-        if _meets_residual(X, M, Q):
-            return M, "modal"
-    return _schur_lyap(X, Q), "schur"
+    """``lyap`` for Q or each Q of a stack (..., n, n) from the modal form ``modal``, with the route taken.
+
+    One modal division solves the whole stack, and the matrices whose
+    solution misses the gate go to ``_sign_lyap`` together.  With ``modal``
+    None all of them do.  The route is "modal", or "sign" when any matrix
+    took the sign route.
+    """
+    Q = np.asarray(Q, dtype=complex)
+    if modal is None:
+        return _sign_lyap(X, Q), "sign"
+    M = _modal_lyap(modal, Q)
+    miss = ~_meets_residual(X, M, Q)
+    if not miss.any():
+        return M, "modal"
+    M[miss] = _sign_lyap(X, Q[miss])
+    return M, "sign"
 
 
 def lyap_cascade(X, Q, k, first, second):
@@ -414,7 +524,7 @@ def lyap_cascade(X, Q, k, first, second):
     each an elementwise division in the parts' eigenbases; no factorization
     of the whole X.  The contract is ``lyap``'s, checked on the whole X:
     when a part has no modal form or M misses the residual bound, the whole
-    X is solved by ``_schur_lyap``.  ``route`` is "modal" or "schur".
+    X is solved by ``_sign_lyap``.  ``route`` is "modal" or "sign".
     """
     if first is not None and second is not None:
         X21 = X[k:, :k]
@@ -425,7 +535,7 @@ def lyap_cascade(X, Q, k, first, second):
         M[k:, k:] = _modal_lyap(second, Q[k:, k:] - X21 @ M[:k, k:] - M21 @ X21.conj().T)
         if _meets_residual(X, M, Q):
             return M, "modal"
-    return _schur_lyap(X, Q), "schur"
+    return _sign_lyap(X, Q), "sign"
 
 
 def gramian_flat(A0, C0, modal=None):

@@ -505,7 +505,7 @@ def ps_realize(ps, return_details=False):
 
 
 def _noise_solver(A0):
-    """Q -> the M with A0^dag M + M A0 + Q = 0, every solve from one ``eig`` of A0^dag (``algebra.lyap``)."""
+    """Q -> the M with A0^dag M + M A0 + Q = 0 (``algebra.lyap``), for one Q or a stack, from one ``eig`` of A0^dag."""
     Ad = A0.conj().T
     modal = _eig_modal(Ad)
     return lambda Q: _lyap(Ad, -Q, modal)[0]
@@ -579,7 +579,7 @@ def _noise_coupling(solve, B0, C0, n_noise, bound):
     basis[k, iu, ju] = basis[k, ju, iu] = 1.0
     k = len(iu) + np.arange(off.sum())
     basis[k, iu[off], ju[off]], basis[k, ju[off], iu[off]] = 1j, -1j
-    images = np.array([(solve(E) @ B0).ravel() for E in basis]).T
+    images = (solve(basis) @ B0).reshape(n * n, -1).T
     lin = np.vstack([images.real, images.imag])
     base = (solve(C0.conj().T @ C0) @ B0 + C0.conj().T).ravel()
     r0 = np.concatenate([base.real, base.imag])

@@ -111,8 +111,9 @@ class StationaryState:
     """Stationary covariance P with its Williamson normal form, solve residual and route.
 
     ``route`` names the Lyapunov solver that produced P: "modal" (the
-    drift's eigenbasis) or "schur" (Bartels-Stewart, for a defective or
-    ill-conditioned drift); see ``algebra.lyap``.
+    drift's eigenbasis) or "sign" (the matrix sign function, for a defective
+    or ill-conditioned drift, with Bartels-Stewart as its last resort); see
+    ``algebra.lyap``.
     """
 
     P: np.ndarray
@@ -145,16 +146,16 @@ def solve_lyapunov(sys, V):
     Solves A P + P A^dag + C^b S V S^dag (C^b)^dag = 0 with ``algebra.lyap``
     from the drift's cached eigendecomposition (intended scale: up to a few
     tens of modes) and reports the relative residual (against the full
-    drift), the route ("modal" or "schur") and the Williamson normal form
+    drift), the route ("modal" or "sign") and the Williamson normal form
     of P.  On a cascade from ``series_product`` the drift is block
     lower-triangular in the order [a1; a1#; a2; a2#], and
     ``algebra.lyap_cascade`` solves in that order from the two parts'
-    eigendecompositions, never factorizing the whole drift unless it falls
-    back to Schur.  Accuracy contract (``algebra.lyap``): a modal P has
-    relative residual at most 64 eps; otherwise P comes from the
-    backward-stable Schur route.
+    eigendecompositions, never touching the whole drift unless it falls
+    back to the sign route.  Accuracy contract (``algebra.lyap``): P has
+    relative residual at most 64 eps, by either route.
 
-    Raises ValueError when the system is not Hurwitz (no unique solution).
+    Raises ValueError when the system is not Hurwitz (no unique solution),
+    and np.linalg.LinAlgError when no route meets the residual bound.
     """
     if not is_hurwitz(sys):
         raise ValueError("Lyapunov equation has no unique solution: system is not Hurwitz")

@@ -9,6 +9,25 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def mpmath_lyap(X, Q, dps=40):
+    """X M + M X^dag = Q by a dps-digit Kronecker solve (I (x) X + conj(X) (x) I) vec M = vec Q."""
+    import mpmath
+
+    n = X.shape[0]
+    K = np.kron(np.eye(n), X) + np.kron(X.conj(), np.eye(n))
+    with mpmath.workdps(dps):
+        mat = mpmath.matrix([[mpmath.mpc(z) for z in row] for row in K])
+        vec = mpmath.matrix([mpmath.mpc(z) for z in Q.ravel(order="F")])
+        sol = mpmath.lu_solve(mat, vec)
+        return np.array([complex(sol[k]) for k in range(n * n)]).reshape((n, n), order="F")
+
+
+def non_normal_triangular(rng, n):
+    """Upper-triangular Hurwitz X with decay rates in [0.1, 2] and couplings of size 3 above them."""
+    X = 3.0 * np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+    return X + np.diag(-rng.uniform(0.1, 2.0, n) + 1j * rng.standard_normal(n))
+
+
 def cavity(kappa=2.0, omega0=1.3):
     return QLSystem.passive([[1.0]], [[np.sqrt(kappa)]], [[omega0]])
 

@@ -18,6 +18,8 @@ from qls.algebra import (
 )
 from qls.sampling import random_pure_input, random_symplectic
 
+from conftest import mpmath_lyap, non_normal_triangular
+
 
 def random_du(rng, rows, cols, scale=1.0):
     z = lambda: scale * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
@@ -82,35 +84,22 @@ def _hurwitz_draw(rng, n):
     return X, Q + Q.conj().T
 
 
-def _mpmath_lyap(X, Q, dps=40):
-    """X M + M X^dag = Q by a dps-digit Kronecker solve (I (x) X + conj(X) (x) I) vec M = vec Q."""
-    import mpmath
-
-    n = X.shape[0]
-    K = np.kron(np.eye(n), X) + np.kron(X.conj(), np.eye(n))
-    with mpmath.workdps(dps):
-        mat = mpmath.matrix([[mpmath.mpc(z) for z in row] for row in K])
-        vec = mpmath.matrix([mpmath.mpc(z) for z in Q.ravel(order="F")])
-        sol = mpmath.lu_solve(mat, vec)
-        return np.array([complex(sol[k]) for k in range(n * n)]).reshape((n, n), order="F")
-
-
 class TestLyap:
-    """The contract of ``lyap``: modal solves within LYAP_RESID_MAX, else Bartels-Stewart."""
+    """The contract of ``lyap``: modal solves within LYAP_RESID_MAX, else the refined sign route."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, 4, 8, 32])
-    def test_bit_identical_to_sylvester_solve(self, rng, n):
-        """The Schur route (scipy's Bartels-Stewart), for any Q: against mpmath up to n = 4,
-        and a residual bound at every size; an empty Q gives an empty M."""
-        X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        X -= (2.0 * np.sqrt(n) + 1.0) * np.eye(n)  # Hurwitz: unique solution
-        Q = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        M = algebra._schur_lyap(X, Q)
+    def test_sign_route_against_mpmath(self, rng, n):
+        """The sign route (``_sign_lyap``): against mpmath up to n = 4, and a residual bound
+        at every size; an empty Q gives an empty M."""
+        X, Q = _hurwitz_draw(rng, n)
+        M = algebra._sign_lyap(X, Q)
         assert M.shape == (n, n) and M.dtype == complex
+        assert np.array_equal(M, M.conj().T)
         if 0 < n <= 4:
-            exact = _mpmath_lyap(X, Q)
+            exact = mpmath_lyap(X, Q)
             assert np.linalg.norm(M - exact) <= 1e-13 * np.linalg.norm(exact)
         assert np.linalg.norm(X @ M + M @ X.conj().T - Q) <= 1e-12 * max(1.0, np.linalg.norm(Q))
+        assert algebra._meets_residual(X, M, Q)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_modal_route_against_mpmath(self, n):
@@ -118,11 +107,14 @@ class TestLyap:
         X, Q = _hurwitz_draw(rng, n)
         M, route = algebra._lyap(X, Q, algebra._eig_modal(X))
         assert route == "modal"
-        exact = _mpmath_lyap(X, Q)
+        exact = mpmath_lyap(X, Q)
         assert np.linalg.norm(M - exact) <= 1e-13 * np.linalg.norm(exact)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 4, 8, 16, 32])
     def test_modal_route_against_schur_route(self, n):
+        """Both routes against scipy's Bartels-Stewart solve (``solve_sylvester``)."""
+        from scipy.linalg import solve_sylvester
+
         for seed in range(5):
             X, Q = _hurwitz_draw(np.random.default_rng([n, seed]), n)
             modal = algebra._eig_modal(X)
@@ -132,8 +124,10 @@ class TestLyap:
             R = X @ M + M @ X.conj().T - Q
             assert np.linalg.norm(R) <= algebra.LYAP_RESID_MAX * (
                 2.0 * np.linalg.norm(X) * np.linalg.norm(M) + np.linalg.norm(Q))
-            ref = algebra._schur_lyap(X, Q)
-            assert np.linalg.norm(M - ref) <= 1e-12 * np.linalg.norm(ref)
+            if n:
+                ref = solve_sylvester(X, X.conj().T, Q)
+                assert np.linalg.norm(M - ref) <= 1e-12 * np.linalg.norm(ref)
+                assert np.linalg.norm(algebra._sign_lyap(X, Q) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_given_modal_form_equals_computed_one(self, rng):
         X, Q = _hurwitz_draw(rng, 5)
@@ -141,31 +135,65 @@ class TestLyap:
         assert np.array_equal(lyap(X, Q, (lam, V, np.linalg.inv(V))), lyap(X, Q))
 
     @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_jordan_block_falls_back_bit_identical_to_sylvester_solve(self, n):
-        from scipy.linalg import solve_sylvester
-
+    def test_jordan_block_falls_back_to_sign_route(self, n):
         X = -np.eye(n) + np.diag(np.ones(n - 1), 1) + 0j  # defective: one eigenvector
         Q = np.random.default_rng(n).standard_normal((n, n)) + 0j
         Q = Q + Q.T
         assert algebra._eig_modal(X) is None
-        assert np.array_equal(lyap(X, Q), solve_sylvester(X, X.conj().T, Q))
+        M = lyap(X, Q)
+        assert np.array_equal(M, algebra._sign_lyap(X, Q))
+        exact = mpmath_lyap(X, Q)
+        assert np.linalg.norm(M - exact) <= 1e-13 * np.linalg.norm(exact)
 
-    def test_gm2_drift_falls_back_bit_identical_to_sylvester_solve(self):
+    def test_gm2_drift_falls_back_to_sign_route(self):
         from conftest import gm2_system
-        from scipy.linalg import solve_sylvester
 
         A = gm2_system(0.0).A  # a 2 x 2 Jordan block per pole: kappa_F(V) ~ 1e8
         Q = np.diag([1.0, 0.5, 0.25, 2.0]) + 0j
         assert algebra._eig_modal(A) is None
-        assert np.array_equal(lyap(A, Q), solve_sylvester(A, A.conj().T, Q))
+        M = lyap(A, Q)
+        assert np.array_equal(M, algebra._sign_lyap(A, Q))
+        exact = mpmath_lyap(A, Q)
+        assert np.linalg.norm(M - exact) <= 1e-13 * np.linalg.norm(exact)
+
+    def test_refinement_meets_the_gate_the_first_solve_misses(self):
+        """A non-normal triangular drift in a dense basis: the sign iteration alone misses."""
+        rng = np.random.default_rng([8, 0, 19])
+        X = non_normal_triangular(rng, 8)
+        U = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))[0]
+        X = U @ X @ U.conj().T
+        Q = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        Q = Q + Q.conj().T
+        first = algebra._hermitian(algebra._sign_solve(algebra._sign_steps(X), Q))
+        assert not algebra._meets_residual(X, first, Q)
+        assert algebra._meets_residual(X, algebra._sign_lyap(X, Q), Q)
 
     def test_non_hermitian_q_misses_the_residual_gate(self, rng):
-        from scipy.linalg import solve_sylvester
-
+        """Every route returns Hermitian M, so none meets the gate: ``lyap`` raises."""
         X, _ = _hurwitz_draw(rng, 4)
         Q = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        M, route = algebra._lyap(X, Q, algebra._eig_modal(X))
-        assert route == "schur" and np.array_equal(M, solve_sylvester(X, X.conj().T, Q))
+        with pytest.raises(np.linalg.LinAlgError, match="relative residual"):
+            algebra._lyap(X, Q, algebra._eig_modal(X))
+
+    def test_nan_residual_misses_the_gate(self, rng):
+        """A solve that ends in NaN (here from a NaN right-hand side) raises rather than returns."""
+        X, _ = _hurwitz_draw(rng, 3)
+        with pytest.raises(np.linalg.LinAlgError, match="relative residual nan"):
+            algebra._sign_lyap(X, np.full((3, 3), np.nan, dtype=complex))
+
+    def test_stack_matches_one_solve_at_a_time(self, rng):
+        """``_lyap`` on a stack of right-hand sides, by either route, equals ``lyap`` on each."""
+        from conftest import gm2_system
+
+        near_defective = np.array([[-1, 1, 0, 0], [0, -1.005, 1, 0], [0, 0, -0.5 + 1j, 0.3], [0, 0, 0, -2]],
+                                  dtype=complex)  # kappa_F(V) < MODAL_COND_MAX, yet the modal solves miss
+        assert algebra._eig_modal(near_defective) is not None
+        for X in (_hurwitz_draw(rng, 4)[0], gm2_system(0.0).A, near_defective):
+            Qs = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+            Qs = Qs + Qs.conj().transpose(0, 2, 1)
+            Ms = algebra._lyap(X, Qs, algebra._eig_modal(X))[0]
+            for M, Q in zip(Ms, Qs):
+                assert np.linalg.norm(M - lyap(X, Q)) <= 1e-14 * np.linalg.norm(M)
 
 
 class TestIsSymplectic:

@@ -255,7 +255,7 @@ class TestCli:
         assert main(["gm", p]) == 0
         assert json.loads(capsys.readouterr().out)["globally_minimal"] is True
 
-    @pytest.mark.parametrize("example, route", [("absorber", "modal"), ("gm2_0", "schur")])
+    @pytest.mark.parametrize("example, route", [("absorber", "modal"), ("gm2_0", "sign")])
     def test_gm_solves_the_lyapunov_equation_once(self, workdir, capsys, monkeypatch, example, route):
         from conftest import gm2_system
         from qls import stationary
@@ -550,11 +550,31 @@ class TestCli:
         out = _run_python(["-c", code])
         assert out.stdout.strip() == "[]"
 
+    def test_scipy_is_imported_only_inside_two_functions(self):
+        """scipy is imported by no module at load time, and inside no function but
+        ``sampling.random_symplectic`` (``expm``) and ``algebra._schur_lyap``, the
+        last resort of the Lyapunov sign route."""
+        import ast
+        from pathlib import Path
+
+        import qls
+
+        importers = set()
+        for path in Path(qls.__file__).parent.glob("*.py"):
+            for top in ast.parse(path.read_text()).body:  # each import, by its top-level function or class
+                scope = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+                for node in ast.walk(top):
+                    names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                             else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+                    if any(name.split(".")[0] == "scipy" for name in names):
+                        importers.add((path.stem, scope))
+        assert importers == {("sampling", "random_symplectic"), ("algebra", "_schur_lyap")}
+
     @pytest.mark.parametrize("command, loads_linalg", [
         (["validate", "{sys}"], False),
         (["tf", "{sys}", "--grid", "[[0, 1], [0, -2]]"], False),
         (["ps", "{sys}", "--input", "{input}"], False),
-        (["gm", "{gm2_0}"], True),  # a defective drift: the Schur fallback
+        (["gm", "{gm2_0}"], False),  # a defective drift: the sign-function fallback
         (["gm", "{sys}"], False),
         (["split", "{gm2_m1}", "--input", "{sq05}"], False),
         (["absorber", "{sys}"], False),
@@ -565,14 +585,16 @@ class TestCli:
         (["cascade-id", "{pair}"], False),
         (["qfi", "{family}", "--input", "{sq05}", "--method", "time"], False),
         (["sweep", "{sweep}", "--input", "{sq05}"], False),
+        (["gm", "{gm2_0}", "--input", "{sq05}"], False),
     ])
     def test_cli_loads_scipy_linalg_only_for_lyapunov_solves(self, workdir, rng, command,
                                                               loads_linalg):
-        """`python -m qls.cli` loads scipy.linalg only for a defective drift, and never scipy.optimize.
+        """`python -m qls.cli` loads neither scipy.linalg nor scipy.optimize.
 
-        Every Lyapunov solve of a diagonalizable drift (stationary states,
-        flat Gramians, the time-route QFI, the noise-coupling polish of
-        `realize-noisy`) runs in its eigenbasis on numpy alone.
+        Every Lyapunov solve (stationary states, flat Gramians, the
+        time-route QFI, the noise-coupling polish of `realize-noisy`) runs
+        on numpy alone: in the drift's eigenbasis, or by the sign function
+        for a defective drift.
         """
         from conftest import gm2_system, squeezed_input
 
