@@ -20,7 +20,8 @@ eigendecomposition computed once) and ``fresh`` (the system, or the
 cascade's parts, rebuilt inside the timed call); ``lyap`` takes a Hurwitz
 X with a Hermitian right-hand side, ``lyap_defective`` a Jordan block and
 ``lyap_gm2_drift`` the drift of the two-mode gm2 example at x = 0 (a
-2 x 2 Jordan block per pole), both solved by the sign-function fallback.
+2 x 2 Jordan block per pole), both solved by the direct fallback (one LU
+of the Kronecker form up to ``KRON_MAX``, Bartels-Stewart past it).
 ``noisy_realize`` takes channel 0 of a seeded passive system with n modes
 and 1 + n_noise channels, (n, n_noise) = (1, 1), (3, 1) and (6, 2).
 ``siso_cascade_identify`` takes the (Xi_-, Xi_+) data of the
@@ -232,7 +233,7 @@ def test_lyap(benchmark, size):
     benchmark(lyap, X, _hermitian_rhs(rng, size))
 
 
-@pytest.mark.parametrize("size", (2, 4, 32), ids=lambda k: f"size{k}")
+@pytest.mark.parametrize("size", (2, 4, 8, 32), ids=lambda k: f"size{k}")
 def test_lyap_defective(benchmark, size):
     """A Hurwitz Jordan block, which has no eigenbasis."""
     X = (-1.0 - 0.5j) * np.eye(size) + np.eye(size, k=1)

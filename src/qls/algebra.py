@@ -20,11 +20,11 @@ division.  Their accuracy contract: a solution is returned only when its
 relative residual is at most LYAP_RESID_MAX (64 eps).  A modal solution
 that misses it, and an X without a usable eigenbasis (kappa_F(V) >
 MODAL_COND_MAX, the same cutoff ``freq_response`` uses), go to the
-fallback ``_sign_lyap``: Newton's iteration for the matrix sign function
-with iterative refinement, on numpy alone.  Only a sign solve that still
-misses, on a strongly non-normal X, goes on to Bartels-Stewart
-(``_schur_lyap``, the one place here that imports ``scipy.linalg``); one
-that misses there too raises ``np.linalg.LinAlgError``.
+direct fallback ``_direct_lyap``: one LU of the Kronecker form for
+n <= KRON_MAX, on numpy alone.  A larger X, and a Kronecker solution that
+misses, go to Bartels-Stewart (``_schur_lyap``, the one place here that
+imports ``scipy.linalg``); one that misses there too raises
+``np.linalg.LinAlgError``.
 """
 
 import math
@@ -36,8 +36,7 @@ TOL_STRUCT = 1e-10  # relative, doubled-up structure checks
 TOL_NUM = 1e-8      # relative, algebraic residuals
 MODAL_COND_MAX = 1e3   # kappa_F(V) past which an eigenbasis is not used (``modal_inverse``)
 LYAP_RESID_MAX = 64 * np.finfo(float).eps   # relative residual every Lyapunov solve must meet
-SIGN_ITER_MAX = 100    # Newton steps of ``_sign_steps`` before the residual gate decides
-SIGN_REFINE_MAX = 3    # refinement steps of ``_sign_lyap`` on a residual that misses the gate
+KRON_MAX = 8           # largest X that ``_direct_lyap`` solves in Kronecker form
 
 
 def jmat(n):
@@ -364,91 +363,50 @@ def _fro_stack(A):
 
 
 def _relative_residuals(X, M, Q):
-    """||Q - X M - M X^dag||_F / (2 ||X||_F ||M||_F + ||Q||_F) for Hermitian M, or each M of a stack, with the residuals."""
+    """||Q - X M - M X^dag||_F / (2 ||X||_F ||M||_F + ||Q||_F) for Hermitian M, or each M of a stack."""
     R = X @ M
     R = Q - R - _dagger(R)
     scale = 2.0 * _fro(X) * _fro_stack(M) + _fro_stack(Q)
-    return _fro_stack(R) / np.fmax(scale, 1e-300), R  # scale is 0 only where R is
+    return _fro_stack(R) / np.fmax(scale, 1e-300)  # scale is 0 only where R is
 
 
 def _meets_residual(X, M, Q):
     """The accuracy gate of every Lyapunov solve: relative residual <= LYAP_RESID_MAX (a NaN misses); per matrix of a stack."""
-    return _relative_residuals(X, M, Q)[0] <= LYAP_RESID_MAX
+    return _relative_residuals(X, M, Q) <= LYAP_RESID_MAX
 
 
-def _sign_steps(X):
-    """The steps (c / 2, Z^-1, Z^-dag / 2c) of Newton's iteration for sign(X), from Z = X.
-
-    Z <- (c Z + Z^-1 / c) / 2 converges quadratically to sign(X) = -1 for
-    Hurwitz X, defective or not (Roberts 1980).  The determinant scaling
-    c = |det Z|^(-1/n) (Higham, Functions of Matrices, ch. 5) shortens the
-    first steps; it stops once a step moves Z by less than 1e-2 relative.
-    The iteration stops after the step that moves Z by less than 1e-8
-    relative, as the next would move it by about the square of that, or
-    after SIGN_ITER_MAX steps.
-    """
-    n = len(X)
-    Z, scaled, steps = X, True, []
-    for _ in range(SIGN_ITER_MAX):
-        Zi = np.linalg.inv(Z)
-        c = math.exp(-np.linalg.slogdet(Z)[1] / n) if scaled else 1.0
-        steps.append((0.5 * c, Zi, Zi.conj().T * (0.5 / c)))
-        Z, Z_old = 0.5 * c * Z + Zi * (0.5 / c), Z
-        move = _fro(Z - Z_old) / _fro(Z)
-        if not move > 1e-8:  # converged, or overflowed to NaN
-            break
-        scaled = move > 1e-2
-    return steps
-
-
-def _sign_solve(steps, W):
-    """-W_inf / 2 from W <- (c W + Z^-1 W Z^-dag / c) / 2 over the ``_sign_steps`` of X.
-
-    The steps are those of Newton's sign iteration on [[X, W], [0, -X^dag]],
-    whose sign is [[-1, -2 M], [0, 1]] for X M + M X^dag = W; the map is
-    linear in W, so it also solves for a residual, or a stack of right-hand sides.
-    """
-    for h, Zi, Zk in steps:
-        W = h * W + Zi @ W @ Zk
-    return -0.5 * W
-
-
-def _sign_lyap(X, Q):
+def _direct_lyap(X, Q):
     """``lyap`` without an eigenbasis, for Hermitian Q or a stack (..., n, n) of them.
 
-    The sign-function solve (Roberts 1980; Benner & Quintana-Orti 1999) is
-    refined: while a matrix misses LYAP_RESID_MAX, the same steps solve for
-    its residual R = Q - (X M + M X^dag) and M += that correction, up to
-    SIGN_REFINE_MAX times; each costs two matrix products per step.  M is
-    made Hermitian after each solve.  Unlike Bartels-Stewart the iteration
-    is not backward stable: it inverts X itself, so on a strongly non-normal
-    X (kappa(X) past ~1e7, in a dense basis) it can miss the gate, or
-    overflow to a NaN residual, which misses too.  The matrices that still
-    miss go to ``_schur_lyap``; only that last resort imports scipy.
+    For n <= KRON_MAX one ``np.linalg.solve`` of the Kronecker form
+    (X (x) 1 + 1 (x) conj(X)) vec M = vec Q, with the rows of M stacked,
+    serves every right-hand side from one LU; Gaussian elimination with
+    partial pivoting is normwise backward stable in practice (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 9).  M is made
+    Hermitian.  Its cost grows as n^6, so a larger X, and any matrix that
+    misses LYAP_RESID_MAX, goes to ``_schur_lyap``; only that route
+    imports scipy.
     """
     Q = np.asarray(Q, dtype=complex)
+    n = len(X)
     if Q.size == 0:
         return np.zeros(Q.shape, dtype=complex)
-    Qs = Q.reshape((-1,) + Q.shape[-2:])
-    with np.errstate(all="ignore"):
-        steps = _sign_steps(X)
-        M = _hermitian(_sign_solve(steps, Qs))
-        for refinements in range(SIGN_REFINE_MAX + 1):
-            resid, R = _relative_residuals(X, M, Qs)
-            miss = ~(resid <= LYAP_RESID_MAX)
-            if not miss.any() or refinements == SIGN_REFINE_MAX:
-                break
-            M[miss] = _hermitian(M[miss] + _sign_solve(steps, R[miss]))
-        if miss.any():
-            M[miss] = _schur_lyap(X, Qs[miss])
-    return M.reshape(Q.shape)
+    if n > KRON_MAX:
+        return _schur_lyap(X, Q.reshape(-1, n, n)).reshape(Q.shape)
+    eye = np.eye(n)  # K[(i, j), (k, l)] = X_ik 1_jl + 1_ik conj(X_jl), np.kron by broadcasting
+    K = (X[:, None, :, None] * eye[:, None] + eye[:, None, :, None] * X.conj()[:, None]).reshape(n * n, n * n)
+    M = _hermitian(np.linalg.solve(K, Q.reshape(-1, n * n).T).T.reshape(Q.shape))
+    miss = ~_meets_residual(X, M, Q)  # a boolean of Q's stack shape; for one Q, M[miss] is M[None] or empty
+    if miss.any():
+        M[miss] = _schur_lyap(X, Q[miss])
+    return M
 
 
 def _schur_lyap(X, Qs):
     """Bartels-Stewart (``scipy.linalg.solve_sylvester``, backward stable) for a stack of Q, M made Hermitian.
 
-    The last resort of ``_sign_lyap``, and the only Lyapunov solver that
-    imports ``scipy.linalg``.
+    The route of ``_direct_lyap`` for n > KRON_MAX and for its misses, and
+    the only Lyapunov solver that imports ``scipy.linalg``.
 
     Raises:
         np.linalg.LinAlgError: when a matrix still misses LYAP_RESID_MAX (a
@@ -457,7 +415,7 @@ def _schur_lyap(X, Qs):
     from scipy.linalg import solve_sylvester
 
     M = _hermitian(np.array([solve_sylvester(X, X.conj().T, Q) for Q in Qs]))
-    resid = _relative_residuals(X, M, Qs)[0]
+    resid = _relative_residuals(X, M, Qs)
     if not np.all(resid <= LYAP_RESID_MAX):
         raise np.linalg.LinAlgError(f"Lyapunov solve missed its accuracy bound: relative residual "
                                     f"{np.max(resid):.2e} > {LYAP_RESID_MAX:.2e}")
@@ -478,8 +436,8 @@ def lyap(X, Q, modal=None):
     (64 eps).  When X has no usable eigenbasis (``modal_inverse``:
     kappa_F(V) > MODAL_COND_MAX, e.g. a defective X) or when the modal
     solution, whose error grows as eps kappa_F(V)^2, misses that bound,
-    ``_sign_lyap`` (the matrix sign function, refined, with Bartels-Stewart
-    as its last resort) solves instead.  The forward error is then at most
+    ``_direct_lyap`` solves instead: the Kronecker form by one LU up to
+    KRON_MAX, Bartels-Stewart past it.  The forward error is then at most
     the equation's condition number times the residual.
 
     Raises:
@@ -494,19 +452,19 @@ def _lyap(X, Q, modal):
     """``lyap`` for Q or each Q of a stack (..., n, n) from the modal form ``modal``, with the route taken.
 
     One modal division solves the whole stack, and the matrices whose
-    solution misses the gate go to ``_sign_lyap`` together.  With ``modal``
-    None all of them do.  The route is "modal", or "sign" when any matrix
-    took the sign route.
+    solution misses the gate go to ``_direct_lyap`` together.  With ``modal``
+    None all of them do.  The route is "modal", or "direct" when any matrix
+    took the direct route.
     """
     Q = np.asarray(Q, dtype=complex)
     if modal is None:
-        return _sign_lyap(X, Q), "sign"
+        return _direct_lyap(X, Q), "direct"
     M = _modal_lyap(modal, Q)
     miss = ~_meets_residual(X, M, Q)
     if not miss.any():
         return M, "modal"
-    M[miss] = _sign_lyap(X, Q[miss])
-    return M, "sign"
+    M[miss] = _direct_lyap(X, Q[miss])
+    return M, "direct"
 
 
 def lyap_cascade(X, Q, k, first, second):
@@ -524,7 +482,7 @@ def lyap_cascade(X, Q, k, first, second):
     each an elementwise division in the parts' eigenbases; no factorization
     of the whole X.  The contract is ``lyap``'s, checked on the whole X:
     when a part has no modal form or M misses the residual bound, the whole
-    X is solved by ``_sign_lyap``.  ``route`` is "modal" or "sign".
+    X is solved by ``_direct_lyap``.  ``route`` is "modal" or "direct".
     """
     if first is not None and second is not None:
         X21 = X[k:, :k]
@@ -535,7 +493,7 @@ def lyap_cascade(X, Q, k, first, second):
         M[k:, k:] = _modal_lyap(second, Q[k:, k:] - X21 @ M[:k, k:] - M21 @ X21.conj().T)
         if _meets_residual(X, M, Q):
             return M, "modal"
-    return _sign_lyap(X, Q), "sign"
+    return _direct_lyap(X, Q), "direct"
 
 
 def gramian_flat(A0, C0, modal=None):

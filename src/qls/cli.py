@@ -59,7 +59,13 @@ def _load_system(path):
 
 
 def _load_input(path, m):
-    return InputCovariance.vacuum(m) if path is None else _load(path, qio.input_from_json, "input covariance")
+    """The input covariance at ``path`` (the m-channel vacuum if None); InputError unless it has m channels."""
+    if path is None:
+        return InputCovariance.vacuum(m)
+    V = _load(path, qio.input_from_json, "input covariance")
+    if V.m != m:
+        raise InputError(f"input covariance {path} has {V.m} channels but the system has {m}")
+    return V
 
 
 def _grid(sys, spec):

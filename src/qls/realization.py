@@ -145,10 +145,10 @@ def _rank_one_factor(R):
 
 def _pole_index(poles, p, missing):
     """Index of the pole within POLE_MATCH_TOL max(1, |p|) of p; IdentificationError(missing) if none."""
-    k = int(np.argmin(np.abs(poles - p)))
-    if abs(poles[k] - p) > POLE_MATCH_TOL * max(1.0, abs(p)):
+    d = np.abs(poles - p)
+    if not np.min(d, initial=np.inf) <= POLE_MATCH_TOL * max(1.0, abs(p)):
         raise IdentificationError(missing)
-    return k
+    return int(np.argmin(d))
 
 
 def _canonical_row_phase(row):
@@ -244,8 +244,10 @@ def siso_cascade_identify(xi_minus, xi_plus, pole_order="damping"):
 
     ``pole_order`` is either the default ``"damping"`` (descending |Re|) or
     an explicit sequence of pole-pair representatives choosing the first
-    stages.  Raises IdentificationError when the data is not of this form
-    or a pole pair is J-neutral, i.e. has no pure cascade in that order.
+    stages, each matched within POLE_MATCH_TOL max(1, |z|) to a pair not
+    yet peeled.  Raises IdentificationError when the data is not of this
+    form, a requested pole matches no such pair, or a pole pair is
+    J-neutral, i.e. has no pure cascade in that order.
     """
     poles = np.array(xi_minus.poles, dtype=complex)
     for p in xi_plus.poles:
@@ -271,10 +273,10 @@ def siso_cascade_identify(xi_minus, xi_plus, pole_order="damping"):
     todo = [int(i) for i in np.argsort(lam.real) if lam[i].imag > 0]  # descending |Re|
     wanted = [] if pole_order == "damping" else [complex(z) for z in pole_order]
     order = []
-    for z in wanted[:n]:
-        k = min(todo, key=lambda i: abs(lam[i] - complex(z.real, abs(z.imag))))
-        todo.remove(k)
-        order.append(k)
+    for z in wanted:
+        k = _pole_index(lam[todo], complex(z.real, abs(z.imag)),
+                        f"requested pole {z} is not among the data's pole pairs not yet peeled")
+        order.append(todo.pop(k))
     order += todo
 
     P = np.zeros((2 * n, 0), dtype=complex)  # stage vectors so far: P^dag J P = 1

@@ -111,9 +111,9 @@ class StationaryState:
     """Stationary covariance P with its Williamson normal form, solve residual and route.
 
     ``route`` names the Lyapunov solver that produced P: "modal" (the
-    drift's eigenbasis) or "sign" (the matrix sign function, for a defective
-    or ill-conditioned drift, with Bartels-Stewart as its last resort); see
-    ``algebra.lyap``.
+    drift's eigenbasis) or "direct" (for a defective or ill-conditioned
+    drift: one LU of the Kronecker form, Bartels-Stewart past
+    ``algebra.KRON_MAX``); see ``algebra.lyap``.
     """
 
     P: np.ndarray
@@ -146,13 +146,14 @@ def solve_lyapunov(sys, V):
     Solves A P + P A^dag + C^b S V S^dag (C^b)^dag = 0 with ``algebra.lyap``
     from the drift's cached eigendecomposition (intended scale: up to a few
     tens of modes) and reports the relative residual (against the full
-    drift), the route ("modal" or "sign") and the Williamson normal form
+    drift), the route ("modal" or "direct") and the Williamson normal form
     of P.  On a cascade from ``series_product`` the drift is block
     lower-triangular in the order [a1; a1#; a2; a2#], and
     ``algebra.lyap_cascade`` solves in that order from the two parts'
     eigendecompositions, never touching the whole drift unless it falls
-    back to the sign route.  Accuracy contract (``algebra.lyap``): P has
-    relative residual at most 64 eps, by either route.
+    back to the direct route.  Accuracy contract (``algebra.lyap``): P has
+    relative residual at most 64 eps, by either route, and every route
+    returns P exactly Hermitian.
 
     Raises ValueError when the system is not Hurwitz (no unique solution),
     and np.linalg.LinAlgError when no route meets the residual bound.
@@ -172,7 +173,6 @@ def solve_lyapunov(sys, V):
         P = np.empty_like(Q)
         P[block], route = lyap_cascade(A[block], -Q[block], 2 * n1,
                                        _eigenbasis(first), _eigenbasis(second))
-    P = 0.5 * (P + P.conj().T)  # A P + P A^dag symmetrises exactly
     scale = max(1.0, np.linalg.norm(A) * np.linalg.norm(P) + np.linalg.norm(Q))
     AP = A @ P  # P is Hermitian, so P A^dag = (A P)^dag
     resid = np.linalg.norm(AP + AP.conj().T + Q) / scale

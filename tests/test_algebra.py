@@ -85,14 +85,14 @@ def _hurwitz_draw(rng, n):
 
 
 class TestLyap:
-    """The contract of ``lyap``: modal solves within LYAP_RESID_MAX, else the refined sign route."""
+    """The contract of ``lyap``: modal solves within LYAP_RESID_MAX, else the direct route."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, 4, 8, 32])
-    def test_sign_route_against_mpmath(self, rng, n):
-        """The sign route (``_sign_lyap``): against mpmath up to n = 4, and a residual bound
+    def test_direct_route_against_mpmath(self, rng, n):
+        """The direct route (``_direct_lyap``): against mpmath up to n = 4, and a residual bound
         at every size; an empty Q gives an empty M."""
         X, Q = _hurwitz_draw(rng, n)
-        M = algebra._sign_lyap(X, Q)
+        M = algebra._direct_lyap(X, Q)
         assert M.shape == (n, n) and M.dtype == complex
         assert np.array_equal(M, M.conj().T)
         if 0 < n <= 4:
@@ -127,7 +127,7 @@ class TestLyap:
             if n:
                 ref = solve_sylvester(X, X.conj().T, Q)
                 assert np.linalg.norm(M - ref) <= 1e-12 * np.linalg.norm(ref)
-                assert np.linalg.norm(algebra._sign_lyap(X, Q) - ref) <= 1e-12 * np.linalg.norm(ref)
+                assert np.linalg.norm(algebra._direct_lyap(X, Q) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_given_modal_form_equals_computed_one(self, rng):
         X, Q = _hurwitz_draw(rng, 5)
@@ -135,38 +135,43 @@ class TestLyap:
         assert np.array_equal(lyap(X, Q, (lam, V, np.linalg.inv(V))), lyap(X, Q))
 
     @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_jordan_block_falls_back_to_sign_route(self, n):
+    def test_jordan_block_falls_back_to_direct_route(self, n):
         X = -np.eye(n) + np.diag(np.ones(n - 1), 1) + 0j  # defective: one eigenvector
         Q = np.random.default_rng(n).standard_normal((n, n)) + 0j
         Q = Q + Q.T
         assert algebra._eig_modal(X) is None
         M = lyap(X, Q)
-        assert np.array_equal(M, algebra._sign_lyap(X, Q))
+        assert np.array_equal(M, algebra._direct_lyap(X, Q))
         exact = mpmath_lyap(X, Q)
         assert np.linalg.norm(M - exact) <= 1e-13 * np.linalg.norm(exact)
 
-    def test_gm2_drift_falls_back_to_sign_route(self):
+    def test_gm2_drift_falls_back_to_direct_route(self):
         from conftest import gm2_system
 
         A = gm2_system(0.0).A  # a 2 x 2 Jordan block per pole: kappa_F(V) ~ 1e8
         Q = np.diag([1.0, 0.5, 0.25, 2.0]) + 0j
         assert algebra._eig_modal(A) is None
         M = lyap(A, Q)
-        assert np.array_equal(M, algebra._sign_lyap(A, Q))
+        assert np.array_equal(M, algebra._direct_lyap(A, Q))
         exact = mpmath_lyap(A, Q)
         assert np.linalg.norm(M - exact) <= 1e-13 * np.linalg.norm(exact)
 
-    def test_refinement_meets_the_gate_the_first_solve_misses(self):
-        """A non-normal triangular drift in a dense basis: the sign iteration alone misses."""
-        rng = np.random.default_rng([8, 0, 19])
-        X = non_normal_triangular(rng, 8)
-        U = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))[0]
-        X = U @ X @ U.conj().T
-        Q = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        Q = Q + Q.conj().T
-        first = algebra._hermitian(algebra._sign_solve(algebra._sign_steps(X), Q))
-        assert not algebra._meets_residual(X, first, Q)
-        assert algebra._meets_residual(X, algebra._sign_lyap(X, Q), Q)
+    def test_kronecker_solve_meets_the_gate_on_rotated_non_normal_drifts(self, monkeypatch):
+        """Non-normal triangular drifts in a dense basis, n = 4-8: one LU meets the gate, no Bartels-Stewart."""
+        def no_schur(X, Qs):
+            raise AssertionError(f"_schur_lyap reached at n = {len(X)}")
+
+        monkeypatch.setattr(algebra, "_schur_lyap", no_schur)
+        for n in range(4, 9):
+            for seed in range(10):
+                rng = np.random.default_rng([n, seed, 19])
+                X = non_normal_triangular(rng, n)
+                U = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+                X = U @ X @ U.conj().T
+                Q = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                Q = Q + Q.conj().T
+                M, route = algebra._lyap(X, Q, None)
+                assert route == "direct" and algebra._meets_residual(X, M, Q)
 
     def test_non_hermitian_q_misses_the_residual_gate(self, rng):
         """Every route returns Hermitian M, so none meets the gate: ``lyap`` raises."""
@@ -179,7 +184,7 @@ class TestLyap:
         """A solve that ends in NaN (here from a NaN right-hand side) raises rather than returns."""
         X, _ = _hurwitz_draw(rng, 3)
         with pytest.raises(np.linalg.LinAlgError, match="relative residual nan"):
-            algebra._sign_lyap(X, np.full((3, 3), np.nan, dtype=complex))
+            algebra._direct_lyap(X, np.full((3, 3), np.nan, dtype=complex))
 
     def test_stack_matches_one_solve_at_a_time(self, rng):
         """``_lyap`` on a stack of right-hand sides, by either route, equals ``lyap`` on each."""

@@ -255,7 +255,7 @@ class TestCli:
         assert main(["gm", p]) == 0
         assert json.loads(capsys.readouterr().out)["globally_minimal"] is True
 
-    @pytest.mark.parametrize("example, route", [("absorber", "modal"), ("gm2_0", "sign")])
+    @pytest.mark.parametrize("example, route", [("absorber", "modal"), ("gm2_0", "direct")])
     def test_gm_solves_the_lyapunov_equation_once(self, workdir, capsys, monkeypatch, example, route):
         from conftest import gm2_system
         from qls import stationary
@@ -402,6 +402,15 @@ class TestCli:
         assert abs(stages[0]["c"] - 14.39) < 5e-3
         assert abs(stages[1]["c"] - 0.2) < 7e-3
 
+    def test_cascade_id_pole_not_in_data_exits_3(self, workdir, rng, capsys):
+        p = write(workdir / "pair.json", _cli_inputs(rng)["pair"])
+        order = write(workdir / "order.json", [[100.0, 100.0]])
+        out = workdir / "casc.json"
+        assert main(["cascade-id", p, "--pole-order", order, "-o", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numerical" and err["message"].startswith("requested pole (100+100j) ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("malformed", [False, True], ids=["missing", "malformed"])
     @pytest.mark.parametrize("command", ["validate", "realize-tf", "realize-ps", "realize-noisy",
                                          "cascade-id", "pole-order", "qfi", "sweep"])
@@ -426,6 +435,20 @@ class TestCli:
         assert main(["absorber", p, "-o", out]) == 0
         data = json.load(open(out))
         assert data["purity_residual"] < 1e-6
+
+    @pytest.mark.parametrize("command", ["ps", "gm", "split", "qfi", "sweep"])
+    def test_input_channel_count_mismatch_exits_2(self, workdir, rng, capsys, command):
+        """A 2-channel input on a 1-channel system is named as such, not left to numpy."""
+        inputs = _cli_inputs(rng)
+        payload = {"qfi": inputs["family"], "sweep": inputs["sweep"]}.get(command, qio.system_to_json(cavity()))
+        data = write(workdir / "data.json", payload)
+        v = write(workdir / "v.json", qio.input_to_json(InputCovariance(*random_pure_input(rng, 2))))
+        out = workdir / "out.json"
+        assert main([command, data, "--input", v, "-o", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"
+        assert err["message"] == f"input covariance {v} has 2 channels but the system has 1"
+        assert not out.exists()
 
     def test_qfi_both_methods(self, workdir, capsys):
         from conftest import squeezed_input
@@ -553,7 +576,7 @@ class TestCli:
     def test_scipy_is_imported_only_inside_two_functions(self):
         """scipy is imported by no module at load time, and inside no function but
         ``sampling.random_symplectic`` (``expm``) and ``algebra._schur_lyap``, the
-        last resort of the Lyapunov sign route."""
+        Lyapunov direct route past ``algebra.KRON_MAX`` and for its misses."""
         import ast
         from pathlib import Path
 
@@ -574,7 +597,7 @@ class TestCli:
         (["validate", "{sys}"], False),
         (["tf", "{sys}", "--grid", "[[0, 1], [0, -2]]"], False),
         (["ps", "{sys}", "--input", "{input}"], False),
-        (["gm", "{gm2_0}"], False),  # a defective drift: the sign-function fallback
+        (["gm", "{gm2_0}"], False),  # a defective drift: the Kronecker fallback
         (["gm", "{sys}"], False),
         (["split", "{gm2_m1}", "--input", "{sq05}"], False),
         (["absorber", "{sys}"], False),
@@ -593,8 +616,8 @@ class TestCli:
 
         Every Lyapunov solve (stationary states, flat Gramians, the
         time-route QFI, the noise-coupling polish of `realize-noisy`) runs
-        on numpy alone: in the drift's eigenbasis, or by the sign function
-        for a defective drift.
+        on numpy alone: in the drift's eigenbasis, or by one LU of the
+        Kronecker form for a defective drift of size up to ``algebra.KRON_MAX``.
         """
         from conftest import gm2_system, squeezed_input
 

@@ -176,6 +176,23 @@ class TestSisoCascadeIdentify:
         assert abs(st2.c - 14.39) < 5e-3
         assert tf_equal(casc.to_system(), sys, tol=1e-6)
 
+    @pytest.mark.parametrize("case", ["far", "zero", "twice", "extra"])
+    def test_pole_order_names_a_pole_not_left_to_peel(self, case):
+        """A requested pole that no remaining pair matches raises; it is not replaced by the nearest."""
+        xi_m, xi_p = scalar_parts(two_mode_cascade_example())
+        small = [p for p in xi_m.poles if abs(p.real) < 1.0][0]
+        big = [p for p in xi_m.poles if abs(p.real) > 1.0][0]
+        order = {"far": [100 + 100j], "zero": [0j], "twice": [small, small], "extra": [small, big, small]}[case]
+        with pytest.raises(IdentificationError, match=f"requested pole {re.escape(str(order[-1]))} "):
+            siso_cascade_identify(xi_m, xi_p, pole_order=order)
+
+    def test_pole_order_matches_either_member_of_a_pair(self):
+        xi_m, xi_p = scalar_parts(two_mode_cascade_example())
+        small = [p for p in xi_m.poles if abs(p.real) < 1.0][0]
+        want = siso_cascade_identify(xi_m, xi_p, pole_order=[small]).stages
+        for z in (small.conjugate(), small * (1 + 1e-8)):
+            assert siso_cascade_identify(xi_m, xi_p, pole_order=[z]).stages == want
+
     def test_one_stage_roundtrip_exact(self):
         stage = OneModeParams(1.4, 0.8, 0.3 - 0.5j)
         sys = stage.to_system()

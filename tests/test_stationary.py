@@ -91,8 +91,8 @@ class TestSolveLyapunov:
         vac = InputCovariance.vacuum(1)
         modal = solve_lyapunov(absorber_two_mode_example(), vac)
         assert modal.route == "modal" and modal.residual <= 1e-14
-        defective = solve_lyapunov(gm2_system(0.0), vac)  # kappa_F(V) ~ 1e8: the sign route
-        assert defective.route == "sign" and defective.residual <= 1e-14
+        defective = solve_lyapunov(gm2_system(0.0), vac)  # kappa_F(V) ~ 1e8: the direct route
+        assert defective.route == "direct" and defective.residual <= 1e-14
 
 
 def _separated_part(rng, n, m):
@@ -132,30 +132,30 @@ class TestSolveLyapunovCascade:
         assert np.array_equal(state.P, state.P.conj().T)
 
     def test_no_schur_form_of_the_whole_drift(self, monkeypatch):
-        """Neither an ``eig`` nor a sign-route solve of the whole drift: only the parts' eigs."""
-        sign_sizes, eig_sizes = [], []
-        sign, eig = algebra._sign_lyap, np.linalg.eig
+        """Neither an ``eig`` nor a direct-route solve of the whole drift: only the parts' eigs."""
+        direct_sizes, eig_sizes = [], []
+        direct, eig = algebra._direct_lyap, np.linalg.eig
 
-        def counting_sign(X, Q):
-            sign_sizes.append(np.shape(X)[0])
-            return sign(X, Q)
+        def counting_direct(X, Q):
+            direct_sizes.append(np.shape(X)[0])
+            return direct(X, Q)
 
         def counting_eig(X):
             eig_sizes.append(np.shape(X)[0])
             return eig(X)
 
-        monkeypatch.setattr(algebra, "_sign_lyap", counting_sign)
+        monkeypatch.setattr(algebra, "_direct_lyap", counting_direct)
         monkeypatch.setattr(np.linalg, "eig", counting_eig)
         rng = np.random.default_rng(7)
         cascade = series_product(_separated_part(rng, 3, 1), _separated_part(rng, 5, 1))
         assert solve_lyapunov(cascade, InputCovariance.vacuum(1)).route == "modal"
-        assert sign_sizes == [] and sorted(eig_sizes) == [6, 10]  # the parts' own eigs
+        assert direct_sizes == [] and sorted(eig_sizes) == [6, 10]  # the parts' own eigs
         eig_sizes.clear()
         res = absorber.dual_system(absorber_two_mode_example())
-        assert sign_sizes == [] and max(eig_sizes) == 4  # 2-mode systems only, never the 4-mode cascade
+        assert direct_sizes == [] and max(eig_sizes) == 4  # 2-mode systems only, never the 4-mode cascade
         assert res.combined.n == 4
 
-    def test_ill_conditioned_whole_drift_is_rerouted_to_sign(self):
+    def test_ill_conditioned_whole_drift_is_rerouted_to_direct(self):
         """The 1 + 1 cascade of test_matches_dense_solve, solved whole: kappa_F(V) ~ 310."""
         rng = np.random.default_rng([1, 1, 1])
         cascade = series_product(_separated_part(rng, 1, 1), _separated_part(rng, 1, 1))
@@ -164,10 +164,10 @@ class TestSolveLyapunovCascade:
         modal = algebra._eig_modal(X)
         assert modal is not None and not algebra._meets_residual(X, algebra._modal_lyap(modal, Q), Q)
         M, route = algebra._lyap(X, Q, modal)
-        assert route == "sign" and np.array_equal(M, algebra._sign_lyap(X, Q))
+        assert route == "direct" and np.array_equal(M, algebra._direct_lyap(X, Q))
         exact = mpmath_lyap(X, Q)
         assert np.linalg.norm(M - exact) <= 1e-13 * np.linalg.norm(exact)
-        assert solve_lyapunov(QLSystem.from_drift(X, cascade.C, cascade.S), V).route == "sign"
+        assert solve_lyapunov(QLSystem.from_drift(X, cascade.C, cascade.S), V).route == "direct"
         assert solve_lyapunov(cascade, V).route == "modal"  # the parts are well conditioned
 
     def test_zero_mode_parts(self, rng):
@@ -181,7 +181,7 @@ class TestSolveLyapunovCascade:
         assert solve_lyapunov(series_product(empty, empty), V).P.shape == (0, 0)
 
 
-def _sign_sweep(family):
+def _fallback_sweep(family):
     """Seeded (X, Q) draws with Hurwitz X and Hermitian Q on which the modal route is weak or absent."""
     if family == "jordan":  # exactly defective: one eigenvector
         for n in range(2, 65):
@@ -199,7 +199,7 @@ def _sign_sweep(family):
                 cascade = series_product(_separated_part(rng, k, 1), _separated_part(rng, k, 1))
                 V = InputCovariance(*random_pure_input(rng, 1))
                 yield cascade.A, -stationary._noise_matrix(cascade, V)
-    else:  # non-normal triangular, and in a random unitary basis (n <= 8 need refining, n >= 16 Bartels-Stewart)
+    else:  # non-normal triangular, and in a random unitary basis
         for n, rotate in [(n, False) for n in (2, 4, 8, 16, 32, 64)] + [(n, True) for n in (4, 5, 6, 8, 16, 32)]:
             for seed in range(10 if rotate else 3):
                 rng = np.random.default_rng([n, seed, 19])
@@ -212,23 +212,25 @@ def _sign_sweep(family):
 
 
 @pytest.mark.parametrize("family", ["jordan", "gm2", "cascade", "triangular"])
-def test_sign_route_sweep(family, monkeypatch):
-    """The sign route meets the residual gate on every draw; it agrees with scipy's
+def test_direct_route_sweep(family, monkeypatch):
+    """The direct route meets the residual gate on every draw; it agrees with scipy's
     Bartels-Stewart solve except on the triangular draws, whose forward error is
-    bounded only by their (large) condition numbers.  Only the dense triangular
-    draws of n >= 16 reach the route's Bartels-Stewart last resort."""
+    bounded only by their (large) condition numbers.  Sizes up to KRON_MAX never
+    reach ``_schur_lyap`` (one Kronecker LU suffices) and every larger size does."""
     from scipy.linalg import solve_sylvester
 
     escalated = []
     schur_lyap = algebra._schur_lyap
     monkeypatch.setattr(algebra, "_schur_lyap", lambda X, Qs: escalated.append(len(X)) or schur_lyap(X, Qs))
-    for X, Q in _sign_sweep(family):
+    sizes = []
+    for X, Q in _fallback_sweep(family):
+        sizes.append(len(X))
         M, route = algebra._lyap(X, Q, None)
-        assert route == "sign" and algebra._meets_residual(X, M, Q)
+        assert route == "direct" and algebra._meets_residual(X, M, Q)
         if family != "triangular":
             ref = solve_sylvester(X, X.conj().T, Q)
             assert np.linalg.norm(M - ref) <= 1e-12 * np.linalg.norm(ref)
-    assert escalated == ([16] * 10 + [32] * 10 if family == "triangular" else [])
+    assert escalated == [n for n in sizes if n > algebra.KRON_MAX]
 
 
 def test_result_records_compare_by_identity(rng):
