@@ -403,7 +403,8 @@ def _direct_lyap(X, Q):
 
 
 def _schur_lyap(X, Qs):
-    """Bartels-Stewart (``scipy.linalg.solve_sylvester``, backward stable) for a stack of Q, M made Hermitian.
+    """Bartels-Stewart (``scipy.linalg.solve_continuous_lyapunov``, one Schur form of X, backward stable)
+    for a stack of Q, M made Hermitian.
 
     The route of ``_direct_lyap`` for n > KRON_MAX and for its misses, and
     the only Lyapunov solver that imports ``scipy.linalg``.
@@ -412,9 +413,12 @@ def _schur_lyap(X, Qs):
         np.linalg.LinAlgError: when a matrix still misses LYAP_RESID_MAX (a
             non-Hermitian Q always does), with its relative residual.
     """
-    from scipy.linalg import solve_sylvester
+    from scipy.linalg import solve_continuous_lyapunov
 
-    M = _hermitian(np.array([solve_sylvester(X, X.conj().T, Q) for Q in Qs]))
+    if np.isfinite(X).all() and np.isfinite(Qs).all():
+        M = _hermitian(np.array([solve_continuous_lyapunov(X, Q) for Q in Qs]))
+    else:  # scipy rejects non-finite input; a NaN solution misses the gate below
+        M = np.full(np.shape(Qs), np.nan, dtype=complex)
     resid = _relative_residuals(X, M, Qs)
     if not np.all(resid <= LYAP_RESID_MAX):
         raise np.linalg.LinAlgError(f"Lyapunov solve missed its accuracy bound: relative residual "

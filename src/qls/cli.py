@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import io as qio
+from .io import InputError
 from .algebra import flat_unitary_residual
 from .estimation import (
     destabilized_scaling_check,
@@ -40,10 +41,6 @@ from .realization import (
     siso_cascade_identify,
 )
 from .stationary import InputCovariance, _global_minimality, power_spectrum, pure_mixed_split
-
-
-class InputError(ValueError):
-    """Malformed or physically invalid input (exit code 2)."""
 
 
 def _load(path, parse, what):
@@ -231,7 +228,7 @@ def _sweep_spec(data):
 
     The first family is built here, so that a malformed file fails on loading.
     """
-    couplings = [float(c) for c in data["couplings"]]
+    couplings = [qio.finite_float(c, "coupling") for c in data["couplings"]]
     name, half = data.get("coupling_target", "C.minus").split(".")
     row = int(data.get("coupling_row", 0))
     col = int(data.get("coupling_col", 0))
@@ -339,6 +336,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():  # argparse's float() accepts nan and inf
+            if isinstance(value, float):
+                qio.finite_float(value, "--" + name.replace("_", "-"))
         args.fn(args)
     except InputError as exc:
         print(qio.dump_json({"error": "input", "message": str(exc)}), file=sys.stderr)

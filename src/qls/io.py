@@ -15,6 +15,7 @@ partner entry of Omega so the family stays well formed.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -24,20 +25,34 @@ from .realization import RationalMatrixFunction
 from .stationary import InputCovariance
 
 
+class InputError(ValueError):
+    """Malformed or physically invalid input (CLI exit code 2)."""
+
+
+def finite_float(x, what):
+    """float(x); InputError naming the value unless it is finite (json and float() accept NaN and Infinity)."""
+    value = float(x)
+    if not math.isfinite(value):
+        raise InputError(f"{what} must be a finite number, got {x!r}")
+    return value
+
+
 def complex_to_pair(z):
     z = complex(z)
     return [z.real, z.imag]
 
 
 def pair_to_complex(p):
-    """The complex number of an [re, im] pair; ValueError unless p is two numbers."""
+    """The complex number of an [re, im] pair; InputError unless p is two finite numbers."""
     try:
         re, im = p
         if bool not in (type(re), type(im)):
-            return complex(re, im)
+            z = complex(re, im)
+            if math.isfinite(z.real) and math.isfinite(z.imag):
+                return z
     except (TypeError, ValueError):
         pass
-    raise ValueError(f"expected an [re, im] pair of two numbers, got {p!r}")
+    raise InputError(f"expected an [re, im] pair of two finite numbers, got {p!r}")
 
 
 def _pairs(a):
@@ -124,7 +139,7 @@ def family_from_json(data):
     valid Hamiltonian.
     """
     base = system_from_json(data["base"])
-    fd_step = float(data.get("fd_step", 0.0))
+    fd_step = finite_float(data.get("fd_step", 0.0), "fd_step")
     shapes = {"S": (base.m, base.m), "C": (base.m, base.n), "Omega": (base.n, base.n)}
     deps = []  # (block name, 0 minus / 1 plus, row, col, coefficient), parsed once
     for dep in data.get("dependencies", []):

@@ -15,9 +15,8 @@ Four reconstruction routes are implemented:
   couplings fixed by the physicality conditions.
 
 Rational data is carried as poles + rank-one residues + constant term
-(`RationalMatrixFunction`); helpers extract that form from model objects by
-sampling near the poles, the same way an experimenter would fit measured
-frequency data.
+(`RationalMatrixFunction`); ``tf_as_rational`` and ``ps_as_rational`` read
+it off a system's cached eigendecomposition A = V diag(lambda) V^-1.
 """
 
 from dataclasses import dataclass
@@ -44,10 +43,10 @@ from .model import (
     series_product,
     transfer_function,
 )
-from .stationary import InputCovariance, _vacuum_rotated, power_spectrum, vacuum_covariance
+from .stationary import _vacuum_rotated, vacuum_covariance
 
 POLE_MATCH_TOL = 1e-6   # absolute pole-location matching
-RESIDUE_EPS = 1e-5      # radius for residue extraction by limit evaluation
+PIVOT_RATIO = 0.1       # J-norm ratio below which cascade deflation leaves the damping order
 NOISE_RANK_TOL = 1e-12  # relative eigenvalue of C1^dag C1 below which a noise row is zero
 NOISE_RESTARTS = 50     # perturbed restarts of a noise-coupling polish stuck above the bound
 
@@ -95,40 +94,44 @@ class RationalMatrixFunction:
         return complex(self(s)[0, 0])
 
 
-def rational_from_callable(f, poles, constant):
-    """Build a RationalMatrixFunction by limit evaluation at known pole locations.
+def _modal_residues(sys):
+    """(lambda, V^-1, R) with Xi(s) = S + sum_k R_k / (s - lambda_k), R_k = -(C V)_k (V^-1 C^b S)_k,
+    read off the cached A = V diag(lambda) V^-1.
 
-    Each residue averages (s - p) f(s) over four points on a circle of radius
-    RESIDUE_EPS around p; `f` maps a grid to a stack and is called once.
+    Raises IdentificationError when V is numerically singular,
+    kappa_F(V) = sqrt(2n) ||V^-1||_F >= 1/eps: a defective drift has no pole/residue form.
     """
-    poles = np.asarray(poles, dtype=complex).reshape(-1)
-    offsets = [RESIDUE_EPS * np.exp(1j * t) for t in (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)]
-    s = (poles[:, None] + np.array(offsets)).ravel()
-    vals = (s - np.repeat(poles, 4))[:, None, None] * f(s)
-    vals = vals.reshape(len(poles), 4, *vals.shape[1:])
-    residues = (((vals[:, 0] + vals[:, 1]) + vals[:, 2]) + vals[:, 3]) / 4.0
-    return RationalMatrixFunction(constant=constant, poles=tuple(poles), residues=residues)
+    lam, V = sys._eig
+    try:
+        Vi = np.linalg.inv(V)
+        if np.sqrt(len(V)) * np.linalg.norm(Vi) * np.finfo(float).eps < 1.0:
+            return lam, Vi, -(sys.C @ V).T[:, :, None] * (Vi @ flat_adjoint(sys.C) @ sys.S)[:, None, :]
+    except np.linalg.LinAlgError:
+        pass
+    raise IdentificationError("the drift matrix has a singular eigenbasis (defective); no pole/residue form")
 
 
 def tf_as_rational(sys):
-    """Pole/residue form of the transfer function, poles read off eig(A)."""
-    return rational_from_callable(lambda s: freq_response(sys, s), sys.poles, sys.S)
+    """Pole/residue form of the transfer function (``_modal_residues``)."""
+    lam, _, residues = _modal_residues(sys)
+    return RationalMatrixFunction(constant=sys.S, poles=lam, residues=residues)
 
 
 def ps_as_rational(sys, V):
     """Pole/residue form of Psi(s) J for a pure input, expressed in the vacuum basis.
 
-    Poles are eig(A) together with the mirrored set -conj(eig(A)); the
-    constant term is the scattering floor S V_vac S^b.
+    With the rotated system's Xi residues R_k (``_modal_residues``), the residue is
+    Q_k = R_k V_vac Xi(-conj lambda_k)^dag J at lambda_k and, as Psi(s) = Psi(-conj s)^dag,
+    -J Q_k^dag J at -conj(lambda_k).  The constant term is the scattering floor S V_vac S^b.
     """
     rotated, _ = _vacuum_rotated(sys, V)
-    lam = rotated.poles
-    poles = np.concatenate([lam, -lam.conj()])
-    vac = InputCovariance.vacuum(sys.m)
-    J = jmat(sys.m)
-    const = rotated.S @ vacuum_covariance(sys.m) @ flat_adjoint(rotated.S)
-
-    return rational_from_callable(lambda s: power_spectrum(rotated, vac, s) @ J, poles, const)
+    lam, _, R = _modal_residues(rotated)
+    J, vac = jmat(sys.m), vacuum_covariance(sys.m)
+    mirror = freq_response(rotated, -lam.conj()).conj().transpose(0, 2, 1)  # Xi(-conj lambda_k)^dag
+    Q = R @ vac @ mirror @ J
+    residues = np.concatenate([Q, -J @ Q.conj().transpose(0, 2, 1) @ J])
+    const = rotated.S @ vac @ flat_adjoint(rotated.S)
+    return RationalMatrixFunction(constant=const, poles=np.concatenate([lam, -lam.conj()]), residues=residues)
 
 
 def _rank_one_factor(R):
@@ -236,18 +239,21 @@ def siso_cascade_identify(xi_minus, xi_plus, pole_order="damping"):
     which the drift is block lower-triangular in pole order: physical
     realizability then forces every lower block to be -C_i^b C_j, which is
     ``series_product`` of the stages.  The basis rows are left eigenvectors
-    of A, made J-orthonormal one conjugate pole pair at a time: the pairs
-    already taken are projected out, the J-positive member of the pair
-    [w, Sigma conj(w)] is kept (their 2 x 2 form is diag(a, -a), since
-    J Sigma is antisymmetric), and a Bogoliubov rotation within the pair
-    makes the stage couple as Delta(c, 0) with c = sqrt(-2 Re lambda) > 0.
+    of A (rows of V^-1), made J-orthonormal one conjugate pole pair at a
+    time: the pairs already taken are projected out, the J-positive member
+    of the pair [w, Sigma conj(w)] is kept (their 2 x 2 form is diag(a, -a),
+    since J Sigma is antisymmetric), and a Bogoliubov rotation within the
+    pair makes the stage couple as Delta(c, 0) with c = sqrt(-2 Re lambda).
 
-    ``pole_order`` is either the default ``"damping"`` (descending |Re|) or
-    an explicit sequence of pole-pair representatives choosing the first
-    stages, each matched within POLE_MATCH_TOL max(1, |z|) to a pair not
-    yet peeled.  Raises IdentificationError when the data is not of this
-    form, a requested pole matches no such pair, or a pole pair is
-    J-neutral, i.e. has no pure cascade in that order.
+    ``pole_order`` is the default ``"damping"`` (descending |Re|) or a
+    sequence of pole-pair representatives choosing the first stages, each
+    matched within POLE_MATCH_TOL max(1, |z|) to a pair not yet peeled.  In
+    the damping order, a pair whose J-norm ratio |a| / ||w||^2 is below
+    PIVOT_RATIO gives way to the pair with the largest ratio (column
+    pivoting), since a nearly J-neutral pair makes the basis ill-conditioned.
+    Raises IdentificationError when the data is not of this form, a
+    requested pole matches no such pair, the pair taken is J-neutral (no
+    pure cascade in that order) or the basis is not symplectic.
     """
     poles = np.array(xi_minus.poles, dtype=complex)
     for p in xi_plus.poles:
@@ -268,35 +274,40 @@ def siso_cascade_identify(xi_minus, xi_plus, pole_order="damping"):
 
     n = sys.n
     J, Sig = jmat(n), sigma_swap(n)
-    mu, W = np.linalg.eig(sys.A.conj().T)  # w^dag A = conj(mu) w^dag
-    lam = mu.conj()
+    lam, Vi, _ = _modal_residues(sys)  # row k of V^-1 is a left eigenvector: Vi[k] A = lambda_k Vi[k]
     todo = [int(i) for i in np.argsort(lam.real) if lam[i].imag > 0]  # descending |Re|
     wanted = [] if pole_order == "damping" else [complex(z) for z in pole_order]
-    order = []
-    for z in wanted:
-        k = _pole_index(lam[todo], complex(z.real, abs(z.imag)),
+    for j, z in enumerate(wanted):  # requested pairs go first, in their order
+        k = _pole_index(lam[todo[j:]], complex(z.real, abs(z.imag)),
                         f"requested pole {z} is not among the data's pole pairs not yet peeled")
-        order.append(todo.pop(k))
-    order += todo
+        todo.insert(j, todo.pop(j + k))
 
     P = np.zeros((2 * n, 0), dtype=complex)  # stage vectors so far: P^dag J P = 1
     cs = []
-    for i in order:
-        w = W[:, i]
+    while todo:
+        W = Vi[todo].conj().T
         N = Sig @ P.conj()  # their partners: N^dag J N = -1
-        w = w - P @ (P.conj().T @ (J @ w)) + N @ (N.conj().T @ (J @ w))
-        a = np.real(w.conj() @ J @ w)
-        if abs(a) <= 1e-8 * np.real(w.conj() @ w):
-            raise IdentificationError(
-                f"pole {lam[i]:.6g} is J-neutral after deflation; no pure cascade in this order"
-            )
-        q = (w if a > 0 else Sig @ w.conj()) / np.sqrt(abs(a))
+        W = W - P @ (P.conj().T @ (J @ W)) + N @ (N.conj().T @ (J @ W))
+        a = np.einsum("ik,ik->k", W.conj(), J @ W).real
+        ratio = np.abs(a) / np.linalg.norm(W, axis=0) ** 2
+        k = 0 if len(cs) < len(wanted) or ratio[0] >= PIVOT_RATIO else int(np.argmax(ratio))
+        if not ratio[k] > 1e-8:
+            raise IdentificationError(f"pole pair {lam[todo[k]]:.6g} is J-neutral after deflation "
+                                      f"(J-norm ratio {ratio[k]:.2e}); no pure cascade in this order")
+        todo.pop(k)
+        q = (W[:, k] if a[k] > 0 else Sig @ W[:, k].conj()) / np.sqrt(abs(a[k]))
         x, y = sys.C @ (J @ q)  # the stage couples as Delta(x, conj(y))
         c = np.sqrt(abs(x) ** 2 - abs(y) ** 2)
         P = np.column_stack([P, (np.conj(x) * q + y * (Sig @ q.conj())) / c])
         cs.append(c)
 
-    om, op = du_blocks(gauge_transform(sys, np.vstack([P.conj().T, P.T @ Sig])).Omega)
+    T = np.vstack([P.conj().T, P.T @ Sig])
+    try:
+        om, op = du_blocks(gauge_transform(sys, T).Omega)
+    except ValueError:  # gauge_transform's symplectic check: the rest holds by construction
+        defect = np.linalg.norm(flat_adjoint(T) @ T - np.eye(2 * n))
+        raise IdentificationError(f"cascade basis is not symplectic (defect {defect:.2e}, "
+                                  f"cond(T) {np.linalg.cond(T):.2e})") from None
     return CascadeRealization(stages=tuple(
         OneModeParams(float(c), float(om[k, k].real), complex(op[k, k])) for k, c in enumerate(cs)
     ))
@@ -335,7 +346,6 @@ def gilbert_realize(tf):
 
     upper = [i for i, p in enumerate(poles) if p.imag > 0]
     lam, B_rows, C_cols = [], [], []
-    mirror_B, mirror_C = [], []
     for i in upper:
         p = poles[i]
         R, Rbar = tf.residues[i], tf.residues[partner[i]]
@@ -346,12 +356,10 @@ def gilbert_realize(tf):
         row, col = row * ph, col / ph
         B_rows.append(row)
         C_cols.append(col)
-        mirror_B.append(row.conj() @ Sig)
-        mirror_C.append(Sig @ col.conj())
         lam.append(p)
     A0 = np.diag(np.concatenate([lam, np.conj(lam)]))
-    B0 = np.vstack(B_rows + mirror_B)
-    C0 = np.hstack(C_cols + mirror_C)
+    B0 = np.vstack(B_rows + [row.conj() @ Sig for row in B_rows])
+    C0 = np.hstack(C_cols + [Sig @ col.conj() for col in C_cols])
     ss = StateSpace(A=A0, B=B0, C=C0, D=tf.constant)
     # round-trip defect against the rational data
     smax = 3.0 * max(1.0, scale)
@@ -662,14 +670,8 @@ def noisy_realize(ss, n_noise, rng=None):
 
 def accessible_block(sys, channels):
     """The Xi block mapping the listed (accessible) input channels to themselves."""
-    idx = list(channels)
-
-    def f(s):
-        Xi = transfer_function(sys, s)
-        Xm, _ = du_blocks(Xi)
-        return Xm[np.ix_(idx, idx)]
-
-    return f
+    idx = np.ix_(list(channels), list(channels))
+    return lambda s: du_blocks(transfer_function(sys, s))[0][idx]
 
 
 def nus_detect(sys, accessible):
@@ -684,11 +686,7 @@ def nus_detect(sys, accessible):
     Cm = du_blocks(sys.C)[0]
     noise_rows = [i for i in range(sys.m) if i not in set(accessible)]
     c2 = Cm[noise_rows, :]
-    vals, vecs = np.linalg.eig(Am.conj().T)
-    out = []
+    vecs = np.linalg.eig(Am.conj().T)[1]
     cscale = max(np.linalg.norm(c2), 1e-30)
-    for k in range(vecs.shape[1]):
-        y = vecs[:, k]
-        if np.linalg.norm(c2 @ y) <= 1e-8 * cscale * np.linalg.norm(y):
-            out.append(y)
-    return out
+    keep = np.linalg.norm(c2 @ vecs, axis=0) <= 1e-8 * cscale * np.linalg.norm(vecs, axis=0)
+    return list(vecs.T[keep])

@@ -115,3 +115,18 @@ def eigs_close(a, b, atol=1e-8):
             return False
         b.pop(k)
     return True
+
+
+def mpmath_residues(sys, dps=40):
+    """Poles and residues -(C V)_k (V^-1 C^b S)_k of Xi from a dps-digit eigendecomposition of A, as numpy arrays."""
+    import mpmath
+
+    from qls.algebra import flat_adjoint
+
+    to_mp = lambda M: mpmath.matrix([[mpmath.mpc(z) for z in row] for row in np.asarray(M)])
+    to_np = lambda M: np.array([[complex(M[i, j]) for j in range(M.cols)] for i in range(M.rows)])
+    with mpmath.workdps(dps):
+        lam, V = mpmath.eig(to_mp(sys.A))
+        left = to_np(mpmath.inverse(V) * to_mp(flat_adjoint(sys.C) @ sys.S))
+        right = to_np(to_mp(sys.C) * V)
+    return np.array([complex(z) for z in lam]), -right.T[:, :, None] * left[:, None, :]

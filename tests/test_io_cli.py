@@ -436,6 +436,42 @@ class TestCli:
         data = json.load(open(out))
         assert data["purity_residual"] < 1e-6
 
+    @pytest.mark.parametrize("kind", ["system", "input", "rational", "grid", "couplings", "fd_step",
+                                      "--theta", "--fd-step", "--gm-tol", "--tol"])
+    def test_non_finite_number_exits_2(self, workdir, rng, capsys, kind):
+        """json and argparse's float() read NaN and Infinity; every reader rejects them and names the value."""
+        nan, inf = float("nan"), float("inf")
+        inputs = _cli_inputs(rng)
+        sys_json = qio.system_to_json(cavity())
+        bad_sys = json.loads(json.dumps(sys_json))
+        bad_sys["Omega"]["minus"][0][0] = [nan, 0.0]
+        p = {name: write(workdir / f"{name}.json", data) for name, data in (
+            ("sys", sys_json), ("fam", inputs["family"]), ("bad_sys", bad_sys),
+            ("bad_input", {"N": [[[nan, 0.0]]], "M": [[[0.0, 0.0]]]}),
+            ("bad_tf", dict(inputs["rtf"], poles=[[inf, 1.0]] + inputs["rtf"]["poles"][1:])),
+            ("bad_sweep", dict(inputs["sweep"], couplings=[1.0, nan])),
+            ("bad_fam", dict(inputs["family"], fd_step=inf)))}
+        args, value = {
+            "system": (["gm", p["bad_sys"]], "nan"),
+            "input": (["ps", p["sys"], "--input", p["bad_input"]], "nan"),
+            "rational": (["realize-tf", p["bad_tf"]], "inf"),
+            "grid": (["tf", p["sys"], "--grid", "[[0.0, 1.0], [NaN, 2.0]]"], "nan"),
+            "couplings": (["sweep", p["bad_sweep"]], "nan"),
+            "fd_step": (["qfi", p["bad_fam"]], "inf"),
+            "--theta": (["qfi", p["fam"], "--theta", "nan"], "nan"),
+            "--fd-step": (["qfi", p["fam"], "--fd-step=-inf"], "-inf"),
+            "--gm-tol": (["gm", p["sys"], "--gm-tol", "nan"], "nan"),
+            "--tol": (["validate", p["sys"], "--tol", "inf"], "inf"),
+        }[kind]
+        out = workdir / "out.json"
+        assert main(args + ["-o", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"
+        assert "finite number" in err["message"] and value in err["message"]
+        if kind.startswith("--"):
+            assert err["message"] == f"{kind} must be a finite number, got {value}"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["ps", "gm", "split", "qfi", "sweep"])
     def test_input_channel_count_mismatch_exits_2(self, workdir, rng, capsys, command):
         """A 2-channel input on a 1-channel system is named as such, not left to numpy."""
