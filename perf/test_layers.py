@@ -30,8 +30,9 @@ which the cascade route rejects.  ``ps_realize`` takes each size's vacuum
 power-spectrum data and skips n = 32 for the same reason; ``dual_system``
 takes each size's system.  The ``freq_response_grid`` cases evaluate
 the spectra workload's sizes, (n, m, K) = (1, 1, 301), (4, 2, 301),
-(16, 1, 81) and (32, 2, 25), on K points spanning the poles' frequencies
-+/- 3, plain and along a seeded tangent: ``fresh`` builds the system inside
+(16, 1, 81) and (32, 2, 25), and one rule of the qfi workload's frequency
+route, (3, 2, 192), on K points spanning the poles' frequencies +/- 3,
+plain and along a seeded tangent: ``fresh`` builds the system inside
 the timed call (construction, eigendecomposition and grid, as for a system
 evaluated once), ``cached`` reuses one already evaluated.  The
 construction cases time ``Delta`` on the blocks of Omega,
@@ -39,7 +40,9 @@ construction cases time ``Delta`` on the blocks of Omega,
 exp(-i J R), and ``series_product`` of each system into itself; the
 ``family_evaluate`` cases evaluate a JSON family at the qfi workload's
 sizes n = 1, 2, 3 (one channel), with one dependency on each block of C
-and of Omega.
+and of Omega.  The ``stationary_qfi_rate`` cases take such a family at
+the qfi workload's sizes, n = 1, 2, 3 and m = 1, 2, at theta = 0.1 with
+every channel squeezed alike, and time both routes, ``freq`` and ``time``.
 """
 
 import numpy as np
@@ -67,6 +70,8 @@ from qls import (
     series_product,
     siso_cascade_identify,
     solve_lyapunov,
+    stationary_qfi_rate_freq,
+    stationary_qfi_rate_time,
     tf_as_rational,
     verify_absorber,
     williamson,
@@ -102,7 +107,12 @@ def _flat_gram(n):
     return flat_adjoint(T) @ T
 
 
-INPUT = InputCovariance([[0.3]], [[np.sqrt(0.3 * 1.3) * np.exp(0.4j)]])  # pure squeezed
+def _squeezed(m):
+    """The pure input squeezing each of m channels alike (N = 0.3)."""
+    return InputCovariance(0.3 * np.eye(m), np.sqrt(0.3 * 1.3) * np.exp(0.4j) * np.eye(m))
+
+
+INPUT = _squeezed(1)
 
 
 @pytest.fixture(scope="module", params=SIZES, ids=lambda n: f"n{n}")
@@ -138,15 +148,29 @@ def test_series_product(benchmark, sys):
     benchmark(series_product, sys, sys)
 
 
-@pytest.mark.parametrize("n", (1, 2, 3), ids=lambda n: f"n{n}")
-def test_family_evaluate(benchmark, n):
+def _json_family(n, m=1):
+    """A JSON family on the n-mode, m-channel system, one dependency on each block of C and of Omega."""
     entry = lambda target, c: {"target": target, "row": 0, "col": n - 1, "coefficient": [c.real, c.imag]}
-    family = qio.family_from_json({
-        "base": qio.system_to_json(_system(n)),
+    return qio.family_from_json({
+        "base": qio.system_to_json(_system(n, m)),
         "dependencies": [entry("C.minus", 0.3 + 0.5j), entry("C.plus", 0.1 - 0.2j),
                          entry("Omega.minus", 0.7 + 0j), entry("Omega.plus", 0.2 + 0.5j)],
     })
-    benchmark(family.evaluate, 0.1)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3), ids=lambda n: f"n{n}")
+def test_family_evaluate(benchmark, n):
+    benchmark(_json_family(n).evaluate, 0.1)
+
+
+QFI = [(n, m) for n in (1, 2, 3) for m in (1, 2)]  # the qfi workload's family sizes
+
+
+@pytest.mark.parametrize("route", (stationary_qfi_rate_freq, stationary_qfi_rate_time),
+                         ids=("freq", "time"))
+@pytest.mark.parametrize("n, m", QFI, ids=[f"n{n}m{m}" for n, m in QFI])
+def test_stationary_qfi_rate(benchmark, route, n, m):
+    benchmark(route, _json_family(n, m), 0.1, _squeezed(m))
 
 
 def test_freq_response_per_point(benchmark, sys):
@@ -154,9 +178,10 @@ def test_freq_response_per_point(benchmark, sys):
 
 
 SPECTRA = ((1, 1, 301), (4, 2, 301), (16, 1, 81), (32, 2, 25))  # (n, m, K)
+QFI_GRID = (3, 2, 192)  # the size of a qfi-workload rule with the tangent
 
 
-@pytest.fixture(scope="module", params=SPECTRA, ids=lambda c: f"n{c[0]}K{c[2]}")
+@pytest.fixture(scope="module", params=SPECTRA + (QFI_GRID,), ids=lambda c: f"n{c[0]}K{c[2]}")
 def grid_case(request):
     """(system, grid, seeded tangent (dS, dC, dOmega)) at one spectra size."""
     n, m, points = request.param

@@ -70,6 +70,8 @@ def coherent_qfi(family, theta0, omega, alpha, optimize_omega=False, grid=None):
     alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
     breve = np.concatenate([alpha, alpha.conj()])
     m = len(alpha)
+    sys0 = family.evaluate(theta0)
+    _channels_match(m, sys0, "alpha")
     diagnostics = {"fd_step": family.step(theta0)}
     if optimize_omega:
         if grid is None:
@@ -78,7 +80,7 @@ def coherent_qfi(family, theta0, omega, alpha, optimize_omega=False, grid=None):
     else:
         omegas = np.array([omega], dtype=float)
     tangent = family.derivatives(theta0)
-    _, dXi = freq_response(family.evaluate(theta0), -1j * omegas, tangent)
+    _, dXi = freq_response(sys0, -1j * omegas, tangent)
     # sensitivity of the output amplitude d(Xi_- alpha + Xi_+ conj(alpha))
     values = 4.0 * np.linalg.norm((dXi @ breve)[:, :m], axis=1) ** 2
     if not optimize_omega:
@@ -157,10 +159,28 @@ def _panel_edges(poles, c):
 
 
 def _dpsi(sys, Vm, omegas, tangent):
-    """dPsi(-i w) = G + G^dag, G = dXi V Xi^dag, on a frequency grid; returns (dPsi, G)."""
+    """dPsi(-i w) = G + G^dag, G = dXi V Xi^dag, on a frequency grid; returns (dPsi, G).
+
+    dXi V is one GEMM over the stacked rows of the grid and G one einsum.
+    """
     Xi, dXi = freq_response(sys, -1j * omegas, tangent)
-    G = dXi @ Vm @ Xi.conj().transpose(0, 2, 1)
+    dXiV = (dXi.reshape(-1, Vm.shape[0]) @ Vm).reshape(dXi.shape)
+    G = np.einsum("kij,klj->kil", dXiV, Xi.conj())
     return G + G.conj().transpose(0, 2, 1), G
+
+
+def _fisher_density(dPsi, jd):
+    """f(w) = -Tr(J dPsi J dPsi) = -sum_ij J_i J_j |dPsi_ij|^2 over a stack of Hermitian dPsi.
+
+    J = diag(jd); the sum form holds because dPsi_ji = conj(dPsi_ij).
+    """
+    return -(dPsi.real**2 + dPsi.imag**2).reshape(len(dPsi), -1) @ np.outer(jd, jd).ravel()
+
+
+def _channels_match(count, sys, what):
+    """ValueError naming both counts unless `what` has the system's m channels."""
+    if count != sys.m:
+        raise ValueError(f"{what} has {count} channels but the family has {sys.m}")
 
 
 def stationary_qfi_rate_freq(family, theta0, V):
@@ -168,8 +188,8 @@ def stationary_qfi_rate_freq(family, theta0, V):
 
     f(w) = -Tr(J dPsi(w) J dPsi(w)), dPsi = dXi V Xi^dag + h.c., is
     integrated over (1/2 pi) dw with the exact tangent of the family.  The
-    substitution w = c tan t, c = max |lambda|, maps the whole axis onto
-    (-pi/2, pi/2) with no tail model; the t range is split into panels at
+    substitution w = c tan t, c = max |lambda| (1 at 0 modes), maps the
+    whole axis onto (-pi/2, pi/2) with no tail model; the t range is split into panels at
     +/-Im(lambda) and +/-Im(lambda) +/- |Re(lambda)| for every pole lambda,
     so each peak is resolved at its own width.  Each panel doubles its
     Gauss-Legendre nodes from GL_FIRST until two rules agree to its share of
@@ -181,12 +201,13 @@ def stationary_qfi_rate_freq(family, theta0, V):
     used and the panel count.
     """
     sys0 = family.evaluate(theta0)
+    _channels_match(V.m, sys0, "input covariance")
     if not is_hurwitz(sys0):
         raise ValueError("family must be Hurwitz at theta0")
     tangent = family.derivatives(theta0)
     jd = np.diag(jmat(sys0.m)).real
     Vm = V.matrix()
-    c = float(np.max(np.abs(sys0.poles)))
+    c = float(np.max(np.abs(sys0.poles))) if sys0.n else 1.0
     edges = _panel_edges(sys0.poles, c)
     half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
 
@@ -196,8 +217,7 @@ def stationary_qfi_rate_freq(family, theta0, V):
         t = mid[panels, None] + half[panels, None] * x
         weights = half[panels, None] * wx * c / np.cos(t) ** 2 / (2.0 * np.pi)
         dPsi, G = _dpsi(sys0, Vm, c * np.tan(t.ravel()), tangent)
-        JdPsi = jd[:, None] * dPsi
-        f = -np.einsum("kij,kji->k", JdPsi, JdPsi).real.reshape(t.shape)
+        f = _fisher_density(dPsi, jd).reshape(t.shape)
         g = np.sum(np.abs(G) ** 2, axis=(1, 2)).reshape(t.shape)
         return np.sum(weights * f, axis=1), np.sum(weights * g, axis=1)
 
@@ -240,6 +260,7 @@ def stationary_qfi_rate_time(family, theta0, V):
     supported.
     """
     sys0 = family.evaluate(theta0)
+    _channels_match(V.m, sys0, "input covariance")
     h = family.step(theta0)
     dS, dC, dOm = family.derivatives(theta0)
     if h * np.linalg.norm(dS) > 1e-12 * max(1.0, np.linalg.norm(sys0.S)):

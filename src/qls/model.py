@@ -233,7 +233,10 @@ def freq_response(sys, s, tangent=None):
     is returned too, as a second stack.  R comes from the system's cached
     eigendecomposition A = V diag(lambda) V^-1 as V diag(1/(s - lambda)) V^-1,
     so a grid costs O(K n m^2) (O(K n^2 m) with a tangent) after one
-    O(n^3) ``eig``.  By Bauer-Fike its error relative to ||Xi|| is of order
+    O(n^3) ``eig``.  With a tangent that is a few GEMMs per grid, the grid
+    folded into their rows or columns, not small matmuls per point; the
+    plain path keeps one einsum, so that each point equals its one-point
+    call bit for bit.  By Bauer-Fike its error relative to ||Xi|| is of order
     eps kappa_F(V) (1 + ||A|| max 1/|s - lambda|): kappa_F(V) times that of a
     dense solve, which grows alike near a weakly damped pole.  A drift whose
     eigenbasis has kappa_F(V) > MODAL_COND_MAX (a defective or nearly
@@ -253,16 +256,32 @@ def freq_response(sys, s, tangent=None):
     lam, V, Vi, CV, W = modal
     C, S = sys.C, sys.S
     r = 1.0 / (s[:, None] - lam)   # (K, 2n): the resolvent's eigenvalues
-    G = np.eye(C.shape[0], dtype=complex) - _modal_sum(r, CV, W)
+    m2 = C.shape[0]
     if tangent is None:
-        return G @ S
+        return (np.eye(m2, dtype=complex) - _modal_sum(r, CV, W)) @ S
     dS, dC, dOm = tangent
+    K, n2 = r.shape
     Cb, dCb = flat_adjoint(C), flat_adjoint(dC)
-    dA = -0.5 * (dCb @ C + Cb @ dC) - 1j * jmat(C.shape[1] // 2) @ dOm
-    RW = r[:, :, None] * W         # V^-1 R C^b, point by point
-    inner = (Vi @ dA @ V) @ RW + Vi @ dCb
-    dG = -((dC @ V) @ RW + CV @ (r[:, :, None] * inner))
-    return G @ S, dG @ S + G @ dS
+    dA = -0.5 * (dCb @ C + Cb @ dC)
+    dA[: n2 // 2] -= 1j * dOm[: n2 // 2]   # - i J dOmega, J as row signs
+    dA[n2 // 2 :] += 1j * dOm[n2 // 2 :]
+    # dXi = G dS - dG S with G = 1 - CV diag(r) W and
+    # dG = dC V diag(r) W + CV diag(r) (V^-1 dA V diag(r) W + V^-1 dC^b): S enters
+    # through W S and V^-1 dC^b S, and the grid runs along the columns,
+    # RWS[:, k] = V^-1 R_k C^b S, so each product is one GEMM over the whole grid
+    WS = W @ S
+    rT = np.ascontiguousarray(r.T)[:, :, None]
+    RWS = (rT * WS[:, None, :]).reshape(n2, K * m2)
+    inner = ((Vi @ dA @ V) @ RWS).reshape(n2, K, m2) + (Vi @ dCb @ S)[:, None, :]
+    dGS = (dC @ V) @ RWS + CV @ (rT * inner).reshape(n2, K * m2)   # the dG_k S side by side
+    Xi = S - (r @ _outer(CV, WS)).reshape(K, m2, m2)
+    dXi = dS - (r @ _outer(CV, W @ dS)).reshape(K, m2, m2) - dGS.reshape(m2, K, m2).transpose(1, 0, 2)
+    return Xi, dXi
+
+
+def _outer(left, right):
+    """The outer products of the columns of left with the rows of right, one flat row each."""
+    return (left.T[:, :, None] * right[:, None, :]).reshape(len(right), left.shape[0] * right.shape[1])
 
 
 def _modal_sum(r, left, right):
@@ -272,8 +291,7 @@ def _modal_sum(r, left, right):
     depends on its own row of r alone (a single point equals its row of a grid).
     """
     a, b = left.shape[0], right.shape[1]
-    outer = (left.T[:, :, None] * right[:, None, :]).reshape(len(right), a * b)
-    return np.einsum("kn,nx->kx", r, outer).reshape(len(r), a, b)
+    return np.einsum("kn,nx->kx", r, _outer(left, right)).reshape(len(r), a, b)
 
 
 def _dense_response(sys, s, tangent):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from qls.algebra import du_blocks
+from qls.algebra import Delta, du_blocks, jmat
 from qls.estimation import (
     _dpsi,
+    _fisher_density,
     _gauss_legendre,
     coherent_qfi,
     destabilized_scaling_check,
@@ -14,11 +15,11 @@ from qls.estimation import (
     stationary_qfi_rate_freq,
     stationary_qfi_rate_time,
 )
-from qls.model import ParamFamily, QLSystem
+from qls.model import ParamFamily, QLSystem, freq_response, series_product
 from qls.sampling import random_hermitian_doubled_up, random_pure_input, random_qlsystem
 from qls.stationary import InputCovariance, power_spectrum
 
-from conftest import squeezed_input, squeezing_family
+from conftest import cavity, squeezed_input, squeezing_family
 
 
 def cavity_omega_family(c):
@@ -203,6 +204,83 @@ class TestStationaryRates:
             fam = random_active_family(rng)
             V = InputCovariance(*random_pure_input(rng, 1))
             assert stationary_qfi_rate_time(fam, 0.0, V).value > -1e-10
+
+    def test_zero_mode_family(self):
+        # no poles: the frequency rule is scaled by c = 1, as default_grid takes gap = 1
+        V = squeezed_input(0.5)
+        bare = ParamFamily(evaluate=lambda th: QLSystem(S=np.eye(2), C=np.zeros((2, 0)),
+                                                        Omega=np.zeros((0, 0))))
+        assert stationary_qfi_rate_freq(bare, 0.0, V).value == 0.0
+        assert stationary_qfi_rate_time(bare, 0.0, V).value == 0.0
+        # a theta-dependent squeezer alone: dPsi is a nonzero constant, the rate diverges
+        squeezer = ParamFamily(evaluate=lambda th: QLSystem(
+            S=Delta([[np.cosh(0.3 + th)]], [[np.sinh(0.3 + th)]]), C=np.zeros((2, 0)),
+            Omega=np.zeros((0, 0))))
+        with pytest.raises(RuntimeError, match="did not converge"):
+            stationary_qfi_rate_freq(squeezer, 0.0, V)
+
+    @pytest.mark.parametrize("route", ("freq", "time", "coherent"))
+    def test_channel_count_mismatch_names_both_counts(self, route):
+        fam = cavity_omega_family(1.3)
+        with pytest.raises(ValueError, match="has 2 channels but the family has 1"):
+            if route == "coherent":
+                coherent_qfi(fam, 0.0, 0.5, [1.0, 0.5])
+            else:
+                rate = stationary_qfi_rate_freq if route == "freq" else stationary_qfi_rate_time
+                rate(fam, 0.0, InputCovariance.vacuum(2))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the panels of a narrow peak carry its "
+                       "Lorentzian tail, and two coarse rules agree on a value 18 % low")
+    def test_near_instability_freq_route_closed_form(self):
+        g = 1e-4
+        fam = ParamFamily(evaluate=lambda th: QLSystem.passive(
+            [[1.0]], [[1.0, 0.0]], [[0.0, g], [g, th]]), fd_step=1e-7)
+        target = 3.0 / g**2 + 12.0
+        V = squeezed_input(0.5)
+        assert abs(stationary_qfi_rate_time(fam, 0.0, V).value - target) <= 1e-8 * target
+        assert abs(stationary_qfi_rate_freq(fam, 0.0, V).value - target) <= 1e-8 * target
+
+
+def _dpsi_cases():
+    """(system, tangent, input) for m = 1, 2, 3, a theta-dependent S and a defective drift."""
+    rng = np.random.default_rng(2022)
+    cases = {}
+    for n, m in ((2, 1), (2, 2), (3, 3)):
+        dS = 0.2 * Delta(rng.standard_normal((m, m)), rng.standard_normal((m, m)))
+        dC = Delta(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)),
+                   0.1 * rng.standard_normal((m, n)))
+        cases[f"m{m}"] = (random_qlsystem(rng, n, m), (dS, dC, random_hermitian_doubled_up(rng, n, 0.3)),
+                          InputCovariance(*random_pure_input(rng, m)))
+    fam, tangent = squeezing_family()
+    cases["squeezing"] = (fam.evaluate(0.0), tangent, squeezed_input(0.4))
+    pair = series_product(cavity(), cavity())  # two 2 x 2 Jordan blocks once the parts are forgotten
+    cases["defective"] = (QLSystem.from_drift(pair.A, pair.C, pair.S),
+                          (np.zeros((2, 2)), Delta([[0.3 - 0.2j, 0.5]], [[0.1, 0.0]]),
+                           Delta(np.diag([0.4, -0.7]), np.zeros((2, 2)))), squeezed_input(0.5))
+    return cases
+
+
+class TestDpsi:
+    @pytest.mark.parametrize("case", ("m1", "m2", "m3", "squeezing", "defective"))
+    def test_matches_per_point_loop(self, case):
+        sys, tangent, V = _dpsi_cases()[case]
+        assert (sys._modal is None) == (case == "defective")  # the dense path
+        Vm, omegas = V.matrix(), np.linspace(-5.0, 5.0, 41)
+        dPsi, G = _dpsi(sys, Vm, omegas, tangent)
+        # one point per call: no product mixes grid points (the evaluator's own accuracy,
+        # against the dense formulas, is tested in test_model)
+        loop = []
+        for w in omegas:
+            (Xi,), (dXi,) = freq_response(sys, [-1j * w], tangent)
+            loop.append(dXi @ Vm @ Xi.conj().T)
+        loop = np.array(loop)
+        assert np.max(np.abs(G - loop)) <= 1e-13 * np.max(np.abs(loop))
+        assert np.array_equal(dPsi, G + G.conj().transpose(0, 2, 1))
+        J = jmat(sys.m)
+        f = -np.array([np.trace(J @ D @ J @ D) for D in dPsi])
+        assert np.max(np.abs(f.imag)) <= 1e-13 * np.max(np.abs(f))
+        got = _fisher_density(dPsi, np.diag(J).real)
+        assert np.max(np.abs(got - f.real)) <= 1e-13 * np.max(np.abs(f))
 
 
 class TestScalingCheck:
