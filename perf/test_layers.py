@@ -30,9 +30,11 @@ which the cascade route rejects.  ``ps_realize`` takes each size's vacuum
 power-spectrum data and skips n = 32 for the same reason; ``dual_system``
 takes each size's system.  The ``freq_response_grid`` cases evaluate
 the spectra workload's sizes, (n, m, K) = (1, 1, 301), (4, 2, 301),
-(16, 1, 81) and (32, 2, 25), and one rule of the qfi workload's frequency
-route, (3, 2, 192), on K points spanning the poles' frequencies +/- 3,
-plain and along a seeded tangent: ``fresh`` builds the system inside
+(16, 1, 81) and (32, 2, 25), one rule of the qfi workload's frequency
+route, (3, 2, 192), and the degenerate parametric amplifier at its
+exceptional point (``dpaK301``, a defective drift on the dense route),
+on K points spanning the poles' frequencies +/- 3, plain and along a
+seeded tangent: ``fresh`` builds the system inside
 the timed call (construction, eigendecomposition and grid, as for a system
 evaluated once), ``cached`` reuses one already evaluated.  The
 construction cases time ``Delta`` on the blocks of Omega,
@@ -179,13 +181,19 @@ def test_freq_response_per_point(benchmark, sys):
 
 SPECTRA = ((1, 1, 301), (4, 2, 301), (16, 1, 81), (32, 2, 25))  # (n, m, K)
 QFI_GRID = (3, 2, 192)  # the size of a qfi-workload rule with the tangent
+GRID_CASES = [(f"n{n}K{k}", n, m, k) for n, m, k in SPECTRA + (QFI_GRID,)] + [("dpaK301", 1, 1, 301)]
 
 
-@pytest.fixture(scope="module", params=SPECTRA + (QFI_GRID,), ids=lambda c: f"n{c[0]}K{c[2]}")
+def _dpa_exceptional():
+    """The degenerate parametric amplifier at its exceptional point: a defective drift, solved densely."""
+    return QLSystem.from_blocks([[np.sqrt(3.0)]], [[0.0]], [[1.0]], [[1.0j]])
+
+
+@pytest.fixture(scope="module", params=GRID_CASES, ids=lambda c: c[0])
 def grid_case(request):
-    """(system, grid, seeded tangent (dS, dC, dOmega)) at one spectra size."""
-    n, m, points = request.param
-    sys = _system(n, m)
+    """(system, grid, seeded tangent (dS, dC, dOmega)) of one case."""
+    name, n, m, points = request.param
+    sys = _dpa_exceptional() if name.startswith("dpa") else _system(n, m)
     width = np.max(np.abs(sys.poles.imag)) + 3.0
     rng = np.random.default_rng(300 + n)
     H = _cplx(rng, (n, n), 0.3)

@@ -323,7 +323,8 @@ def destabilized_scaling_check(family_builder, couplings, V, theta0=0.0):
     fitted.  Near-decoherence-free dynamics shows slope 1 (f proportional
     to tau).
 
-    Returns {"rows": [{coupling, tau, f}], "slope": fitted slope}.
+    Returns {"rows": [{coupling, tau, f}], "slope": fitted slope}.  Raises
+    ValueError when the couplings give fewer than two distinct tau.
     """
     rows = []
     for c in couplings:
@@ -335,6 +336,9 @@ def destabilized_scaling_check(family_builder, couplings, V, theta0=0.0):
         f = stationary_qfi_rate_time(fam, theta0, V).value
         rows.append({"coupling": float(c), "tau": float(tau), "f": float(f)})
     taus = np.array([r["tau"] for r in rows])
+    distinct = len(np.unique(taus))
+    if distinct < 2:
+        raise ValueError(f"a slope needs two distinct stabilisation times, got {distinct}")
     fs = np.array([r["f"] for r in rows])
     if np.any(fs <= 0):
         slope = 0.0

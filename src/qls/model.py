@@ -32,7 +32,6 @@ from .algebra import (
     flat_adjoint,
     is_doubled_up,
     is_symplectic,
-    jmat,
     modal_inverse,
 )
 
@@ -230,51 +229,66 @@ def freq_response(sys, s, tangent=None):
         dXi = -(dC R C^b + C R dA R C^b + C R dC^b) S + (1 - C R C^b) dS,
         dA = -1/2 (dC^b C + C^b dC) - i J dOmega,
 
-    is returned too, as a second stack.  R comes from the system's cached
-    eigendecomposition A = V diag(lambda) V^-1 as V diag(1/(s - lambda)) V^-1,
-    so a grid costs O(K n m^2) (O(K n^2 m) with a tangent) after one
-    O(n^3) ``eig``.  With a tangent that is a few GEMMs per grid, the grid
-    folded into their rows or columns, not small matmuls per point; the
-    plain path keeps one einsum, so that each point equals its one-point
-    call bit for bit.  By Bauer-Fike its error relative to ||Xi|| is of order
+    is returned too, as a second stack.  On a cascade from ``series_product``
+    a plain call is the series product Xi_second Xi_first of its parts'
+    responses (Gough & James 2009), each from solves of its own size.
+    Otherwise R comes from the system's cached eigendecomposition
+    A = V diag(lambda) V^-1 as V diag(1/(s - lambda)) V^-1, so a grid costs
+    O(K n m^2) (O(K n^2 m) with a tangent) after one O(n^3) ``eig``.  Xi is
+    one line for both calls: each point's row 1/(s_k - lambda) times the
+    outer products of C V with V^-1 C^b S, its own (1, 2n) x (2n, 4m^2)
+    product, so each point equals its one-point call bit for bit.  The
+    tangent adds a few GEMMs with the grid folded into their rows or
+    columns.  By Bauer-Fike the modal error relative to ||Xi|| is of order
     eps kappa_F(V) (1 + ||A|| max 1/|s - lambda|): kappa_F(V) times that of a
     dense solve, which grows alike near a weakly damped pole.  A drift whose
     eigenbasis has kappa_F(V) > MODAL_COND_MAX (a defective or nearly
-    defective A) is therefore solved densely, one stacked LU per point.
+    defective A) is therefore solved densely: X = R C^b by one stacked LU
+    per point, and with a tangent one more stacked solve, R (dA X + dC^b).
     Raises ValueError when a grid point is within STAB_TOL max |lambda| of
     the spectrum of A.
     """
     s = np.asarray(s, dtype=complex).reshape(-1)
+    if sys.parts is not None and tangent is None:
+        first, second = sys.parts
+        return freq_response(second, s) @ freq_response(first, s)
     lam = sys.poles
     if lam.size and s.size:
         near = np.min(np.abs(s[:, None] - lam), axis=1) <= STAB_TOL * np.max(np.abs(lam))
         if near.any():
             raise ValueError(f"s = {s[np.argmax(near)]} is a pole of the transfer function")
+    C, S = sys.C, sys.S
+    (m2, n2), K = C.shape, len(s)
+    if tangent is not None:
+        dS, dC, dOm = tangent
+        Cb, dCb = flat_adjoint(C), flat_adjoint(dC)
+        dA = -0.5 * (dCb @ C + Cb @ dC)
+        dA[: n2 // 2] -= 1j * dOm[: n2 // 2]   # - i J dOmega, J as row signs
+        dA[n2 // 2 :] += 1j * dOm[n2 // 2 :]
     modal = sys._modal
     if modal is None:
-        return _dense_response(sys, s, tangent)
+        M = s[:, None, None] * np.eye(n2) - sys.A
+        X = np.linalg.solve(M, np.broadcast_to(flat_adjoint(C), (K, n2, m2)))
+        G = np.eye(m2, dtype=complex) - C @ X
+        Xi = G @ S
+        if tangent is None:
+            return Xi
+        Y = np.linalg.solve(M, dA @ X + dCb)   # R (dA X + dC^b)
+        return Xi, G @ dS - (dC @ X + C @ Y) @ S
     lam, V, Vi, CV, W = modal
-    C, S = sys.C, sys.S
     r = 1.0 / (s[:, None] - lam)   # (K, 2n): the resolvent's eigenvalues
-    m2 = C.shape[0]
+    WS = W @ S
+    Xi = S - np.matmul(r[:, None, :], _outer(CV, WS)).reshape(K, m2, m2)
     if tangent is None:
-        return (np.eye(m2, dtype=complex) - _modal_sum(r, CV, W)) @ S
-    dS, dC, dOm = tangent
-    K, n2 = r.shape
-    Cb, dCb = flat_adjoint(C), flat_adjoint(dC)
-    dA = -0.5 * (dCb @ C + Cb @ dC)
-    dA[: n2 // 2] -= 1j * dOm[: n2 // 2]   # - i J dOmega, J as row signs
-    dA[n2 // 2 :] += 1j * dOm[n2 // 2 :]
+        return Xi
     # dXi = G dS - dG S with G = 1 - CV diag(r) W and
     # dG = dC V diag(r) W + CV diag(r) (V^-1 dA V diag(r) W + V^-1 dC^b): S enters
     # through W S and V^-1 dC^b S, and the grid runs along the columns,
     # RWS[:, k] = V^-1 R_k C^b S, so each product is one GEMM over the whole grid
-    WS = W @ S
     rT = np.ascontiguousarray(r.T)[:, :, None]
     RWS = (rT * WS[:, None, :]).reshape(n2, K * m2)
     inner = ((Vi @ dA @ V) @ RWS).reshape(n2, K, m2) + (Vi @ dCb @ S)[:, None, :]
     dGS = (dC @ V) @ RWS + CV @ (rT * inner).reshape(n2, K * m2)   # the dG_k S side by side
-    Xi = S - (r @ _outer(CV, WS)).reshape(K, m2, m2)
     dXi = dS - (r @ _outer(CV, W @ dS)).reshape(K, m2, m2) - dGS.reshape(m2, K, m2).transpose(1, 0, 2)
     return Xi, dXi
 
@@ -282,36 +296,6 @@ def freq_response(sys, s, tangent=None):
 def _outer(left, right):
     """The outer products of the columns of left with the rows of right, one flat row each."""
     return (left.T[:, :, None] * right[:, None, :]).reshape(len(right), left.shape[0] * right.shape[1])
-
-
-def _modal_sum(r, left, right):
-    """The stack left diag(r_k) right over the rows r_k of r.
-
-    One einsum over the flattened outer products, so each point's result
-    depends on its own row of r alone (a single point equals its row of a grid).
-    """
-    a, b = left.shape[0], right.shape[1]
-    return np.einsum("kn,nx->kx", r, _outer(left, right)).reshape(len(r), a, b)
-
-
-def _dense_response(sys, s, tangent):
-    """``freq_response`` by one stacked dense solve per point, for ill-conditioned eigenbases."""
-    C, S = sys.C, sys.S
-    n2, m2 = C.shape[1], C.shape[0]
-    Cb = flat_adjoint(C)
-    M = s[:, None, None] * np.eye(n2) - sys.A
-    eye = np.eye(m2, dtype=complex)
-    if tangent is None:
-        X = np.linalg.solve(M, np.broadcast_to(Cb, (len(s), n2, m2)))
-        return (eye - C @ X) @ S
-    dS, dC, dOm = tangent
-    R = np.linalg.solve(M, np.broadcast_to(np.eye(n2, dtype=complex), M.shape))
-    X = R @ Cb
-    dCb = flat_adjoint(dC)
-    dA = -0.5 * (dCb @ C + Cb @ dC) - 1j * jmat(n2 // 2) @ dOm
-    G = eye - C @ X
-    dG = -(dC @ X + C @ (R @ (dA @ X + dCb)))
-    return G @ S, dG @ S + G @ dS
 
 
 def transfer_function(sys, s):
@@ -379,7 +363,7 @@ def series_product(first, second):
     The drift is block lower-triangular in the parts, so the cascade keeps
     them as ``parts = (first, second)``: its cached ``poles`` are theirs,
     concatenated, ``solve_lyapunov`` solves by blocks from their cached
-    eigendecompositions and ``power_spectrum`` multiplies their responses.
+    eigendecompositions and ``freq_response`` multiplies their responses.
     """
     if first.m != second.m:
         raise ValueError(f"channel counts differ: {first.m} vs {second.m}")
@@ -474,10 +458,15 @@ class ParamFamily:
 
     ``fd_step`` is the central finite-difference step used for derivatives;
     it defaults to 1e-6 * max(1, |theta|) at evaluation time when zero.
+    Raises ValueError when it is negative.
     """
 
     evaluate: Callable[[float], QLSystem]
     fd_step: float = 0.0
+
+    def __post_init__(self):
+        if not self.fd_step >= 0:
+            raise ValueError(f"fd_step must be >= 0 (0 takes the default step), got {self.fd_step}")
 
     def step(self, theta):
         if self.fd_step > 0:

@@ -182,26 +182,18 @@ def solve_lyapunov(sys, V):
 def power_spectrum(sys, V, s):
     """Power spectral density Psi_V(s) = Xi(s) V Xi(-s*)^dag.
 
-    `s` is one point or a 1-d grid; a grid gives a (K, 2m, 2m) stack.  On
-    the imaginary axis s = -s*, so Xi is evaluated once there.  On a cascade
-    from ``series_product``, Xi is the product Xi_second Xi_first of its
-    parts' responses.  Mixed inputs are accepted; s and -s* must lie off the
-    spectrum of A.
+    `s` is one point or a 1-d grid; a grid gives a (K, 2m, 2m) stack.  Xi
+    is ``model.freq_response`` (on a cascade, the product of its parts'
+    responses); on the imaginary axis s = -s*, so it is evaluated once
+    there.  Mixed inputs are accepted; s and -s* must lie off the spectrum
+    of A.
     """
     s = np.asarray(s, dtype=complex)
-    X1 = _response(sys, s)
+    X1 = freq_response(sys, s)
     mirror = -s.conj()
-    X2 = X1 if np.array_equal(mirror, s) else _response(sys, mirror)
+    X2 = X1 if np.array_equal(mirror, s) else freq_response(sys, mirror)
     Psi = X1 @ V.matrix() @ X2.conj().transpose(0, 2, 1)
     return Psi[0] if s.ndim == 0 else Psi
-
-
-def _response(sys, s):
-    """``freq_response``; on a cascade, the product of its parts' (solves of their sizes)."""
-    if sys.parts is None:
-        return freq_response(sys, s)
-    first, second = sys.parts
-    return freq_response(second, s) @ freq_response(first, s)
 
 
 def _vacuum_rotated(sys, V):

@@ -10,7 +10,7 @@ from qls.realization import RationalMatrixFunction, ps_as_rational, tf_as_ration
 from qls.sampling import random_pure_input, random_qlsystem
 from qls.stationary import InputCovariance, power_spectrum
 
-from conftest import absorber_two_mode_example, active_one_mode_example, cavity, two_mode_cascade_example
+from conftest import absorber_two_mode_example, active_one_mode_example, cavity, squeezed_input, two_mode_cascade_example
 
 
 class TestJsonRoundtrips:
@@ -470,6 +470,34 @@ class TestCli:
         assert "finite number" in err["message"] and value in err["message"]
         if kind.startswith("--"):
             assert err["message"] == f"{kind} must be a finite number, got {value}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["json", "flag"])
+    def test_negative_fd_step_exits_2(self, workdir, rng, capsys, source):
+        """A negative step is named, not replaced by the default."""
+        family = _cli_inputs(rng)["family"]
+        if source == "json":
+            args = ["qfi", write(workdir / "fam.json", dict(family, fd_step=-1e-3))]
+        else:
+            args = ["qfi", write(workdir / "fam.json", family), "--fd-step", "-1"]
+        out = workdir / "out.json"
+        assert main(args + ["-o", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"
+        assert "fd_step must be >= 0" in err["message"]
+        assert ("-0.001" if source == "json" else "-1.0") in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("couplings", [[1.0], [0.7, 0.7]], ids=("one", "repeated"))
+    def test_sweep_one_distinct_tau_exits_2(self, workdir, rng, capsys, couplings):
+        """No slope is fitted from a single stabilisation time."""
+        spec = dict(_cli_inputs(rng)["sweep"], couplings=couplings)
+        v = write(workdir / "v.json", qio.input_to_json(squeezed_input(0.5)))
+        out = workdir / "out.csv"
+        assert main(["sweep", write(workdir / "sweep.json", spec), "--input", v, "-o", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "input",
+                       "message": "a slope needs two distinct stabilisation times, got 1"}
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["ps", "gm", "split", "qfi", "sweep"])

@@ -176,15 +176,23 @@ GRID = np.concatenate([-1j * np.linspace(-6.0, 6.0, 97), 0.4 + 1j * np.linspace(
 
 class TestFreqResponse:
     def test_matches_per_point_loop(self, rng):
+        systems = []
         for n, m in ((1, 1), (2, 1), (3, 2)):
             base = random_qlsystem(rng, n, m)
-            sys = QLSystem(S=random_symplectic(rng, m), C=base.C, Omega=base.Omega)
+            systems.append(QLSystem(S=random_symplectic(rng, m), C=base.C, Omega=base.Omega))
+        defective = dpa(kappa=3.0, eps=2.0, detuning=1.0)  # at its exceptional point: the dense route
+        assert defective._modal is None
+        cascade = series_product(random_qlsystem(rng, 3, 2), random_qlsystem(rng, 2, 2))
+        for sys in systems + [defective, cascade]:
             stack = freq_response(sys, GRID)
             loop = np.array([per_point_tf(sys, s) for s in GRID])
-            assert stack.shape == (len(GRID), 2 * m, 2 * m)
+            assert stack.shape == (len(GRID), 2 * sys.m, 2 * sys.m)
             assert np.max(np.abs(stack - loop)) <= 1e-12 * np.max(np.abs(loop))
             for s, X in zip(GRID, stack):
                 assert np.array_equal(transfer_function(sys, s), X)
+        first, second = cascade.parts
+        assert np.array_equal(freq_response(cascade, GRID),
+                              freq_response(second, GRID) @ freq_response(first, GRID))
 
     def test_power_spectrum_matches_per_point_loop(self, rng):
         for n, m in ((1, 1), (2, 2)):
@@ -307,8 +315,8 @@ class TestModalForm:
         for got, want in ((freq_response(sys, GRID), ref), (Xi, ref), (dXi, dref)):
             assert np.max(_rel_errors(got, want)) <= 1e-12
 
-    def test_cascade_uses_its_own_eigenbasis(self, rng):
-        # a cascade's poles are its parts' (not in the order of its own eig)
+    def test_cascade_is_the_product_of_its_parts(self, rng):
+        # the product of the parts' responses against the cascade's own dense formula
         ser = series_product(random_qlsystem(rng, 3, 2), random_qlsystem(rng, 2, 2))
         ref = np.array([per_point_tf(ser, s) for s in GRID])
         assert np.max(_rel_errors(freq_response(ser, GRID), ref)) <= 1e-12
