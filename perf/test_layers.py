@@ -45,6 +45,9 @@ sizes n = 1, 2, 3 (one channel), with one dependency on each block of C
 and of Omega.  The ``stationary_qfi_rate`` cases take such a family at
 the qfi workload's sizes, n = 1, 2, 3 and m = 1, 2, at theta = 0.1 with
 every channel squeezed alike, and time both routes, ``freq`` and ``time``.
+``is_globally_minimal`` and ``pure_mixed_split`` take each size's system
+and the squeezed input (every size is globally minimal, so the split has
+no pure part).
 """
 
 import numpy as np
@@ -60,6 +63,7 @@ from qls import (
     dual_system,
     flat_adjoint,
     gauge_transform,
+    is_globally_minimal,
     is_hurwitz,
     is_minimal,
     is_symplectic,
@@ -68,6 +72,7 @@ from qls import (
     physical_from_classical,
     ps_as_rational,
     ps_realize,
+    pure_mixed_split,
     random_symplectic,
     series_product,
     siso_cascade_identify,
@@ -220,6 +225,14 @@ def test_freq_response_grid_cached(benchmark, grid_case, with_tangent):
 
 def test_is_minimal(benchmark, sys):
     benchmark(is_minimal, sys)
+
+
+def test_is_globally_minimal(benchmark, sys):
+    benchmark(is_globally_minimal, sys, INPUT)
+
+
+def test_pure_mixed_split(benchmark, sys):
+    benchmark(pure_mixed_split, sys, INPUT)
 
 
 def _copy(sys):

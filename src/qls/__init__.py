@@ -51,7 +51,6 @@ from .stationary import (
     power_spectrum,
     ps_cascade_embedding,
     pure_mixed_split,
-    siso_passive_gm,
     solve_lyapunov,
 )
 from .realization import (

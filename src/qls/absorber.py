@@ -20,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Delta, flat_adjoint
-from .model import QLSystem, check_pr, default_grid, gauge_transform, is_hurwitz, series_product
+from .model import QLSystem, check_pr, default_grid, is_hurwitz, series_product
 from .stationary import (
     GM_TOL,
     InputCovariance,
+    _canonical,
     power_spectrum,
     solve_lyapunov,
     vacuum_covariance,
@@ -49,19 +50,11 @@ def canonicalize_stationary(sys, gm_tol=GM_TOL):
     """
     if not is_hurwitz(sys):
         raise ValueError("system must be Hurwitz")
-    state = solve_lyapunov(sys, InputCovariance.vacuum(sys.m))
-    res = state.normal_form
-    scale = max(1.0, float(np.linalg.norm(state.P)))
-    if np.min(res.symplectic_eigenvalues, initial=np.inf) <= gm_tol * scale:
-        raise ValueError(
-            "system is not globally minimal for vacuum input "
-            f"(min occupation {np.min(res.symplectic_eigenvalues):.3e})"
-        )
-    rotated = gauge_transform(sys, res.transform)
+    rotated, state = _canonical(sys, gm_tol)
     return {
         "sys": rotated,
-        "transform": res.transform,
-        "occupations": res.symplectic_eigenvalues,
+        "transform": state.normal_form.transform,
+        "occupations": state.symplectic_spectrum,
     }
 
 

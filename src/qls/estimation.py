@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra import jmat, lyap
 from .model import ParamFamily, QLSystem, freq_response, is_hurwitz, spectral_gap
-from .stationary import InputCovariance, _eigenbasis, solve_lyapunov
+from .stationary import _channels_match, _eigenbasis, solve_lyapunov
 
 GL_FIRST = 8      # Gauss-Legendre nodes per panel of the first frequency rule
 GL_MAX = 1024     # nodes per panel past which the frequency integral has not converged
@@ -42,19 +42,6 @@ class QFIReport:
     value: float
     method: str
     diagnostics: dict = field(default_factory=dict)
-
-
-def _fold_scattering(sys, V):
-    """Absorb a theta-independent scattering S into the input covariance."""
-    m = sys.m
-    if np.linalg.norm(sys.S - np.eye(2 * m)) < 1e-10:
-        return sys, V
-    Vrot = sys.S @ V.matrix() @ sys.S.conj().T
-    N = Vrot[m:, m:]
-    M = Vrot[:m, m:]
-    folded = InputCovariance(0.5 * (N + N.conj().T), 0.5 * (M + M.T))
-    bare = QLSystem(S=np.eye(2 * m, dtype=complex), C=sys.C, Omega=sys.Omega)
-    return bare, folded
 
 
 def coherent_qfi(family, theta0, omega, alpha, optimize_omega=False, grid=None):
@@ -71,7 +58,7 @@ def coherent_qfi(family, theta0, omega, alpha, optimize_omega=False, grid=None):
     breve = np.concatenate([alpha, alpha.conj()])
     m = len(alpha)
     sys0 = family.evaluate(theta0)
-    _channels_match(m, sys0, "alpha")
+    _channels_match(m, sys0, "alpha", "family")
     diagnostics = {"fd_step": family.step(theta0)}
     if optimize_omega:
         if grid is None:
@@ -177,12 +164,6 @@ def _fisher_density(dPsi, jd):
     return -(dPsi.real**2 + dPsi.imag**2).reshape(len(dPsi), -1) @ np.outer(jd, jd).ravel()
 
 
-def _channels_match(count, sys, what):
-    """ValueError naming both counts unless `what` has the system's m channels."""
-    if count != sys.m:
-        raise ValueError(f"{what} has {count} channels but the family has {sys.m}")
-
-
 def stationary_qfi_rate_freq(family, theta0, V):
     """Stationary QFI rate by frequency integration of the Gaussian per-mode QFI.
 
@@ -201,7 +182,7 @@ def stationary_qfi_rate_freq(family, theta0, V):
     used and the panel count.
     """
     sys0 = family.evaluate(theta0)
-    _channels_match(V.m, sys0, "input covariance")
+    _channels_match(V.m, sys0, "input covariance", "family")
     if not is_hurwitz(sys0):
         raise ValueError("family must be Hurwitz at theta0")
     tangent = family.derivatives(theta0)
@@ -254,18 +235,17 @@ def stationary_qfi_rate_time(family, theta0, V):
 
         f = 4 Tr( D^dag J V J D (P - J) ),
 
-    where P is the stationary covariance and P - J implements the normal
-    ordering of the quadratic expectation.  A theta-independent scattering
-    matrix is folded into the input; theta-dependent scattering is not
-    supported.
+    where P is the stationary covariance (``solve_lyapunov``), V is the
+    input as the modes see it, S V S^dag, and P - J implements the normal
+    ordering of the quadratic expectation.  Theta-dependent scattering is
+    not supported.
     """
     sys0 = family.evaluate(theta0)
-    _channels_match(V.m, sys0, "input covariance")
+    _channels_match(V.m, sys0, "input covariance", "family")
     h = family.step(theta0)
     dS, dC, dOm = family.derivatives(theta0)
     if h * np.linalg.norm(dS) > 1e-12 * max(1.0, np.linalg.norm(sys0.S)):
         raise ValueError("theta-dependent scattering is not supported in the time domain")
-    sys0, V = _fold_scattering(sys0, V)
     if not is_hurwitz(sys0):
         raise ValueError("family must be Hurwitz at theta0")
     C, A = sys0.C, sys0.A
@@ -281,8 +261,8 @@ def stationary_qfi_rate_time(family, theta0, V):
     # displacement generator D vanishes there, as it must
     D = dC + 2j * C @ Jn @ B
     P = solve_lyapunov(sys0, V).P
-    Vm = V.matrix()
-    val = 4.0 * np.trace(D.conj().T @ Jm @ Vm @ Jm @ D @ (P - Jn))
+    Vs = sys0.S @ V.matrix() @ sys0.S.conj().T
+    val = 4.0 * np.trace(D.conj().T @ Jm @ Vs @ Jm @ D @ (P - Jn))
     if abs(val.imag) > 1e-6 * max(1.0, abs(val.real)):
         raise RuntimeError(f"QFI rate came out non-real ({val:.3e})")
     return QFIReport(

@@ -16,19 +16,11 @@ fully mixed, i.e. all symplectic eigenvalues of P are strictly positive.
 
 import copy
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .algebra import (
-    WilliamsonResult,
-    _lyap,
-    _vacuum_basis,
-    du_blocks,
-    flat_adjoint,
-    lyap_cascade,
-    williamson,
-)
+from .algebra import _lyap, _vacuum_basis, du_blocks, flat_adjoint, lyap_cascade, williamson
 from .model import (
     QLSystem,
     StateSpace,
@@ -108,23 +100,38 @@ def _vacuum(m):
 
 @dataclass(frozen=True, eq=False)
 class StationaryState:
-    """Stationary covariance P with its Williamson normal form, solve residual and route.
+    """Stationary covariance P with its solve residual and route.
 
     ``route`` names the Lyapunov solver that produced P: "modal" (the
     drift's eigenbasis) or "direct" (for a defective or ill-conditioned
     drift: one LU of the Kronecker form, Bartels-Stewart past
-    ``algebra.KRON_MAX``); see ``algebra.lyap``.
+    ``algebra.KRON_MAX``); see ``algebra.lyap``.  The Williamson normal
+    form of P is computed on first use and cached, so a caller that needs
+    only P pays for no decomposition.
     """
 
     P: np.ndarray
-    normal_form: WilliamsonResult
     residual: float
     route: str
+
+    @cached_property
+    def normal_form(self):
+        """Williamson decomposition of P (``algebra.williamson``), eigenvalues ascending."""
+        return williamson(self.P)
 
     @property
     def symplectic_spectrum(self):
         """Symplectic eigenvalues of P, ascending."""
         return self.normal_form.symplectic_eigenvalues
+
+    def pure_count(self, gm_tol=GM_TOL):
+        """Number k of pure modes: symplectic eigenvalues <= gm_tol max(1, ||P||).
+
+        The spectrum ascends, so the pure modes are the first k of the
+        Williamson basis.  k = 0 is a fully mixed state.
+        """
+        threshold = gm_tol * max(1.0, float(np.linalg.norm(self.P)))
+        return int(np.count_nonzero(self.symplectic_spectrum <= threshold))
 
 
 def _noise_matrix(sys, V):
@@ -132,6 +139,12 @@ def _noise_matrix(sys, V):
     Cb = flat_adjoint(sys.C)
     SVS = sys.S @ V.matrix() @ sys.S.conj().T
     return Cb @ SVS @ Cb.conj().T
+
+
+def _channels_match(count, sys, what, owner="system"):
+    """ValueError naming both counts unless `what` has the system's m channels."""
+    if count != sys.m:
+        raise ValueError(f"{what} has {count} channels but the {owner} has {sys.m}")
 
 
 def _eigenbasis(sys):
@@ -146,18 +159,20 @@ def solve_lyapunov(sys, V):
     Solves A P + P A^dag + C^b S V S^dag (C^b)^dag = 0 with ``algebra.lyap``
     from the drift's cached eigendecomposition (intended scale: up to a few
     tens of modes) and reports the relative residual (against the full
-    drift), the route ("modal" or "direct") and the Williamson normal form
-    of P.  On a cascade from ``series_product`` the drift is block
-    lower-triangular in the order [a1; a1#; a2; a2#], and
-    ``algebra.lyap_cascade`` solves in that order from the two parts'
-    eigendecompositions, never touching the whole drift unless it falls
-    back to the direct route.  Accuracy contract (``algebra.lyap``): P has
-    relative residual at most 64 eps, by either route, and every route
-    returns P exactly Hermitian.
+    drift) and the route ("modal" or "direct"); the Williamson normal form
+    of P is left to first use (``StationaryState.normal_form``).  On a
+    cascade from ``series_product`` the drift is block lower-triangular in
+    the order [a1; a1#; a2; a2#], and ``algebra.lyap_cascade`` solves in
+    that order from the two parts' eigendecompositions, never touching the
+    whole drift unless it falls back to the direct route.  Accuracy
+    contract (``algebra.lyap``): P has relative residual at most 64 eps,
+    by either route, and every route returns P exactly Hermitian.
 
-    Raises ValueError when the system is not Hurwitz (no unique solution),
-    and np.linalg.LinAlgError when no route meets the residual bound.
+    Raises ValueError when V's channel count is not the system's or the
+    system is not Hurwitz (no unique solution), and np.linalg.LinAlgError
+    when no route meets the residual bound.
     """
+    _channels_match(V.m, sys, "input covariance")
     if not is_hurwitz(sys):
         raise ValueError("Lyapunov equation has no unique solution: system is not Hurwitz")
     A = sys.A
@@ -176,7 +191,7 @@ def solve_lyapunov(sys, V):
     scale = max(1.0, np.linalg.norm(A) * np.linalg.norm(P) + np.linalg.norm(Q))
     AP = A @ P  # P is Hermitian, so P A^dag = (A P)^dag
     resid = np.linalg.norm(AP + AP.conj().T + Q) / scale
-    return StationaryState(P=P, normal_form=williamson(P, sys.n), residual=float(resid), route=route)
+    return StationaryState(P=P, residual=float(resid), route=route)
 
 
 def power_spectrum(sys, V, s):
@@ -188,6 +203,7 @@ def power_spectrum(sys, V, s):
     there.  Mixed inputs are accepted; s and -s* must lie off the spectrum
     of A.
     """
+    _channels_match(V.m, sys, "input covariance")
     s = np.asarray(s, dtype=complex)
     X1 = freq_response(sys, s)
     mirror = -s.conj()
@@ -198,6 +214,7 @@ def power_spectrum(sys, V, s):
 
 def _vacuum_rotated(sys, V):
     """Rotate the field so the (pure) input becomes vacuum: C -> S_in^b C etc."""
+    _channels_match(V.m, sys, "input covariance")
     if not V.is_pure:
         raise ValueError("vacuum rotation needs a pure input covariance")
     Sin = _vacuum_basis(V.N, V.M)
@@ -207,16 +224,35 @@ def _vacuum_rotated(sys, V):
     return QLSystem(S=S2, C=C2, Omega=sys.Omega), Sin
 
 
+def _canonical(sys, gm_tol=None):
+    """The system in the Williamson basis of its vacuum stationary state, and that state.
+
+    The basis orders the modes by ascending occupation, so the
+    ``state.pure_count()`` pure modes come first.  With `gm_tol` set, a
+    state with a pure mode raises ValueError before the basis is changed.
+    """
+    state = solve_lyapunov(sys, InputCovariance.vacuum(sys.m))
+    if gm_tol is not None and state.pure_count(gm_tol):
+        raise ValueError(
+            "system is not globally minimal for vacuum input "
+            f"(min occupation {np.min(state.symplectic_spectrum):.3e})"
+        )
+    return gauge_transform(sys, state.normal_form.transform), state
+
+
 def is_globally_minimal(sys, V, gm_tol=GM_TOL):
     """Global minimality for a pure input: fully mixed stationary state.
 
-    Cross-checked against controllability of (A, C^b S_eff V_vac) in the
-    vacuum-rotated basis, by the PBH test of ``model._pbh_margin`` on the
-    dual pair with cutoff gm_tol; a disagreement raises RuntimeError.  A
-    0-mode system is globally minimal.
+    The verdict is ``StationaryState.pure_count(gm_tol) == 0``.  It is
+    cross-checked against controllability of (A, C^b S S_in V_vac), S_in
+    the symplectic taking vacuum to the input, by the PBH test of
+    ``model._pbh_margin`` on the dual pair with cutoff gm_tol; the
+    rotation to vacuum changes S and C but not the drift, so the check
+    runs on the system's own A and poles.  A disagreement raises
+    RuntimeError.  A 0-mode system is globally minimal.
 
     Raises ValueError for mixed inputs, where purity of the stationary state
-    no longer witnesses global minimality.
+    no longer witnesses global minimality, and for a non-minimal system.
     """
     return _global_minimality(sys, V, gm_tol)[0]
 
@@ -228,12 +264,10 @@ def _global_minimality(sys, V, gm_tol):
     if not is_minimal(sys):
         raise ValueError("system must be minimal")
     state = solve_lyapunov(sys, V)
-    scale = max(1.0, float(np.linalg.norm(state.P)))
-    verdict = bool(np.min(state.symplectic_spectrum, initial=np.inf) > gm_tol * scale)
+    verdict = state.pure_count(gm_tol) == 0
 
-    rotated, _ = _vacuum_rotated(sys, V)
-    B = flat_adjoint(rotated.C) @ rotated.S @ vacuum_covariance(sys.m)
-    control = _pbh_margin(rotated.A.conj().T, B.conj().T, rotated.poles.conj()) > gm_tol
+    B = flat_adjoint(sys.C) @ sys.S @ _vacuum_basis(V.N, V.M) @ vacuum_covariance(sys.m)
+    control = _pbh_margin(sys.A.conj().T, B.conj().T, sys.poles.conj()) > gm_tol
     if control != verdict:
         raise RuntimeError(
             "global minimality criteria disagree "
@@ -243,40 +277,15 @@ def _global_minimality(sys, V, gm_tol):
     return verdict, state
 
 
-def siso_passive_gm(sys, V):
-    """Global minimality of a passive SISO system with squeezed input (M != 0).
-
-    The verdict depends only on the spectrum of A: the system is globally
-    minimal iff no eigenvalue is real and no two eigenvalues are complex
-    conjugates of each other, both to 1e-9 max(1, max |lambda|).  Returns
-    the verdict together with the list of reducible eigenvalues.
-    """
-    if not sys.is_passive or sys.m != 1:
-        raise ValueError("this criterion applies to passive SISO systems")
-    if np.linalg.norm(V.M) == 0:
-        raise ValueError("squeezed input (M != 0) required; vacuum/thermal is never informative")
-    Amin = du_blocks(sys.A)[0]
-    eigs = np.linalg.eigvals(Amin)
-    scale = max(1.0, np.max(np.abs(eigs)))
-    reducible = []
-    for i, lam in enumerate(eigs):
-        if abs(lam.imag) <= 1e-9 * scale:
-            reducible.append(lam)
-            continue
-        for j, mu in enumerate(eigs):
-            if j != i and abs(lam - np.conj(mu)) <= 1e-9 * scale:
-                reducible.append(lam)
-                break
-    return {"globally_minimal": len(reducible) == 0, "reducible_eigs": reducible}
-
-
 def pure_mixed_split(sys, V, gm_tol=GM_TOL):
     """Split a system into its pure (passive, spectrum-invisible) and mixed parts.
 
     Works in the vacuum-rotated field basis and a Williamson-canonical system
-    basis with pure modes ordered first.  Returns a dict with keys
+    basis with the k = ``pure_count(gm_tol)`` pure modes first.  Returns a
+    dict with keys
 
-    * ``pure``, ``mixed``: the component systems (either may have 0 modes),
+    * ``pure``, ``mixed``: the component systems on the first k and the
+      last n - k modes; a part with no modes is None,
     * ``rotated``: the full system in the canonical basis,
     * ``field_transform``: the symplectic taking vacuum to the input.
 
@@ -287,42 +296,20 @@ def pure_mixed_split(sys, V, gm_tol=GM_TOL):
     if not is_minimal(sys) or not is_hurwitz(sys):
         raise ValueError("pure/mixed split expects a minimal Hurwitz system")
     rotated, Sin = _vacuum_rotated(sys, V)
-    state = solve_lyapunov(rotated, InputCovariance.vacuum(sys.m))
-    res = state.normal_form
-    canon = gauge_transform(rotated, res.transform)
-    nus = res.symplectic_eigenvalues  # ascending; transform delivers this mode order
-    scale = max(1.0, float(np.linalg.norm(state.P)))
-    pure_modes = [i for i in range(sys.n) if nus[i] <= gm_tol * scale]
-    mixed_modes = [i for i in range(sys.n) if i not in pure_modes]
-
-    def submatrix(M, rows, cols):
-        return M[np.ix_(rows, cols)] if rows and cols else np.zeros((len(rows), len(cols)))
-
+    canon, state = _canonical(rotated)
+    k = state.pure_count(gm_tol)
     Cm, Cp = du_blocks(canon.C)
     Om, Op = du_blocks(canon.Omega)
-    all_ch = list(range(sys.m))
-
-    def component(modes, passive, S):
-        if not modes:
-            return None
-        cm = submatrix(Cm, all_ch, modes)
-        om = submatrix(Om, modes, modes)
-        if passive:
-            return QLSystem.from_blocks(cm, np.zeros_like(cm), om, np.zeros_like(om), S=S)
-        cp = submatrix(Cp, all_ch, modes)
-        op = submatrix(Op, modes, modes)
-        return QLSystem.from_blocks(cm, cp, om, op, S=S)
-
-    pure_sys = component(pure_modes, passive=True, S=canon.S)
-    # scattering sits on the first cascade stage (the pure one); the second
-    # stage must then carry S = 1 so the composite reproduces S.
-    mixed_sys = component(mixed_modes, passive=False, S=None if pure_modes else canon.S)
-    return {
-        "pure": pure_sys,
-        "mixed": mixed_sys,
-        "rotated": canon,
-        "field_transform": Sin,
-    }
+    pure = mixed = None
+    if k:
+        cm, om = Cm[:, :k], Om[:k, :k]
+        pure = QLSystem.from_blocks(cm, np.zeros_like(cm), om, np.zeros_like(om), S=canon.S)
+    if k < sys.n:
+        # scattering sits on the first cascade stage (the pure one); the second
+        # stage must then carry S = 1 so the composite reproduces S.
+        mixed = QLSystem.from_blocks(Cm[:, k:], Cp[:, k:], Om[k:, k:], Op[k:, k:],
+                                     S=None if k else canon.S)
+    return {"pure": pure, "mixed": mixed, "rotated": canon, "field_transform": Sin}
 
 
 def ps_cascade_embedding(sys, V):

@@ -103,6 +103,34 @@ def squeezed_input(n_mean):
     return InputCovariance([[n_mean]], [[m]])
 
 
+def siso_passive_gm(sys, V):
+    """Reference closed form: global minimality of a passive SISO system with squeezed input (M != 0).
+
+    The verdict depends only on the spectrum of A: the system is globally
+    minimal iff no eigenvalue is real and no two eigenvalues are complex
+    conjugates of each other, both to 1e-9 max(1, max |lambda|).  Returns
+    the verdict together with the list of reducible eigenvalues.
+    """
+    from qls.algebra import du_blocks
+
+    if not sys.is_passive or sys.m != 1:
+        raise ValueError("this criterion applies to passive SISO systems")
+    if np.linalg.norm(V.M) == 0:
+        raise ValueError("squeezed input (M != 0) required; vacuum/thermal is never informative")
+    eigs = np.linalg.eigvals(du_blocks(sys.A)[0])
+    scale = max(1.0, np.max(np.abs(eigs)))
+    reducible = []
+    for i, lam in enumerate(eigs):
+        if abs(lam.imag) <= 1e-9 * scale:
+            reducible.append(lam)
+            continue
+        for j, mu in enumerate(eigs):
+            if j != i and abs(lam - np.conj(mu)) <= 1e-9 * scale:
+                reducible.append(lam)
+                break
+    return {"globally_minimal": len(reducible) == 0, "reducible_eigs": reducible}
+
+
 def eigs_close(a, b, atol=1e-8):
     """Set comparison of eigenvalue lists by greedy nearest-neighbour matching."""
     a = list(np.asarray(a, dtype=complex))

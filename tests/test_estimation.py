@@ -16,7 +16,12 @@ from qls.estimation import (
     stationary_qfi_rate_time,
 )
 from qls.model import ParamFamily, QLSystem, freq_response, series_product
-from qls.sampling import random_hermitian_doubled_up, random_pure_input, random_qlsystem
+from qls.sampling import (
+    random_hermitian_doubled_up,
+    random_pure_input,
+    random_qlsystem,
+    random_symplectic,
+)
 from qls.stationary import InputCovariance, power_spectrum
 
 from conftest import cavity, squeezed_input, squeezing_family
@@ -34,7 +39,7 @@ def cavity_coupling_family(a):
     )
 
 
-def random_active_family(rng, n=1, m=1, vary_coupling=True):
+def random_active_family(rng, n=1, m=1, vary_coupling=True, S=None):
     base = random_qlsystem(rng, n, m)
     dOm = random_hermitian_doubled_up(rng, n, 0.5)
     if vary_coupling:
@@ -48,7 +53,7 @@ def random_active_family(rng, n=1, m=1, vary_coupling=True):
         om, op = du_blocks(base.Omega + theta * dOm)
         cm, cp = du_blocks(base.C)
         return QLSystem.from_blocks(
-            cm + theta * dCm, cp + theta * dCp, 0.5 * (om + om.conj().T), 0.5 * (op + op.T)
+            cm + theta * dCm, cp + theta * dCp, 0.5 * (om + om.conj().T), 0.5 * (op + op.T), S=S
         )
 
     return ParamFamily(evaluate=evaluate, fd_step=1e-6)
@@ -164,6 +169,17 @@ class TestStationaryRates:
             ft = stationary_qfi_rate_time(fam, 0.0, V).value
             ff = stationary_qfi_rate_freq(fam, 0.0, V).value
             assert abs(ft - ff) <= 1e-8 * abs(ft)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_time_freq_agreement_fixed_scattering(self, seed):
+        # a theta-independent S != 1 scatters the input into S V S^dag before the system sees it
+        rng = np.random.default_rng([seed, 5])
+        n, m = 1 + seed % 3, 1 + seed % 2
+        fam = random_active_family(rng, n=n, m=m, S=random_symplectic(rng, m, 0.4))
+        V = InputCovariance(*random_pure_input(rng, m))
+        ft = stationary_qfi_rate_time(fam, 0.0, V).value
+        ff = stationary_qfi_rate_freq(fam, 0.0, V).value
+        assert abs(ft - ff) <= 1e-10 * abs(ft)
 
     def test_both_routes_take_three_evaluations(self, rng):
         fam = random_active_family(rng, n=2, m=1)

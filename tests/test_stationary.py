@@ -6,7 +6,8 @@ import pytest
 from qls import absorber, algebra, stationary
 from qls.absorber import canonicalize_stationary
 from qls.algebra import jmat, williamson
-from qls.model import QLSystem, default_grid, gauge_transform, series_product, tf_equal
+from qls.estimation import stationary_qfi_rate_time
+from qls.model import ParamFamily, QLSystem, default_grid, gauge_transform, series_product, tf_equal
 from qls.sampling import random_pure_input, random_qlsystem, random_symplectic
 from qls.stationary import (
     InputCovariance,
@@ -14,7 +15,6 @@ from qls.stationary import (
     power_spectrum,
     ps_cascade_embedding,
     pure_mixed_split,
-    siso_passive_gm,
     solve_lyapunov,
     vacuum_covariance,
 )
@@ -26,6 +26,7 @@ from conftest import (
     gm2_system,
     mpmath_lyap,
     non_normal_triangular,
+    siso_passive_gm,
     squeezed_input,
     two_mode_cascade_example,
 )
@@ -246,7 +247,8 @@ def test_result_records_compare_by_identity(rng):
 
 
 class TestWilliamsonOnce:
-    """The Williamson form of P comes from solve_lyapunov and is reused downstream."""
+    """The Williamson form of P is computed on first use of ``StationaryState.normal_form``,
+    once, and reused downstream; a caller that needs only P computes none."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -275,6 +277,16 @@ class TestWilliamsonOnce:
         sys = absorber_two_mode_example()
         pure_mixed_split(sys, squeezed_input(0.3))
         assert calls.count(2 * sys.n) == 1
+
+    def test_time_route_adds_no_call(self, calls):
+        # a theta-independent S != 1 scatters the input; no second covariance is built for it
+        S = random_symplectic(np.random.default_rng(3), 1, 0.4)
+        fam = ParamFamily(evaluate=lambda th: QLSystem(
+            S=S, C=algebra.Delta([[1.1]], [[0.2]]), Omega=algebra.Delta([[0.4 + th]], [[0.0]])))
+        V = squeezed_input(0.3)
+        assert calls == [2]
+        stationary_qfi_rate_time(fam, 0.0, V)
+        assert calls == [2]
 
     def test_is_pure_adds_no_call(self, calls):
         V = squeezed_input(0.8)
@@ -360,34 +372,87 @@ class TestGlobalMinimality:
         assert is_globally_minimal(sys, InputCovariance.vacuum(1))
         assert is_globally_minimal(sys, squeezed_input(0.5))
 
+    def test_builds_no_system(self, monkeypatch):
+        # the cross-check reads the system's own drift and poles: the rotation to
+        # vacuum leaves the drift unchanged, so no rotated copy is needed
+        sys, V = gm2_system(0.0), squeezed_input(0.5)
+        built = []
+        post_init = QLSystem.__post_init__
+        monkeypatch.setattr(QLSystem, "__post_init__", lambda self: built.append(1) or post_init(self))
+        verdict, _ = stationary._global_minimality(sys, V, stationary.GM_TOL)
+        assert verdict and built == []
+
+
+@pytest.mark.parametrize("entry", ("solve_lyapunov", "is_globally_minimal", "power_spectrum",
+                                   "pure_mixed_split", "ps_as_rational", "ps_cascade_embedding"))
+def test_channel_count_mismatch_names_both_counts(entry):
+    from qls import realization
+
+    call = {
+        "solve_lyapunov": solve_lyapunov,
+        "is_globally_minimal": is_globally_minimal,
+        "power_spectrum": lambda sys, V: power_spectrum(sys, V, -0.5j),
+        "pure_mixed_split": pure_mixed_split,
+        "ps_as_rational": realization.ps_as_rational,
+        "ps_cascade_embedding": ps_cascade_embedding,
+    }[entry]
+    with pytest.raises(ValueError, match="input covariance has 2 channels but the system has 1"):
+        call(cavity(), InputCovariance.vacuum(2))
+
 
 class TestSisoPassiveGm:
+    """The library's global-minimality test against the passive SISO closed form of conftest."""
+
     def test_detuned_cavity_gm(self):
-        out = siso_passive_gm(cavity(kappa=1.0, omega0=2.0), squeezed_input(0.5))
-        assert out["globally_minimal"]
-        assert out["reducible_eigs"] == []
+        sys, V = cavity(kappa=1.0, omega0=2.0), squeezed_input(0.5)
+        out = siso_passive_gm(sys, V)
+        assert out["globally_minimal"] and out["reducible_eigs"] == []
+        assert is_globally_minimal(sys, V)
 
     def test_gm2_reducible_sets(self):
+        # one real eigenvalue at x = -1, a conjugate pair at x = -4: one pure
+        # mode of the split per reducible eigenvalue
         V = squeezed_input(0.5)
-        out = siso_passive_gm(gm2_system(-1.0), V)
-        assert not out["globally_minimal"]
-        assert len(out["reducible_eigs"]) == 1
-        assert abs(out["reducible_eigs"][0].imag) < 1e-9  # one real eigenvalue
-        out = siso_passive_gm(gm2_system(-4.0), V)
-        assert len(out["reducible_eigs"]) == 2  # conjugate pair
+        for x, count in ((-1.0, 1), (-4.0, 2)):
+            sys = gm2_system(x)
+            out = siso_passive_gm(sys, V)
+            assert len(out["reducible_eigs"]) == count and not out["globally_minimal"]
+            assert not is_globally_minimal(sys, V)
+            assert pure_mixed_split(sys, V)["pure"].n == count
+        assert abs(siso_passive_gm(gm2_system(-1.0), V)["reducible_eigs"][0].imag) < 1e-9
 
     def test_opposite_detuning_pair_reducible(self):
         c, om = 1.1, 0.9
         first = cavity(kappa=c * c, omega0=om)
         second = cavity(kappa=c * c, omega0=-om)
         casc = series_product(first, second)
-        out = siso_passive_gm(casc, squeezed_input(0.3))
+        V = squeezed_input(0.3)
+        out = siso_passive_gm(casc, V)
         assert not out["globally_minimal"]
         assert len(out["reducible_eigs"]) == 2
+        assert not is_globally_minimal(casc, V)
 
     def test_vacuum_input_rejected(self):
+        # the closed form refuses vacuum, under which a passive system is never informative
         with pytest.raises(ValueError):
             siso_passive_gm(cavity(), InputCovariance.vacuum(1))
+        assert not is_globally_minimal(cavity(), InputCovariance.vacuum(1))
+
+    def test_seeded_passive_draws(self):
+        # two of the 300 draws (seeds 47 and 291) sit so near a reducible
+        # system that the purity cutoff and the PBH cutoff disagree; the
+        # library must then raise, never return a verdict the closed form contradicts
+        for seed in range(300):
+            rng = np.random.default_rng([seed, 7])
+            n = rng.integers(1, 5)
+            sys = random_qlsystem(rng, n, 1, passive=True)
+            V = squeezed_input(rng.uniform(0.1, 1.0))
+            try:
+                verdict = is_globally_minimal(sys, V)
+            except RuntimeError as err:
+                assert "criteria disagree" in str(err), seed
+                continue
+            assert verdict == siso_passive_gm(sys, V)["globally_minimal"], seed
 
 
 class TestPureMixedSplit:
