@@ -26,8 +26,9 @@ of the Kronecker form up to ``KRON_MAX``, Bartels-Stewart past it).
 and 1 + n_noise channels, (n, n_noise) = (1, 1), (3, 1) and (6, 2).
 ``siso_cascade_identify`` takes the (Xi_-, Xi_+) data of the
 n = 2, 8 and 16 systems; the n = 32 system has a near-real pole pair,
-which the cascade route rejects.  ``ps_realize`` takes each size's vacuum
-power-spectrum data and skips n = 32 for the same reason; ``dual_system``
+which the cascade route rejects.  ``gilbert_realize`` takes each size's
+transfer-function data and ``ps_realize`` each size's vacuum
+power-spectrum data; both skip n = 32 for the same reason; ``dual_system``
 takes each size's system.  The ``freq_response_grid`` cases evaluate
 the spectra workload's sizes, (n, m, K) = (1, 1, 301), (4, 2, 301),
 (16, 1, 81) and (32, 2, 25), one rule of the qfi workload's frequency
@@ -63,6 +64,7 @@ from qls import (
     dual_system,
     flat_adjoint,
     gauge_transform,
+    gilbert_realize,
     is_globally_minimal,
     is_hurwitz,
     is_minimal,
@@ -332,6 +334,15 @@ def _classical(n):
     T = Delta(np.eye(n) + _cplx(rng, (n, n), 0.3 / np.sqrt(n)), _cplx(rng, (n, n), 0.2 / np.sqrt(n)))
     Ti = np.linalg.inv(T)
     return StateSpace(A=T @ sys.A @ Ti, B=-T @ flat_adjoint(sys.C), C=sys.C @ Ti, D=sys.S)
+
+
+def test_gilbert_realize(benchmark, sys):
+    data = tf_as_rational(sys)
+    try:
+        gilbert_realize(data)
+    except IdentificationError as exc:
+        pytest.skip(f"gilbert_realize rejects this system's data: {exc}")
+    benchmark(gilbert_realize, data)
 
 
 def test_physical_from_classical(benchmark, sys):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import io as qio
 from .io import InputError
-from .algebra import flat_unitary_residual
+from .algebra import TOL_NUM, flat_unitary_residual
 from .estimation import (
     destabilized_scaling_check,
     stationary_qfi_rate_freq,
@@ -40,7 +40,7 @@ from .realization import (
     ps_realize,
     siso_cascade_identify,
 )
-from .stationary import InputCovariance, _global_minimality, power_spectrum, pure_mixed_split
+from .stationary import GM_TOL, InputCovariance, _global_minimality, power_spectrum, pure_mixed_split
 
 
 def _load(path, parse, what):
@@ -211,10 +211,8 @@ def cmd_qfi(args):
     V = _load_input(args.input, sys0.m)
     if args.method == "time":
         report = stationary_qfi_rate_time(family, args.theta, V)
-    elif args.method == "freq":
+    else:  # "freq": argparse's choices admit no other method
         report = stationary_qfi_rate_freq(family, args.theta, V)
-    else:
-        raise InputError(f"unknown qfi method {args.method!r}")
     _emit(args, {
         "value": report.value,
         "method": report.method,
@@ -277,7 +275,7 @@ def build_parser():
 
     sp = add("validate", cmd_validate, help="system-theoretic checks of a system file")
     sp.add_argument("system")
-    sp.add_argument("--tol", type=float, default=1e-8, help="physical-realizability tolerance")
+    sp.add_argument("--tol", type=float, default=TOL_NUM, help="physical-realizability tolerance")
 
     sp = add("tf", cmd_tf, help="evaluate the transfer function on a grid")
     sp.add_argument("system")
@@ -291,12 +289,12 @@ def build_parser():
     sp = add("gm", cmd_gm, help="global minimality test")
     sp.add_argument("system")
     sp.add_argument("--input", default=None)
-    sp.add_argument("--gm-tol", type=float, default=1e-7, help="pure/thermal mode threshold")
+    sp.add_argument("--gm-tol", type=float, default=GM_TOL, help="pure/thermal mode threshold")
 
     sp = add("split", cmd_split, help="pure/mixed component split")
     sp.add_argument("system")
     sp.add_argument("--input", default=None)
-    sp.add_argument("--gm-tol", type=float, default=1e-7, help="pure/thermal mode threshold")
+    sp.add_argument("--gm-tol", type=float, default=GM_TOL, help="pure/thermal mode threshold")
 
     sp = add("realize-tf", cmd_realize_tf, help="physical realization from transfer data")
     sp.add_argument("rational")
@@ -315,7 +313,7 @@ def build_parser():
 
     sp = add("absorber", cmd_absorber, help="coherent quantum absorber synthesis")
     sp.add_argument("system")
-    sp.add_argument("--gm-tol", type=float, default=1e-7, help="pure/thermal mode threshold")
+    sp.add_argument("--gm-tol", type=float, default=GM_TOL, help="pure/thermal mode threshold")
 
     sp = add("qfi", cmd_qfi, help="stationary QFI rate of a parameter family")
     sp.add_argument("family")

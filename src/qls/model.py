@@ -245,10 +245,12 @@ def freq_response(sys, s, tangent=None):
     eigenbasis has kappa_F(V) > MODAL_COND_MAX (a defective or nearly
     defective A) is therefore solved densely: X = R C^b by one stacked LU
     per point, and with a tangent one more stacked solve, R (dA X + dC^b).
-    Raises ValueError when a grid point is within STAB_TOL max |lambda| of
-    the spectrum of A.
+    Raises ValueError when a grid point is not finite or is within
+    STAB_TOL max |lambda| of the spectrum of A.
     """
     s = np.asarray(s, dtype=complex).reshape(-1)
+    if not np.isfinite(s).all():
+        raise ValueError(f"s = {s[~np.isfinite(s)][0]} is not a finite Laplace point")
     if sys.parts is not None and tangent is None:
         first, second = sys.parts
         return freq_response(second, s) @ freq_response(first, s)
@@ -340,14 +342,18 @@ def is_minimal(sys):
     return _pbh_margin(sys.A, sys.C, poles[poles.imag >= 0]) > RANK_TOL
 
 
-def is_hurwitz(sys):
-    """True iff max Re(lambda) < -STAB_TOL max |lambda| over the spectrum of A.
+def _unstable_poles(lam):
+    """Mask of the poles failing Re(lambda) < -STAB_TOL max |lambda|, the one stability test.
 
-    The margin is relative, so the verdict does not depend on the time scale
-    (A -> t A).  A 0-mode system is Hurwitz.
+    The margin is relative, so no verdict depends on the time scale.  If any pole is flagged, so is the one of largest Re.
     """
-    lam = sys.poles
-    return bool(np.max(lam.real, initial=-np.inf) < -STAB_TOL * np.max(np.abs(lam), initial=0.0))
+    lam = np.asarray(lam, dtype=complex)
+    return ~(lam.real < -STAB_TOL * np.max(np.abs(lam), initial=0.0))
+
+
+def is_hurwitz(sys):
+    """True iff ``_unstable_poles`` flags no pole of A.  A 0-mode system is Hurwitz."""
+    return not _unstable_poles(sys.poles).any()
 
 
 def spectral_gap(sys):

@@ -38,6 +38,7 @@ from .algebra import (
 from .model import (
     QLSystem,
     StateSpace,
+    _unstable_poles,
     freq_response,
     gauge_transform,
     series_product,
@@ -147,7 +148,10 @@ def _rank_one_factor(R):
 
 
 def _pole_index(poles, p, missing):
-    """Index of the pole within POLE_MATCH_TOL max(1, |p|) of p; IdentificationError(missing) if none."""
+    """Index of the pole within POLE_MATCH_TOL max(1, |p|) of p; IdentificationError(missing) if none.
+
+    The one rule pairing a pole with another; the pole's residues are then read by that index.
+    """
     d = np.abs(poles - p)
     if not np.min(d, initial=np.inf) <= POLE_MATCH_TOL * max(1.0, abs(p)):
         raise IdentificationError(missing)
@@ -209,24 +213,11 @@ def passive_siso_cascade(poles):
     |c|^2 / 2 = -Re(z); the composite transfer function is the product of the
     one-pole all-pass factors (s - conj(z)) / (s - z).
     """
-    stages = []
-    for z in poles:
-        z = complex(z)
-        if z.real >= 0:
-            raise ValueError(f"pole {z} is not in the open left half-plane")
-        stages.append(OneModeParams(float(np.sqrt(-2.0 * z.real)), -z.imag, 0j))
-    return CascadeRealization(stages=tuple(stages))
-
-
-def _scalar_residues(f, poles):
-    """Residues of the scalar rational function f at `poles`, matched by location; 0 where f has none."""
-    out = np.zeros(len(poles), dtype=complex)
-    if f.poles:
-        d = np.abs(poles[:, None] - np.array(f.poles))
-        k = np.argmin(d, axis=1)
-        hit = d[np.arange(len(poles)), k] <= POLE_MATCH_TOL * np.maximum(1.0, np.abs(poles))
-        out[hit] = np.array([R[0, 0] for R in f.residues])[k[hit]]
-    return out
+    poles = [complex(z) for z in poles]
+    unstable = _unstable_poles(poles)
+    if unstable.any():
+        raise ValueError(f"pole {poles[np.argmax(unstable)]} is not in the open left half-plane")
+    return CascadeRealization(tuple(OneModeParams(float(np.sqrt(-2.0 * z.real)), -z.imag, 0j) for z in poles))
 
 
 def siso_cascade_identify(xi_minus, xi_plus, pole_order="damping"):
@@ -234,7 +225,9 @@ def siso_cascade_identify(xi_minus, xi_plus, pole_order="damping"):
 
     The scalar rational functions must share their 2n poles (complex-conjugate
     pairs off the real axis, Hurwitz); Xi_- is monic and Xi_+ vanishes at
-    infinity.  The doubled-up data is realised by ``gilbert_realize`` and
+    infinity.  Xi_+'s poles and each pole's conjugate are found by
+    ``_pole_index``; Xi_+ residues landing on one pole are partial fractions
+    of it and are summed.  The doubled-up data is realised by ``gilbert_realize`` and
     ``physical_from_classical``.  A pure cascade is a symplectic basis in
     which the drift is block lower-triangular in pole order: physical
     realizability then forces every lower block to be -C_i^b C_j, which is
@@ -256,20 +249,20 @@ def siso_cascade_identify(xi_minus, xi_plus, pole_order="damping"):
     pure cascade in that order) or the basis is not symplectic.
     """
     poles = np.array(xi_minus.poles, dtype=complex)
-    for p in xi_plus.poles:
-        if np.min(np.abs(poles - p), initial=np.inf) > POLE_MATCH_TOL * max(1.0, abs(p)):
-            raise IdentificationError("Xi_+ has a pole that Xi_- does not")
+    plus = [_pole_index(poles, p, "Xi_+ has a pole that Xi_- does not") for p in xi_plus.poles]
     if abs(complex(xi_minus.constant[0, 0]) - 1.0) > 1e-8:
         raise IdentificationError("Xi_- must be monic (constant term 1)")
     if abs(complex(xi_plus.constant[0, 0])) > 1e-8:
         raise IdentificationError("Xi_+ must vanish at infinity")
-    if np.max(poles.real, initial=-np.inf) >= 0:
+    if _unstable_poles(poles).any():
         raise IdentificationError(f"unstable pole {poles[np.argmax(poles.real)]}")
 
     # doubled-up residues [[r_-(p), r_+(p)], [conj r_+(conj p), conj r_-(conj p)]]
-    rm, rp = (_scalar_residues(f, poles) for f in (xi_minus, xi_plus))
-    rm_c, rp_c = (_scalar_residues(f, poles.conj()).conj() for f in (xi_minus, xi_plus))
-    residues = np.moveaxis(np.array([[rm, rp], [rp_c, rm_c]]), -1, 0)
+    rm = np.array([R[0, 0] for R in xi_minus.residues], dtype=complex)
+    rp = np.zeros(len(poles), dtype=complex)
+    np.add.at(rp, plus, [R[0, 0] for R in xi_plus.residues])
+    mate = [_pole_index(poles, np.conj(p), f"pole {p} has no conjugate partner in the data") for p in poles]
+    residues = np.moveaxis(np.array([[rm, rp], [rp[mate].conj(), rm[mate].conj()]]), -1, 0)
     sys = physical_from_classical(gilbert_realize(RationalMatrixFunction(np.eye(2), poles, residues)))
 
     n = sys.n
@@ -332,11 +325,11 @@ def gilbert_realize(tf):
         return StateSpace(A=empty, B=np.zeros((0, tf.shape[1])),
                           C=np.zeros((tf.shape[0], 0)), D=tf.constant)
     scale = np.max(np.abs(poles))
-    for i, p in enumerate(poles):
-        if abs(p.imag) <= 1e-9 * scale:
-            raise IdentificationError("poles on the real axis are not supported")
-        if np.min(np.abs(np.delete(poles, i) - p), initial=np.inf) <= POLE_MATCH_TOL * max(1.0, scale):
-            raise IdentificationError("repeated poles are not supported")
+    if np.any(np.abs(poles.imag) <= 1e-9 * scale):
+        raise IdentificationError("poles on the real axis are not supported")
+    gap = np.abs(poles[:, None] - poles)[~np.eye(len(poles), dtype=bool)]  # between distinct entries
+    if np.any(gap <= POLE_MATCH_TOL * max(1.0, scale)):
+        raise IdentificationError("repeated poles are not supported")
     partner = [_pole_index(poles, np.conj(p), f"pole {p} has no conjugate partner in the data")
                for p in poles]
     m2 = tf.shape[0]
@@ -344,19 +337,17 @@ def gilbert_realize(tf):
         raise ValueError("transfer data must act on doubled field coordinates")
     Sig = sigma_swap(m2 // 2)
 
-    upper = [i for i, p in enumerate(poles) if p.imag > 0]
-    lam, B_rows, C_cols = [], [], []
+    upper = np.flatnonzero(poles.imag > 0)
+    lam = poles[upper]
+    B_rows, C_cols = [], []
     for i in upper:
-        p = poles[i]
         R, Rbar = tf.residues[i], tf.residues[partner[i]]
         if np.linalg.norm(Rbar - Sig @ R.conj() @ Sig) > 1e-6 * max(1.0, np.linalg.norm(R)):
-            raise IdentificationError(f"residues at {p} and its conjugate are not mirrored")
+            raise IdentificationError(f"residues at {poles[i]} and its conjugate are not mirrored")
         col, row = _rank_one_factor(R)
         ph = _canonical_row_phase(row)
-        row, col = row * ph, col / ph
-        B_rows.append(row)
-        C_cols.append(col)
-        lam.append(p)
+        B_rows.append(row * ph)
+        C_cols.append(col / ph)
     A0 = np.diag(np.concatenate([lam, np.conj(lam)]))
     B0 = np.vstack(B_rows + [row.conj() @ Sig for row in B_rows])
     C0 = np.hstack(C_cols + [Sig @ col.conj() for col in C_cols])
@@ -386,7 +377,7 @@ def physical_from_classical(ss):
             raise ValueError(f"{name} block of the realization is not doubled-up")
     modal = _eig_modal(A0.conj().T)  # shared by the Hurwitz check and gramian_flat
     poles = np.linalg.eigvals(A0) if modal is None else modal[0]
-    if poles.size and np.max(poles.real) >= 0:
+    if _unstable_poles(poles).any():
         raise ValueError("realization must be Hurwitz")
     m2 = C0.shape[0]
     S = D
@@ -447,12 +438,12 @@ def ps_realize(ps, return_details=False):
     scale = np.max(np.abs(poles))
     if np.any(np.abs(poles.imag) <= 1e-9 * scale):
         raise IdentificationError("real-axis poles are not supported")
-    stable = [p for p in poles if p.real < 0]
+    stable = poles[poles.real < 0]
     if len(stable) != 2 * n:
         raise IdentificationError("stable/unstable pole counts are not balanced")
 
     # order the stable poles as (lambda_1..lambda_n, conj mirror)
-    lam = [p for p in stable if p.imag > 0]
+    lam = stable[stable.imag > 0]
     if len(lam) != n:
         raise IdentificationError("stable poles do not form conjugate pairs")
 

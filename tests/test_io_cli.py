@@ -301,6 +301,15 @@ class TestCli:
         assert err["error"] == "numerical" and "has no conjugate partner" in err["message"]
         assert not out.exists()
 
+    def test_realize_tf_marginal_pole_exits_2(self, workdir, capsys):
+        # poles -1e-14 +/- i: left of the axis, but not by is_hurwitz's relative margin
+        p = write(workdir / "tf.json", qio.rational_to_json(tf_as_rational(cavity(2e-14, 1.0))))
+        out = workdir / "rec.json"
+        assert main(["realize-tf", p, "-o", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "input", "message": "realization must be Hurwitz"}
+        assert not out.exists()
+
     def test_realize_ps(self, workdir):
         sys = active_one_mode_example()
         psr = ps_as_rational(sys, InputCovariance.vacuum(1))

@@ -14,6 +14,7 @@ from qls.algebra import (
     jmat,
     williamson,
 )
+from qls.estimation import coherent_qfi
 from qls.model import (
     ParamFamily,
     QLSystem,
@@ -38,7 +39,7 @@ from qls.sampling import (
 )
 from qls.stationary import InputCovariance, power_spectrum
 
-from conftest import cavity, dpa, eigs_close, squeezing_family, two_mode_cascade_example
+from conftest import cavity, dpa, eigs_close, gm2_system, squeezing_family, two_mode_cascade_example
 
 
 class TestDriftMatrix:
@@ -227,6 +228,19 @@ class TestFreqResponse:
         sys = cavity(2.0, 0.0)
         with pytest.raises(ValueError, match=r"\(-1"):
             freq_response(sys, [-0.5j, -1.0, 0.3])
+
+    @pytest.mark.parametrize("point", (np.nan, np.inf, -np.inf), ids=("nan", "+inf", "-inf"))
+    @pytest.mark.parametrize("call", (
+        lambda s: tf_equal(cavity(), cavity(), grid=[0.3j, s]),
+        lambda s: transfer_function(cavity(), s),
+        lambda s: transfer_function(gm2_system(0.0), s),  # a defective drift: the dense route
+        lambda s: power_spectrum(cavity(), InputCovariance.vacuum(1), [0.3j, s]),
+        lambda s: coherent_qfi(squeezing_family()[0], 0.0, None, [1.0]),  # omega None reads as nan
+        lambda s: freq_response(series_product(cavity(), cavity(1.0, -0.4)), [s]),
+    ), ids=("tf_equal", "modal", "dense", "power_spectrum", "coherent_qfi", "cascade"))
+    def test_non_finite_point_raises(self, call, point):
+        with pytest.raises(ValueError, match="is not a finite Laplace point"):
+            call(point)
 
     def test_no_modes_and_empty_grid(self, rng):
         S = random_symplectic(rng, 1)

@@ -12,6 +12,7 @@ from qls.model import (
     StateSpace,
     check_pr,
     default_grid,
+    is_hurwitz,
     series_product,
     tf_equal,
     transfer_function,
@@ -199,6 +200,29 @@ class TestPassiveSisoCascade:
             passive_siso_cascade([0.1 - 1j])
 
 
+class TestOneStabilityRule:
+    """Every route flags a pole as ``is_hurwitz`` does, by the relative margin STAB_TOL."""
+
+    MARGINAL = cavity(2e-14, 1.0)  # poles -1e-14 +/- i: left of the axis, but not by the margin
+
+    def test_is_hurwitz(self):
+        assert not is_hurwitz(self.MARGINAL)
+
+    def test_physical_from_classical(self):
+        ss = gilbert_realize(tf_as_rational(self.MARGINAL))
+        with pytest.raises(ValueError, match="realization must be Hurwitz"):
+            physical_from_classical(ss)
+
+    def test_siso_cascade_identify(self):
+        xi_m, xi_p = scalar_parts(self.MARGINAL)
+        with pytest.raises(IdentificationError, match=re.escape(f"unstable pole {xi_m.poles[0]}")):
+            siso_cascade_identify(xi_m, xi_p)
+
+    def test_passive_siso_cascade_names_the_first_flagged_pole(self):
+        with pytest.raises(ValueError, match=re.escape("pole (-1e-14+1j) is not in the open left half-plane")):
+            passive_siso_cascade([-1.0 - 2j, -1e-14 + 1j, 0.5 + 1j])
+
+
 class TestSisoCascadeIdentify:
     def test_two_mode_example_default_order(self):
         sys = two_mode_cascade_example()
@@ -324,6 +348,34 @@ class TestSisoCascadeIdentify:
         with pytest.raises(IdentificationError):
             siso_cascade_identify(*scalar_parts(sys))
 
+    def test_split_xi_plus_residue_is_summed(self):
+        """Xi_+ listing a pole twice, its residue split in halves, is the same function and gives the same cascade."""
+        sys = two_mode_cascade_example()
+        xi_m, xi_p = scalar_parts(sys)
+        halves = [R / 2 if k == 0 else R for k, R in enumerate(xi_p.residues)] + [xi_p.residues[0] / 2]
+        split = RationalMatrixFunction(xi_p.constant, xi_p.poles + xi_p.poles[:1], halves)
+        casc = siso_cascade_identify(xi_m, split)
+        want = siso_cascade_identify(xi_m, xi_p)
+        for a, b in zip(casc.stages, want.stages, strict=True):
+            assert np.allclose([a.c, a.omega_minus, a.omega_plus], [b.c, b.omega_minus, b.omega_plus], atol=1e-9)
+        assert tf_equal(casc.to_system(), sys, tol=1e-6)
+
+    def test_xi_plus_pole_missing_from_xi_minus_named(self):
+        xi_m, xi_p = scalar_parts(two_mode_cascade_example())
+        extra = RationalMatrixFunction(xi_p.constant, xi_p.poles + (xi_p.poles[0] + 0.5,),
+                                       xi_p.residues + xi_p.residues[:1])
+        with pytest.raises(IdentificationError, match="Xi_\\+ has a pole that Xi_- does not"):
+            siso_cascade_identify(xi_m, extra)
+
+    def test_unpaired_pole_named(self):
+        xi_m, xi_p = scalar_parts(two_mode_cascade_example())
+        p = xi_m.poles[1]
+        k = xi_m.poles.index(np.conj(p))
+        drop = lambda f: RationalMatrixFunction(f.constant, f.poles[:k] + f.poles[k + 1:],
+                                                f.residues[:k] + f.residues[k + 1:])
+        with pytest.raises(IdentificationError, match=re.escape(f"pole {p} has no conjugate partner in the data")):
+            siso_cascade_identify(drop(xi_m), drop(xi_p))
+
     @staticmethod
     def _xi_error(sys, casc):
         rec = casc.to_system()
@@ -385,6 +437,12 @@ class TestGilbertRealize:
     def test_real_poles_rejected(self):
         with pytest.raises(IdentificationError):
             gilbert_realize(tf_as_rational(dpa(3.0, 1.0)))
+
+    def test_repeated_poles_rejected(self):
+        r = tf_as_rational(cavity(2.0, 1.3))
+        twice = RationalMatrixFunction(r.constant, r.poles + r.poles, r.residues + r.residues)
+        with pytest.raises(IdentificationError, match="repeated poles are not supported"):
+            gilbert_realize(twice)
 
     def test_rank_two_residue_rejected(self):
         r = RationalMatrixFunction(
