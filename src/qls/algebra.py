@@ -37,6 +37,7 @@ TOL_NUM = 1e-8      # relative, algebraic residuals
 MODAL_COND_MAX = 1e3   # kappa_F(V) past which an eigenbasis is not used (``modal_inverse``)
 LYAP_RESID_MAX = 64 * np.finfo(float).eps   # relative residual every Lyapunov solve must meet
 KRON_MAX = 8           # largest X that ``_direct_lyap`` solves in Kronecker form
+GM_TOL = 1e-7          # symplectic-eigenvalue threshold separating pure from thermal modes
 
 
 def jmat(n):
@@ -221,12 +222,13 @@ def williamson(V, n=None):
     return WilliamsonResult(symplectic_eigenvalues=nus, transform=T.conj().T)
 
 
-def vacuum_basis_transform(N, M, tol=1e-6):
+def vacuum_basis_transform(N, M, tol=GM_TOL):
     """Symplectic S with S V_vac S^dag = V(N, M), for a pure input state.
 
     S = Delta((N^T+1)^{1/2}, M (N^dag + 1)^{-1/2}); only defined for pure
     covariances, which is checked through the Williamson spectrum: every
-    symplectic eigenvalue must be at most tol * max(1, ||V||).
+    symplectic eigenvalue must be at most tol * max(1, ||V||), by default
+    the threshold of ``InputCovariance.is_pure``.
     """
     N = np.atleast_2d(np.asarray(N, dtype=complex))
     M = np.atleast_2d(np.asarray(M, dtype=complex))

@@ -207,7 +207,7 @@ def cmd_qfi(args):
     family = _load(args.family, qio.family_from_json, "family")
     if args.fd_step is not None:
         family = dataclasses.replace(family, fd_step=args.fd_step)
-    sys0 = family.evaluate(args.theta)
+    sys0, _ = family.at(args.theta)
     V = _load_input(args.input, sys0.m)
     if args.method == "time":
         report = stationary_qfi_rate_time(family, args.theta, V)

@@ -12,9 +12,10 @@ rule on w = c tan t, or in the time domain from the modified-generator form
     f = 4 E_ss[ a^dag D^dag J V J D a ],   D = dC - 2 i C J B,
 
 with B solving A^dag B + B A + X = 0 for the Hermitian generator
-X = dOmega/2 + Im(dC^dag J C)/2.  Both take the tangent (dS, dC, dOmega)
-from ``ParamFamily.derivatives`` and calibrate to the closed form
-16 N (N+1) / c^2 for a vacuum-squeezed-driven cavity at zero detuning.
+X = dOmega/2 + Im(dC^dag J C)/2.  Both read the system and its tangent
+(dS, dC, dOmega) from ``ParamFamily.at``, built once per theta, and
+calibrate to the closed form 16 N (N+1) / c^2 for a vacuum-squeezed-driven
+cavity at zero detuning.
 
 Time-dependent inputs: coherent and squeezed-coherent probe formulas, the
 destabilisation scaling diagnostic, and the multi-parameter entangled-probe
@@ -27,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import jmat, lyap
-from .model import ParamFamily, QLSystem, freq_response, is_hurwitz, spectral_gap
+from .model import ParamFamily, QLSystem, _tangent_response, freq_response, is_hurwitz, spectral_gap
 from .stationary import _channels_match, _eigenbasis, solve_lyapunov
 
 GL_FIRST = 8      # Gauss-Legendre nodes per panel of the first frequency rule
@@ -57,7 +58,7 @@ def coherent_qfi(family, theta0, omega, alpha, optimize_omega=False, grid=None):
     alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
     breve = np.concatenate([alpha, alpha.conj()])
     m = len(alpha)
-    sys0 = family.evaluate(theta0)
+    sys0, tangent = family.at(theta0)
     _channels_match(m, sys0, "alpha", "family")
     diagnostics = {"fd_step": family.step(theta0)}
     if optimize_omega:
@@ -66,7 +67,6 @@ def coherent_qfi(family, theta0, omega, alpha, optimize_omega=False, grid=None):
         omegas = np.asarray(grid, dtype=float)
     else:
         omegas = np.array([omega], dtype=float)
-    tangent = family.derivatives(theta0)
     _, dXi = freq_response(sys0, -1j * omegas, tangent)
     # sensitivity of the output amplitude d(Xi_- alpha + Xi_+ conj(alpha))
     values = 4.0 * np.linalg.norm((dXi @ breve)[:, :m], axis=1) ** 2
@@ -145,14 +145,22 @@ def _panel_edges(poles, c):
     return np.concatenate([[-0.5 * np.pi], t, [0.5 * np.pi]])
 
 
-def _dpsi(sys, Vm, omegas, tangent):
+def _dpsi(respond, Vm, omegas):
     """dPsi(-i w) = G + G^dag, G = dXi V Xi^dag, on a frequency grid; returns (dPsi, G).
 
-    dXi V is one GEMM over the stacked rows of the grid and G one einsum.
+    `respond` is a tangent evaluator from ``model._tangent_response``; the
+    grid is not checked against the poles.  dXi V is one GEMM over the
+    stacked rows of the grid.  G is a two-term broadcast sum over the 2 x 2
+    stacks of one channel and one einsum for more channels, where the sum
+    is no faster.
     """
-    Xi, dXi = freq_response(sys, -1j * omegas, tangent)
+    Xi, dXi = respond(-1j * omegas)
     dXiV = (dXi.reshape(-1, Vm.shape[0]) @ Vm).reshape(dXi.shape)
-    G = np.einsum("kij,klj->kil", dXiV, Xi.conj())
+    Xc = Xi.conj()
+    if Vm.shape[0] == 2:
+        G = dXiV[:, :, :1] * Xc[:, None, :, 0] + dXiV[:, :, 1:] * Xc[:, None, :, 1]
+    else:
+        G = np.einsum("kij,klj->kil", dXiV, Xc)
     return G + G.conj().transpose(0, 2, 1), G
 
 
@@ -180,12 +188,20 @@ def stationary_qfi_rate_freq(family, theta0, V):
     e.g. when a theta-dependent S keeps dPsi from decaying at large |w|.
     Diagnostics carry the summed rule differences, the most nodes any panel
     used and the panel count.
+
+    The system and tangent come from ``family.at(theta0)``, and the tangent
+    evaluator (``model._tangent_response``) is built once for every rule.
+    Its nodes skip ``freq_response``'s pole check, which cannot fire once
+    the family is Hurwitz: every pole has Re lambda < -STAB_TOL max |lambda|
+    (``is_hurwitz``), and every node s = -i w is finite, since w = c tan t
+    with t inside (-pi/2, pi/2), and has Re s = 0 exactly, so
+    |s - lambda| >= |Re lambda| > STAB_TOL max |lambda|.
     """
-    sys0 = family.evaluate(theta0)
+    sys0, tangent = family.at(theta0)
     _channels_match(V.m, sys0, "input covariance", "family")
     if not is_hurwitz(sys0):
         raise ValueError("family must be Hurwitz at theta0")
-    tangent = family.derivatives(theta0)
+    respond = _tangent_response(sys0, tangent)
     jd = np.diag(jmat(sys0.m)).real
     Vm = V.matrix()
     c = float(np.max(np.abs(sys0.poles))) if sys0.n else 1.0
@@ -197,7 +213,7 @@ def stationary_qfi_rate_freq(family, theta0, V):
         x, wx = _gauss_legendre(k)
         t = mid[panels, None] + half[panels, None] * x
         weights = half[panels, None] * wx * c / np.cos(t) ** 2 / (2.0 * np.pi)
-        dPsi, G = _dpsi(sys0, Vm, c * np.tan(t.ravel()), tangent)
+        dPsi, G = _dpsi(respond, Vm, c * np.tan(t.ravel()))
         f = _fisher_density(dPsi, jd).reshape(t.shape)
         g = np.sum(np.abs(G) ** 2, axis=(1, 2)).reshape(t.shape)
         return np.sum(weights * f, axis=1), np.sum(weights * g, axis=1)
@@ -240,10 +256,9 @@ def stationary_qfi_rate_time(family, theta0, V):
     ordering of the quadratic expectation.  Theta-dependent scattering is
     not supported.
     """
-    sys0 = family.evaluate(theta0)
+    sys0, (dS, dC, dOm) = family.at(theta0)
     _channels_match(V.m, sys0, "input covariance", "family")
     h = family.step(theta0)
-    dS, dC, dOm = family.derivatives(theta0)
     if h * np.linalg.norm(dS) > 1e-12 * max(1.0, np.linalg.norm(sys0.S)):
         raise ValueError("theta-dependent scattering is not supported in the time domain")
     if not is_hurwitz(sys0):
@@ -309,7 +324,7 @@ def destabilized_scaling_check(family_builder, couplings, V, theta0=0.0):
     rows = []
     for c in couplings:
         fam = family_builder(c)
-        sys0 = fam.evaluate(theta0)
+        sys0, _ = fam.at(theta0)
         if not is_hurwitz(sys0):
             raise ValueError(f"family at coupling {c} is not Hurwitz")
         tau = 1.0 / spectral_gap(sys0)

@@ -16,7 +16,7 @@ transfer function iff they are related by a symplectic gauge transformation
 C -> C T^b, J Omega -> T J Omega T^b.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -232,7 +232,9 @@ def freq_response(sys, s, tangent=None):
     is returned too, as a second stack.  On a cascade from ``series_product``
     a plain call is the series product Xi_second Xi_first of its parts'
     responses (Gough & James 2009), each from solves of its own size.
-    Otherwise R comes from the system's cached eigendecomposition
+    Otherwise the call checks the grid and hands it to the evaluator of
+    ``_tangent_response``, which holds the one copy of the algebra:
+    R comes from the system's cached eigendecomposition
     A = V diag(lambda) V^-1 as V diag(1/(s - lambda)) V^-1, so a grid costs
     O(K n m^2) (O(K n^2 m) with a tangent) after one O(n^3) ``eig``.  Xi is
     one line for both calls: each point's row 1/(s_k - lambda) times the
@@ -259,8 +261,24 @@ def freq_response(sys, s, tangent=None):
         near = np.min(np.abs(s[:, None] - lam), axis=1) <= STAB_TOL * np.max(np.abs(lam))
         if near.any():
             raise ValueError(f"s = {s[np.argmax(near)]} is a pole of the transfer function")
+    return _tangent_response(sys, tangent)(s)
+
+
+def _tangent_response(sys, tangent=None):
+    """The grid evaluator of ``freq_response``, with its theta-fixed set-up done once.
+
+    Returns a function of a 1-d complex array s of K Laplace points that
+    gives the (K, 2m, 2m) stack Xi, or with a tangent (dS, dC, dOmega) the
+    pair (Xi, dXi).  The points are not checked: each must be finite and
+    off the spectrum of A (``freq_response`` checks both).  Everything that
+    does not depend on s is formed here, once: dA, the outer-product tables
+    of C V with V^-1 C^b S and with V^-1 C^b dS, V^-1 dA V, dC V and
+    V^-1 dC^b S on the modal path, C^b, dC^b and dA on the dense path.  A
+    caller that evaluates one tangent on many grids (a frequency-route
+    rate) builds the evaluator once.
+    """
     C, S = sys.C, sys.S
-    (m2, n2), K = C.shape, len(s)
+    m2, n2 = C.shape
     if tangent is not None:
         dS, dC, dOm = tangent
         Cb, dCb = flat_adjoint(C), flat_adjoint(dC)
@@ -269,30 +287,47 @@ def freq_response(sys, s, tangent=None):
         dA[n2 // 2 :] += 1j * dOm[n2 // 2 :]
     modal = sys._modal
     if modal is None:
-        M = s[:, None, None] * np.eye(n2) - sys.A
-        X = np.linalg.solve(M, np.broadcast_to(flat_adjoint(C), (K, n2, m2)))
-        G = np.eye(m2, dtype=complex) - C @ X
-        Xi = G @ S
-        if tangent is None:
-            return Xi
-        Y = np.linalg.solve(M, dA @ X + dCb)   # R (dA X + dC^b)
-        return Xi, G @ dS - (dC @ X + C @ Y) @ S
+        Cb = flat_adjoint(C) if tangent is None else Cb
+
+        def dense(s):
+            M = s[:, None, None] * np.eye(n2) - sys.A
+            X = np.linalg.solve(M, np.broadcast_to(Cb, (len(s), n2, m2)))
+            G = np.eye(m2, dtype=complex) - C @ X
+            Xi = G @ S
+            if tangent is None:
+                return Xi
+            Y = np.linalg.solve(M, dA @ X + dCb)   # R (dA X + dC^b)
+            return Xi, G @ dS - (dC @ X + C @ Y) @ S
+
+        return dense
     lam, V, Vi, CV, W = modal
-    r = 1.0 / (s[:, None] - lam)   # (K, 2n): the resolvent's eigenvalues
     WS = W @ S
-    Xi = S - np.matmul(r[:, None, :], _outer(CV, WS)).reshape(K, m2, m2)
+    table = _outer(CV, WS)
+
+    def xi(r):
+        """Xi from the resolvent's eigenvalues r = 1/(s - lambda), one (K, 2n) row per point."""
+        return S - np.matmul(r[:, None, :], table).reshape(len(r), m2, m2)
+
     if tangent is None:
-        return Xi
+        return lambda s: xi(1.0 / (s[:, None] - lam))
     # dXi = G dS - dG S with G = 1 - CV diag(r) W and
     # dG = dC V diag(r) W + CV diag(r) (V^-1 dA V diag(r) W + V^-1 dC^b): S enters
     # through W S and V^-1 dC^b S, and the grid runs along the columns,
     # RWS[:, k] = V^-1 R_k C^b S, so each product is one GEMM over the whole grid
-    rT = np.ascontiguousarray(r.T)[:, :, None]
-    RWS = (rT * WS[:, None, :]).reshape(n2, K * m2)
-    inner = ((Vi @ dA @ V) @ RWS).reshape(n2, K, m2) + (Vi @ dCb @ S)[:, None, :]
-    dGS = (dC @ V) @ RWS + CV @ (rT * inner).reshape(n2, K * m2)   # the dG_k S side by side
-    dXi = dS - (r @ _outer(CV, W @ dS)).reshape(K, m2, m2) - dGS.reshape(m2, K, m2).transpose(1, 0, 2)
-    return Xi, dXi
+    VidAV, dCV, VidCbS = Vi @ dA @ V, dC @ V, Vi @ dCb @ S
+    table_dS = _outer(CV, W @ dS)
+
+    def modal_tangent(s):
+        K = len(s)
+        r = 1.0 / (s[:, None] - lam)   # (K, 2n): the resolvent's eigenvalues
+        rT = np.ascontiguousarray(r.T)[:, :, None]
+        RWS = (rT * WS[:, None, :]).reshape(n2, K * m2)
+        inner = (VidAV @ RWS).reshape(n2, K, m2) + VidCbS[:, None, :]
+        dGS = dCV @ RWS + CV @ (rT * inner).reshape(n2, K * m2)   # the dG_k S side by side
+        dXi = dS - (r @ table_dS).reshape(K, m2, m2) - dGS.reshape(m2, K, m2).transpose(1, 0, 2)
+        return xi(r), dXi
+
+    return modal_tangent
 
 
 def _outer(left, right):
@@ -462,17 +497,25 @@ def tf_equal(a, b, grid=None, tol=1e-8):
 class ParamFamily:
     """One-parameter family of systems theta -> QLSystem.
 
-    ``fd_step`` is the central finite-difference step used for derivatives;
-    it defaults to 1e-6 * max(1, |theta|) at evaluation time when zero.
-    Raises ValueError when it is negative.
+    ``evaluate`` must be a pure function of theta: ``at`` keeps the system
+    and tangent of the last theta asked (one slot, excluded from equality
+    and repr), and every QFI route reads them from there, so a second route
+    at the same theta builds no system.  ``dataclasses.replace`` gives a
+    family with an empty slot.  ``fd_step`` is the central finite-difference
+    step used for derivatives; it defaults to 1e-6 * max(1, |theta|) at
+    evaluation time when zero.  Raises ValueError when it is negative or
+    not finite.
     """
 
     evaluate: Callable[[float], QLSystem]
     fd_step: float = 0.0
+    _point: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.fd_step >= 0:
             raise ValueError(f"fd_step must be >= 0 (0 takes the default step), got {self.fd_step}")
+        if not np.isfinite(self.fd_step):
+            raise ValueError(f"fd_step must be finite, got {self.fd_step}")
 
     def step(self, theta):
         if self.fd_step > 0:
@@ -488,3 +531,20 @@ class ParamFamily:
         h = self.step(theta)
         hi, lo = self.evaluate(theta + h), self.evaluate(theta - h)
         return tuple((getattr(hi, k) - getattr(lo, k)) / (2 * h) for k in ("S", "C", "Omega"))
+
+    def at(self, theta):
+        """(system, tangent) at theta: ``evaluate(theta)`` and ``derivatives(theta)``.
+
+        Computed once and kept until another theta is asked; the tangent's
+        arrays are read-only, as the system's are.  Three evaluations on a
+        new point, none on the kept one.  Raises ValueError when theta is
+        not finite.
+        """
+        if not np.isfinite(theta):
+            raise ValueError(f"theta = {theta} is not finite")
+        if self._point is None or self._point[0] != theta:
+            system, tangent = self.evaluate(theta), self.derivatives(theta)
+            for d in tangent:
+                d.flags.writeable = False
+            object.__setattr__(self, "_point", (theta, system, tangent))
+        return self._point[1:]

@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .algebra import _lyap, _vacuum_basis, du_blocks, flat_adjoint, lyap_cascade, williamson
+from .algebra import GM_TOL, _lyap, _vacuum_basis, du_blocks, flat_adjoint, lyap_cascade, williamson
 from .model import (
     QLSystem,
     StateSpace,
@@ -31,8 +31,6 @@ from .model import (
     is_hurwitz,
     is_minimal,
 )
-
-GM_TOL = 1e-7  # symplectic-eigenvalue threshold separating pure from thermal modes
 
 
 def vacuum_covariance(m):

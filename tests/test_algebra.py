@@ -3,6 +3,7 @@ import pytest
 
 from qls import algebra
 from qls.algebra import (
+    GM_TOL,
     Delta,
     du_blocks,
     factor_flat_gram,
@@ -17,6 +18,7 @@ from qls.algebra import (
     williamson,
 )
 from qls.sampling import random_pure_input, random_symplectic
+from qls.stationary import InputCovariance
 
 from conftest import mpmath_lyap, non_normal_triangular
 
@@ -325,10 +327,21 @@ class TestVacuumBasisTransform:
         with pytest.raises(ValueError):
             vacuum_basis_transform([[0.5]], [[0.0]])  # thermal: mixed
 
+    @pytest.mark.parametrize("occupation", (3e-7, 3e-8))
+    def test_default_threshold_agrees_with_is_pure(self, occupation):
+        # a thermal occupation N is the input's symplectic eigenvalue: mixed above GM_TOL, pure below
+        pure = InputCovariance([[occupation]], [[0.0]]).is_pure
+        assert pure == (occupation < GM_TOL)
+        if pure:
+            vacuum_basis_transform([[occupation]], [[0.0]])
+        else:
+            with pytest.raises(ValueError, match="mixed"):
+                vacuum_basis_transform([[occupation]], [[0.0]])
+
     def test_tol_sets_purity_threshold(self):
         n = 1e-8
         m = np.sqrt(n * (n + 1.0)) - 1e-6  # slightly mixed: nu ~ 2e-10
-        vacuum_basis_transform([[n]], [[m]])  # within the default 1e-6 relative threshold
+        vacuum_basis_transform([[n]], [[m]])  # within the default GM_TOL relative threshold
         with pytest.raises(ValueError, match="mixed"):
             vacuum_basis_transform([[n]], [[m]], tol=1e-30)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from qls.estimation import (
     stationary_qfi_rate_freq,
     stationary_qfi_rate_time,
 )
-from qls.model import ParamFamily, QLSystem, freq_response, series_product
+from qls.model import ParamFamily, QLSystem, _tangent_response, freq_response, series_product
 from qls.sampling import (
     random_hermitian_doubled_up,
     random_pure_input,
@@ -182,6 +184,8 @@ class TestStationaryRates:
         assert abs(ft - ff) <= 1e-10 * abs(ft)
 
     def test_both_routes_take_three_evaluations(self, rng):
+        # theta0 and theta0 +/- h, once per family: ``ParamFamily.at`` keeps that point, so
+        # a second route on the same family builds no system, and ``replace`` starts afresh
         fam = random_active_family(rng, n=2, m=1)
         calls = []
 
@@ -189,19 +193,36 @@ class TestStationaryRates:
             calls.append(theta)
             return fam.evaluate(theta)
 
-        counting = ParamFamily(evaluate=counted, fd_step=fam.fd_step)
+        counting = lambda: ParamFamily(evaluate=counted, fd_step=fam.fd_step)
         V = InputCovariance(*random_pure_input(rng, 1))
+        alone = {}
         for route in (stationary_qfi_rate_time, stationary_qfi_rate_freq):
             calls.clear()
-            route(counting, 0.0, V)
+            alone[route] = route(counting(), 0.0, V).value
             assert len(calls) == 3
+        shared = counting()
+        calls.clear()
+        for route in (stationary_qfi_rate_freq, stationary_qfi_rate_time):
+            assert route(shared, 0.0, V).value == alone[route]
+        assert len(calls) == 3
+        calls.clear()
+        stationary_qfi_rate_time(dataclasses.replace(shared, fd_step=2e-6), 0.0, V)
+        assert calls == [0.0, 2e-6, -2e-6]
+
+    @pytest.mark.parametrize("route", (stationary_qfi_rate_freq, stationary_qfi_rate_time, coherent_qfi),
+                             ids=("freq", "time", "coherent"))
+    def test_non_finite_theta_is_named(self, route):
+        fam = cavity_omega_family(1.3)
+        args = (0.5, [1.0]) if route is coherent_qfi else (squeezed_input(0.5),)
+        with pytest.raises(ValueError, match="^theta = nan is not finite$"):
+            route(fam, np.nan, *args)
 
     def test_theta_dependent_scattering_dpsi(self):
         fam, _ = squeezing_family()
         V = squeezed_input(0.4)
         omegas = np.linspace(-4.0, 4.0, 33)
         h = 1e-5
-        dPsi, _ = _dpsi(fam.evaluate(0.0), V.matrix(), omegas, fam.derivatives(0.0))
+        dPsi, _ = _dpsi(_tangent_response(*fam.at(0.0)), V.matrix(), omegas)
         fd = (power_spectrum(fam.evaluate(h), V, -1j * omegas)
               - power_spectrum(fam.evaluate(-h), V, -1j * omegas)) / (2 * h)
         assert np.max(np.abs(dPsi - fd)) <= 1e-8 * np.max(np.abs(fd))
@@ -281,8 +302,9 @@ class TestDpsi:
     def test_matches_per_point_loop(self, case):
         sys, tangent, V = _dpsi_cases()[case]
         assert (sys._modal is None) == (case == "defective")  # the dense path
+        assert (sys.m == 1) == (case not in ("m2", "m3"))  # G's broadcast sum; m2 and m3 take its einsum
         Vm, omegas = V.matrix(), np.linspace(-5.0, 5.0, 41)
-        dPsi, G = _dpsi(sys, Vm, omegas, tangent)
+        dPsi, G = _dpsi(_tangent_response(sys, tangent), Vm, omegas)
         # one point per call: no product mixes grid points (the evaluator's own accuracy,
         # against the dense formulas, is tested in test_model)
         loop = []

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -715,3 +716,50 @@ class TestValidationThresholds:
         else:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 self._build(**parts)
+
+
+class TestParamFamily:
+    @staticmethod
+    def _counting():
+        """A one-mode family affine in theta, and the list of thetas it was evaluated at."""
+        calls = []
+
+        def evaluate(theta):
+            calls.append(theta)
+            return QLSystem.from_blocks([[1.0 + 0.3 * theta]], [[0.1]], [[0.5 + theta]], [[0.2j]])
+
+        return ParamFamily(evaluate=evaluate, fd_step=1e-6), calls
+
+    def test_at_keeps_the_last_point(self):
+        fam, calls = self._counting()
+        sys0, tangent = fam.at(0.1)
+        assert len(calls) == 3
+        again = fam.at(0.1)
+        assert len(calls) == 3 and again[0] is sys0 and again[1] is tangent
+        fresh = fam.derivatives(0.1)
+        assert all(np.array_equal(d, e) for d, e in zip(tangent, fresh))
+        assert all(not d.flags.writeable for d in tangent)
+        calls.clear()
+        fam.at(0.2)
+        fam.at(0.1)  # one slot: 0.2 replaced 0.1
+        assert len(calls) == 6
+
+    def test_replace_starts_with_an_empty_slot(self):
+        fam, calls = self._counting()
+        fam.at(0.1)
+        wider = dataclasses.replace(fam, fd_step=1e-4)
+        wider.at(0.1)
+        assert calls[3:] == [0.1, 0.1 + 1e-4, 0.1 - 1e-4]
+        assert fam == dataclasses.replace(fam) and "_point" not in repr(fam)
+
+    @pytest.mark.parametrize("step", (np.inf, -np.inf, np.nan))
+    def test_non_finite_fd_step_is_named(self, step):
+        with pytest.raises(ValueError, match=f"^fd_step must be .*got {step}$"):
+            ParamFamily(evaluate=lambda th: cavity(), fd_step=step)
+
+    @pytest.mark.parametrize("theta", (np.nan, np.inf))
+    def test_non_finite_theta_is_named(self, theta):
+        fam, calls = self._counting()
+        with pytest.raises(ValueError, match=f"^theta = {theta} is not finite$"):
+            fam.at(theta)
+        assert calls == []
