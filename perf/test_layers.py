@@ -49,9 +49,12 @@ every channel squeezed alike, and time both routes, ``freq`` and ``time``,
 each on a ``dataclasses.replace`` copy that keeps no evaluated point;
 ``qfi_rate_pair`` loads such a family inside the timed call and runs
 ``freq`` then ``time`` on it, as the qfi workload does for each family.
-``is_globally_minimal`` and ``pure_mixed_split`` take each size's system
-and the squeezed input (every size is globally minimal, so the split has
-no pure part).
+``is_minimal``, ``is_globally_minimal`` and ``pure_mixed_split`` take the
+system of each of n = 1, 2, 8, 16 and 32 and the squeezed input (every size
+is globally minimal, so the split has no pure part); ``is_minimal_defective``
+takes the two-mode gm2 example at x = 0, whose defective drift has no usable
+eigenbasis (the PBH route).  ``nus_detect`` takes a seeded passive system with
+n = 1, 2, 8, 16 or 32 modes and two channels, channel 0 accessible.
 """
 
 import dataclasses
@@ -76,6 +79,7 @@ from qls import (
     is_symplectic,
     jmat,
     noisy_realize,
+    nus_detect,
     physical_from_classical,
     ps_as_rational,
     ps_realize,
@@ -96,6 +100,7 @@ from qls.model import freq_response
 from qls.realization import IdentificationError
 
 SIZES = (2, 8, 32)
+MINIMALITY_SIZES = (1, 2, 8, 16, 32)
 
 
 def _cplx(rng, shape, scale=1.0):
@@ -243,16 +248,34 @@ def test_freq_response_grid_cached(benchmark, grid_case, with_tangent):
     benchmark(freq_response, sys, grid, *extra)
 
 
-def test_is_minimal(benchmark, sys):
+@pytest.fixture(scope="module", params=MINIMALITY_SIZES, ids=lambda n: f"n{n}")
+def msys(request):
+    return _system(request.param)
+
+
+def test_is_minimal(benchmark, msys):
+    benchmark(is_minimal, msys)
+
+
+def test_is_minimal_defective(benchmark):
+    sys = QLSystem.passive([[1.0]], [[0.0, 2.0 * np.sqrt(2.0)]], 2.0 * np.ones((2, 2)))   # gm2 at x = 0
     benchmark(is_minimal, sys)
 
 
-def test_is_globally_minimal(benchmark, sys):
-    benchmark(is_globally_minimal, sys, INPUT)
+def test_is_globally_minimal(benchmark, msys):
+    benchmark(is_globally_minimal, msys, INPUT)
 
 
-def test_pure_mixed_split(benchmark, sys):
-    benchmark(pure_mixed_split, sys, INPUT)
+def test_pure_mixed_split(benchmark, msys):
+    benchmark(pure_mixed_split, msys, INPUT)
+
+
+@pytest.mark.parametrize("n", MINIMALITY_SIZES, ids=lambda n: f"n{n}")
+def test_nus_detect(benchmark, n):
+    rng = np.random.default_rng(400 + n)
+    Om = _cplx(rng, (n, n))
+    sys = QLSystem.passive(np.eye(2), _cplx(rng, (2, n)), 0.5 * (Om + Om.conj().T))
+    benchmark(nus_detect, sys, [0])
 
 
 def _copy(sys):

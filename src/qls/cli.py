@@ -224,13 +224,16 @@ def cmd_qfi(args):
 def _sweep_spec(data):
     """(builder, couplings) of a sweep file; builder maps a coupling value to its family.
 
-    The first family is built here, so that a malformed file fails on loading.
+    The builder is memoised per coupling, so each family is loaded once and
+    keeps its evaluated point.  The first family is built here, so that a
+    malformed file fails on loading.
     """
     couplings = [qio.finite_float(c, "coupling") for c in data["couplings"]]
     name, half = data.get("coupling_target", "C.minus").split(".")
     row = int(data.get("coupling_row", 0))
     col = int(data.get("coupling_col", 0))
 
+    @functools.cache
     def builder(c):
         spec = dict(data["family"])
         base = dict(spec["base"])
@@ -247,7 +250,7 @@ def _sweep_spec(data):
 
 def cmd_sweep(args):
     builder, couplings = _load(args.family, _sweep_spec, "sweep spec")
-    sys0 = builder(couplings[0]).evaluate(args.theta)
+    sys0, _ = builder(couplings[0]).at(args.theta)
     V = _load_input(args.input, sys0.m)
     table = destabilized_scaling_check(builder, couplings, V, theta0=args.theta)
     lines = ["coupling,tau,f,slope_fit"]

@@ -35,8 +35,9 @@ from .algebra import (
     modal_inverse,
 )
 
-RANK_TOL = 1e-10   # PBH-margin cutoff for the minimality decision
-STAB_TOL = 1e-12   # Hurwitz margin and pole-check radius, relative to max |lambda|
+RANK_TOL = 1e-10     # reducibility-margin cutoff for the minimality decision
+STAB_TOL = 1e-12     # Hurwitz margin and pole-check radius, relative to max |lambda|
+CLUSTER_TOL = 1e-8   # poles this close, relative to max |lambda|, share one eigenspace (``_cluster_basis``)
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,6 +345,62 @@ def transfer_function(sys, s):
     return freq_response(sys, [s])[0]
 
 
+def _cluster_basis(lam, X, M):
+    """The unit eigenvectors X (X[:, k] for lam[k]) orthonormalised per pole cluster, along M.
+
+    Poles within CLUSTER_TOL max |lambda| of one another, linked
+    transitively, form a cluster: rounding splits a repeated pole, and a
+    direction of its eigenspace can hide between the computed vectors.  A
+    singleton keeps its column, with no QR; a larger cluster's columns
+    become Q_c W, Q_c from one QR of them and W the right singular vectors
+    of M Q_c, so the column norms of M Q_c W are the singular values of
+    M Q_c, with zeros past its rank.
+    """
+    near = np.abs(lam[:, None] - lam) <= CLUSTER_TOL * np.max(np.abs(lam), initial=0.0)
+    if np.count_nonzero(near) == len(lam):   # every pole is its own cluster
+        return X
+    near, X = near.astype(float), X.copy()
+    while True:   # transitive closure by repeated squaring
+        closed = (near @ near > 0).astype(float)
+        if np.array_equal(closed, near):
+            break
+        near = closed
+    first = np.argmax(near, axis=1) == np.arange(len(lam))   # each cluster's lowest index
+    for k in np.flatnonzero(first & (near.sum(axis=1) > 1)):
+        idx = np.flatnonzero(near[k])
+        Q = np.linalg.qr(X[:, idx])[0]
+        X[:, idx] = Q @ np.linalg.svd(M @ Q)[2].conj().T
+    return X
+
+
+def _reducibility_margin(sys, B=None):
+    """Scale-invariant margin of observability of (C, A), or given B of controllability of (A, B).
+
+    For a simple pole, (M, A) loses observability exactly when M v = 0 for
+    its eigenvector v (Gilbert 1963; Hautus 1969); (A, B) is the dual pair
+    (B^dag, A^dag), whose eigenvectors are the rows of V^-1.  The margin is
+    min over pole clusters of sigma_min(M Q_c) / ||M||, Q_c from
+    ``_cluster_basis`` on the cached eigenbasis.  A unit eigenvector is a
+    test vector of the PBH pencil, so this bounds ``_pbh_margin`` from
+    above, which runs instead when ``sys._modal`` is None (the
+    MODAL_COND_MAX choice of ``freq_response`` and ``lyap``).  inf at 0
+    modes, 0 when M = 0.
+    """
+    modal = sys._modal
+    if modal is None:
+        if B is None:   # the doubled-up (C, A): a conjugate pole gives the same margin
+            return _pbh_margin(sys.A, sys.C, sys.poles[sys.poles.imag >= 0])
+        return _pbh_margin(sys.A.conj().T, B.conj().T, sys.poles.conj())
+    lam, V, Vi = modal[:3]
+    M = sys.C
+    if B is not None:
+        M, lam, V = B.conj().T, lam.conj(), Vi.conj().T / np.linalg.norm(Vi, axis=1)
+    norm = np.linalg.norm(M)
+    if norm == 0:   # no coupling, or no modes
+        return 0.0 if len(lam) else np.inf
+    return float(np.min(np.linalg.norm(M @ _cluster_basis(lam, V, M), axis=0)) / norm)
+
+
 def _pbh_margin(A, C, poles):
     """Scale-invariant Popov-Belevitch-Hautus margin of the pair (C, A).
 
@@ -351,6 +408,8 @@ def _pbh_margin(A, C, poles):
     (C, A) is observable iff it is positive (Hautus 1969), and it is unchanged
     under A -> t A, C -> sqrt(t) C.  Controllability of (A, B) is the margin of
     (B^dag, A^dag) at the conjugate poles.  inf at 0 modes, 0 when C = 0.
+    One SVD of a (2n + 2m) x 2n pencil per pole, so ``_reducibility_margin``
+    takes it only for a drift with no usable eigenbasis.
     """
     n = A.shape[0]
     if n == 0:
@@ -365,16 +424,13 @@ def _pbh_margin(A, C, poles):
 
 
 def is_minimal(sys):
-    """Minimality by the PBH test: ``_pbh_margin`` of (C, A) above RANK_TOL.
+    """Minimality: ``_reducibility_margin`` of (C, A) above RANK_TOL.
 
     Observability and controllability are equivalent for QLSs, so one test
-    suffices.  For the doubled-up (C, A) the conjugate pole gives the same
-    margin, and the poles come in exact conjugate pairs, so those with
-    Im >= 0 are tested.  The verdict does not depend on the time scale.  A
-    0-mode system is minimal.
+    suffices.  The verdict does not depend on the time scale.  A 0-mode
+    system is minimal.
     """
-    poles = sys.poles
-    return _pbh_margin(sys.A, sys.C, poles[poles.imag >= 0]) > RANK_TOL
+    return _reducibility_margin(sys) > RANK_TOL
 
 
 def _unstable_poles(lam):

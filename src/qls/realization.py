@@ -36,8 +36,10 @@ from .algebra import (
     sigma_swap,
 )
 from .model import (
+    RANK_TOL,
     QLSystem,
     StateSpace,
+    _cluster_basis,
     _unstable_poles,
     freq_response,
     gauge_transform,
@@ -668,8 +670,10 @@ def accessible_block(sys, channels):
 def nus_detect(sys, accessible):
     """Basis of the noise-unobservable subspace of a passive system.
 
-    Returns the left eigenvectors y of A_- (columns, y^dag A = lambda y^dag)
-    whose noise-block coupling vanishes: ||C_noise y|| <= 1e-8 ||C_noise|| ||y||.
+    Returns a basis (columns y) of the left eigenvectors of A_-
+    (y^dag A = lambda y^dag) in the kernel of the noise-block coupling, per
+    cluster of eigenvalues by the minimality test's rule and cutoff
+    (``model._cluster_basis``, ||C_noise y|| <= RANK_TOL ||C_noise||).
     """
     if not sys.is_passive:
         raise ValueError("noise-unobservable subspaces are defined for passive systems")
@@ -677,7 +681,7 @@ def nus_detect(sys, accessible):
     Cm = du_blocks(sys.C)[0]
     noise_rows = [i for i in range(sys.m) if i not in set(accessible)]
     c2 = Cm[noise_rows, :]
-    vecs = np.linalg.eig(Am.conj().T)[1]
-    cscale = max(np.linalg.norm(c2), 1e-30)
-    keep = np.linalg.norm(c2 @ vecs, axis=0) <= 1e-8 * cscale * np.linalg.norm(vecs, axis=0)
-    return list(vecs.T[keep])
+    lam, vecs = np.linalg.eig(Am.conj().T)
+    Y = _cluster_basis(lam, vecs, c2)
+    keep = np.linalg.norm(c2 @ Y, axis=0) <= RANK_TOL * np.linalg.norm(c2)
+    return list(Y.T[keep])

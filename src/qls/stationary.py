@@ -25,7 +25,7 @@ from .model import (
     QLSystem,
     StateSpace,
     _frozen,
-    _pbh_margin,
+    _reducibility_margin,
     freq_response,
     gauge_transform,
     is_hurwitz,
@@ -126,8 +126,11 @@ class StationaryState:
         """Number k of pure modes: symplectic eigenvalues <= gm_tol max(1, ||P||).
 
         The spectrum ascends, so the pure modes are the first k of the
-        Williamson basis.  k = 0 is a fully mixed state.
+        Williamson basis.  k = 0 is a fully mixed state.  Raises ValueError
+        unless gm_tol > 0, since a threshold <= 0 would count no mode as pure.
         """
+        if not gm_tol > 0:
+            raise ValueError(f"gm_tol must be > 0, got {gm_tol}")
         threshold = gm_tol * max(1.0, float(np.linalg.norm(self.P)))
         return int(np.count_nonzero(self.symplectic_spectrum <= threshold))
 
@@ -243,14 +246,15 @@ def is_globally_minimal(sys, V, gm_tol=GM_TOL):
 
     The verdict is ``StationaryState.pure_count(gm_tol) == 0``.  It is
     cross-checked against controllability of (A, C^b S S_in V_vac), S_in
-    the symplectic taking vacuum to the input, by the PBH test of
-    ``model._pbh_margin`` on the dual pair with cutoff gm_tol; the
-    rotation to vacuum changes S and C but not the drift, so the check
-    runs on the system's own A and poles.  A disagreement raises
-    RuntimeError.  A 0-mode system is globally minimal.
+    the symplectic taking vacuum to the input, by
+    ``model._reducibility_margin`` with cutoff gm_tol; the rotation to
+    vacuum changes S and C but not the drift, so the check runs on the
+    system's own A and eigenbasis.  A disagreement raises RuntimeError.  A
+    0-mode system is globally minimal.
 
     Raises ValueError for mixed inputs, where purity of the stationary state
-    no longer witnesses global minimality, and for a non-minimal system.
+    no longer witnesses global minimality, for a non-minimal system and
+    unless gm_tol > 0.
     """
     return _global_minimality(sys, V, gm_tol)[0]
 
@@ -265,7 +269,7 @@ def _global_minimality(sys, V, gm_tol):
     verdict = state.pure_count(gm_tol) == 0
 
     B = flat_adjoint(sys.C) @ sys.S @ _vacuum_basis(V.N, V.M) @ vacuum_covariance(sys.m)
-    control = _pbh_margin(sys.A.conj().T, B.conj().T, sys.poles.conj()) > gm_tol
+    control = _reducibility_margin(sys, B) > gm_tol
     if control != verdict:
         raise RuntimeError(
             "global minimality criteria disagree "

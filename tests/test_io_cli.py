@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -496,6 +497,45 @@ class TestCli:
         assert "fd_step must be >= 0" in err["message"]
         assert ("-0.001" if source == "json" else "-1.0") in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("gm_tol", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["gm", "split", "absorber"])
+    def test_non_positive_gm_tol_exits_2(self, workdir, capsys, command, gm_tol):
+        """gm2(-4) under squeezing is not globally minimal; a threshold <= 0 would call it so."""
+        from conftest import gm2_system
+
+        p = write(workdir / "sys.json", qio.system_to_json(gm2_system(-4.0)))
+        v = write(workdir / "v.json", qio.input_to_json(squeezed_input(0.5)))
+        args = [command, p] + ([] if command == "absorber" else ["--input", v])
+        out = workdir / "out.json"
+        assert main(args + ["--gm-tol", gm_tol, "-o", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "input", "message": f"gm_tol must be > 0, got {float(gm_tol)}"}
+        assert not out.exists()
+
+    def test_sweep_loads_each_family_once(self, workdir, rng, monkeypatch):
+        """One load and one evaluated point (three evaluations) per coupling, and the same CSV."""
+        from qls import cli
+
+        spec = dict(_cli_inputs(rng)["sweep"], couplings=[1.0, 0.8, 0.6, 0.5])
+        p = write(workdir / "sweep.json", spec)
+        v = write(workdir / "v.json", qio.input_to_json(squeezed_input(0.5)))
+        loads, evaluations = [], []
+        family_from_json = qio.family_from_json
+
+        def counted(data):
+            family = family_from_json(data)
+            loads.append(1)
+            evaluate = family.evaluate
+            return dataclasses.replace(family, evaluate=lambda t: evaluations.append(t) or evaluate(t))
+
+        out = workdir / "sweep.csv"
+        assert main(["sweep", p, "--input", v, "-o", str(out)]) == 0
+        monkeypatch.setattr(cli.qio, "family_from_json", counted)
+        counted_out = workdir / "counted.csv"
+        assert main(["sweep", p, "--input", v, "-o", str(counted_out)]) == 0
+        assert (len(loads), len(evaluations)) == (4, 12)
+        assert counted_out.read_bytes() == out.read_bytes()
 
     @pytest.mark.parametrize("couplings", [[1.0], [0.7, 0.7]], ids=("one", "repeated"))
     def test_sweep_one_distinct_tau_exits_2(self, workdir, rng, capsys, couplings):

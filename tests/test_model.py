@@ -17,6 +17,8 @@ from qls.algebra import (
 )
 from qls.estimation import coherent_qfi
 from qls.model import (
+    CLUSTER_TOL,
+    RANK_TOL,
     ParamFamily,
     QLSystem,
     StateSpace,
@@ -31,6 +33,8 @@ from qls.model import (
     spectral_gap,
     tf_equal,
     transfer_function,
+    _pbh_margin,
+    _reducibility_margin,
 )
 from qls.sampling import (
     random_hermitian_doubled_up,
@@ -40,7 +44,15 @@ from qls.sampling import (
 )
 from qls.stationary import InputCovariance, power_spectrum
 
-from conftest import cavity, dpa, eigs_close, gm2_system, squeezing_family, two_mode_cascade_example
+from conftest import (
+    cavity,
+    dpa,
+    eigs_close,
+    gm2_system,
+    squeezed_input,
+    squeezing_family,
+    two_mode_cascade_example,
+)
 
 
 class TestDriftMatrix:
@@ -427,6 +439,88 @@ class TestMinimalityAtScale:
                 assert is_minimal(case) is minimal, (passive, case.n)
                 for t in (1e-6, 1e6):
                     assert is_minimal(_rescaled(case, t)) is minimal, (passive, case.n, t)
+
+
+def _detuned_copies(sys, eps, shared):
+    """Two copies of the system, the second's Omega_- shifted by eps max |lambda|.
+
+    ``shared`` puts both on the same channels, whose difference mode is dark at
+    eps = 0; otherwise each has its own channels and every pole is shared at eps = 0.
+    """
+    cm, cp = du_blocks(sys.C)
+    om, op = du_blocks(sys.Omega)
+    shifted = om + eps * np.max(np.abs(sys.poles)) * np.eye(len(om))
+    if not shared:
+        return concatenate(sys, QLSystem.from_blocks(cm, cp, shifted, op))
+    z = np.zeros_like(om)
+    return QLSystem.from_blocks(np.hstack([cm, cm]), np.hstack([cp, cp]),
+                                np.block([[om, z], [z, shifted]]), np.block([[op, z], [z, op]]))
+
+
+def _clustered(lam):
+    """True when two poles lie within CLUSTER_TOL max |lambda| of each other."""
+    gaps = np.abs(lam[:, None] - lam)
+    np.fill_diagonal(gaps, np.inf)
+    return np.min(gaps) <= CLUSTER_TOL * np.max(np.abs(lam))
+
+
+class TestClusterRule:
+    """The modal reducibility margin against the PBH margin it replaces wherever an eigenbasis is usable."""
+
+    @pytest.mark.parametrize("shared", (True, False), ids=("dark", "split"))
+    @pytest.mark.parametrize("eps", (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 3e-9, 1e-9))   # both sides of CLUSTER_TOL
+    def test_detuned_copies_agree_with_pbh(self, eps, shared):
+        # on these draws modal / PBH lies in [1.2, 6.2], so verdicts agree whenever the PBH margin is
+        # at least 6.2 RANK_TOL; the dark copies' margins fall as eps (1.1e-10 at eps = 1e-9)
+        for seed in range(4):
+            for passive in (True, False):
+                sys = _detuned_copies(random_qlsystem(np.random.default_rng(seed), 2, 1, passive=passive),
+                                      eps, shared)
+                lam = sys._modal[0]
+                assert _clustered(lam) == (not shared and eps < CLUSTER_TOL), (seed, passive)
+                modal = _reducibility_margin(sys)
+                pbh = _pbh_margin(sys.A, sys.C, sys.poles)
+                assert pbh <= modal * (1 + 1e-9) and modal <= 8 * pbh, (seed, passive, modal, pbh)
+                assert (modal > RANK_TOL) == (pbh > RANK_TOL) == is_minimal(sys), (seed, passive)
+
+    @pytest.mark.parametrize("kappa", (1e-10, 1e-12))
+    def test_dark_mode_inside_a_cluster(self, kappa):
+        # an uncoupled mode at the frequency of one damped by kappa / 2, mixed by a
+        # unitary: the two poles lie within CLUSTER_TOL, rounding mixes their computed
+        # eigenvectors, and only the cluster's basis shows the dark direction
+        # (the computed vectors alone read 3.5e-6 and 1.6e-4)
+        U = np.linalg.qr(np.array([[1.0, 2.0j], [0.5, -1.0]]))[0]
+        sys = gauge_transform(QLSystem.passive([[1.0]], [[np.sqrt(kappa), 0.0]], np.eye(2)), Delta(U))
+        lam, V = sys._modal[:2]
+        assert _clustered(lam)
+        assert np.min(np.linalg.norm(sys.C @ V, axis=0)) > 1e-6 * np.linalg.norm(sys.C)
+        assert _reducibility_margin(sys) < RANK_TOL
+        assert _pbh_margin(sys.A, sys.C, sys.poles) < RANK_TOL
+        assert not is_minimal(sys)
+
+    def test_pbh_runs_only_without_an_eigenbasis(self, monkeypatch):
+        from qls import model
+        from qls.stationary import is_globally_minimal
+
+        calls = []
+        pbh = model._pbh_margin
+        monkeypatch.setattr(model, "_pbh_margin", lambda *args: calls.append(1) or pbh(*args))
+
+        def pbh_calls(sys, gm=False):
+            calls.clear()
+            is_globally_minimal(sys, squeezed_input(0.5)) if gm else is_minimal(sys)
+            return len(calls)
+
+        assert gm2_system(0.0)._modal is None and pbh_calls(gm2_system(0.0), gm=True) == 2
+        assert gm2_system(8.0)._modal is None and pbh_calls(gm2_system(8.0), gm=True) == 2
+        ep = QLSystem.from_blocks([[np.sqrt(3.0)]], [[0.0]], [[1.0]], [[1.0j]])   # DPA at its exceptional point
+        assert ep._modal is None and pbh_calls(ep) == 1
+        assert pbh_calls(gm2_system(-4.0), gm=True) == 0
+        rng = np.random.default_rng(27)
+        for n, m in ((1, 1), (2, 1), (4, 2), (8, 1), (16, 2)):
+            for passive in (True, False):
+                sys = random_qlsystem(rng, n, m, passive=passive, active_scale=0.4 / n)
+                assert sys._modal is not None and pbh_calls(sys) == 0
 
 
 class TestScaleInvariantStability:

@@ -739,6 +739,17 @@ class TestNus:
         sys = random_qlsystem(rng, 2, 2, passive=True)
         assert nus_detect(sys, [0]) == []
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_identical_cavities_share_one_pole(self, seed):
+        # A_- = -(1/2 + 0.7i) 1: every vector is an eigenvector, so the noise-unobservable
+        # subspace is the kernel of the noise row U[1], whatever basis eig returns
+        rng = np.random.default_rng(seed)
+        U = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+        nus = nus_detect(QLSystem.passive(np.eye(2), U, 0.7 * np.eye(2)), [0])
+        assert len(nus) == 1
+        y = nus[0]
+        assert abs(U[1] @ y) < 1e-12 * np.linalg.norm(y)
+
     def test_nus_data_rigid_across_equivalent_systems(self, rng):
         # two systems sharing the full accessible transfer data are related
         # by a unitary; on the noise-unobservable subspace the observable

@@ -5,7 +5,7 @@ import pytest
 
 from qls import absorber, algebra, stationary
 from qls.absorber import canonicalize_stationary
-from qls.algebra import jmat, williamson
+from qls.algebra import flat_adjoint, jmat, williamson
 from qls.estimation import stationary_qfi_rate_time
 from qls.model import ParamFamily, QLSystem, default_grid, gauge_transform, series_product, tf_equal
 from qls.sampling import random_pure_input, random_qlsystem, random_symplectic
@@ -453,6 +453,67 @@ class TestSisoPassiveGm:
                 assert "criteria disagree" in str(err), seed
                 continue
             assert verdict == siso_passive_gm(sys, V)["globally_minimal"], seed
+
+
+    @pytest.mark.parametrize("seed", (47, 291))
+    def test_near_boundary_draws_raise(self, seed):
+        # the purity cutoff calls these draws reducible while the controllability margin
+        # (PBH 3.8e-4 and 2.0e-5, modal 5.6e-2 and 2.5e-2) stays above gm_tol
+        rng = np.random.default_rng([seed, 7])
+        n = rng.integers(1, 5)
+        sys = random_qlsystem(rng, n, 1, passive=True)
+        V = squeezed_input(rng.uniform(0.1, 1.0))
+        with pytest.raises(RuntimeError, match="criteria disagree"):
+            is_globally_minimal(sys, V)
+
+
+def _controllability_margins(sys, V):
+    """(modal, PBH) margins of the global-minimality cross-check's dual pair (B^dag, A^dag)."""
+    from qls.algebra import _vacuum_basis
+    from qls.model import _pbh_margin, _reducibility_margin
+
+    assert sys._modal is not None
+    B = flat_adjoint(sys.C) @ sys.S @ _vacuum_basis(V.N, V.M) @ vacuum_covariance(sys.m)
+    return _reducibility_margin(sys, B), _pbh_margin(sys.A.conj().T, B.conj().T, sys.poles.conj())
+
+
+class TestModalCrossCheck:
+    """The cross-check from the eigenbasis gives the PBH verdict it replaced."""
+
+    @pytest.mark.parametrize("n", (1, 2, 4, 8, 16))
+    def test_seeded_draws(self, n):
+        verdicts = set()
+        for m in (1, 2):
+            for seed in range(5):
+                rng = np.random.default_rng([n, m, seed])
+                for passive in (True, False):
+                    sys = random_qlsystem(rng, n, m, passive=passive, active_scale=0.4 / n)
+                    for V in (InputCovariance.vacuum(m), InputCovariance(*random_pure_input(rng, m))):
+                        modal, pbh = _controllability_margins(sys, V)
+                        verdicts.add(pbh > algebra.GM_TOL)
+                        assert (modal > algebra.GM_TOL) == (pbh > algebra.GM_TOL), (m, seed, passive)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("x", (-8.0, -4.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0, 16.0))
+    def test_gm2_family(self, x):
+        # x = 0 and 8 are defective and take the PBH route (TestClusterRule in test_model)
+        modal, pbh = _controllability_margins(gm2_system(x), squeezed_input(0.5))
+        assert (modal > algebra.GM_TOL) == (pbh > algebra.GM_TOL)
+
+
+@pytest.mark.parametrize("gm_tol", (0.0, -1.0))
+@pytest.mark.parametrize("entry", ("is_globally_minimal", "pure_mixed_split", "dual_system"))
+def test_non_positive_gm_tol_is_named(entry, gm_tol):
+    # a threshold <= 0 counts no mode as pure: gm2(-4) would read globally minimal and split
+    # with no pure part
+    sys, V = gm2_system(-4.0), squeezed_input(0.5)
+    call = {
+        "is_globally_minimal": lambda: is_globally_minimal(sys, V, gm_tol=gm_tol),
+        "pure_mixed_split": lambda: pure_mixed_split(sys, V, gm_tol=gm_tol),
+        "dual_system": lambda: absorber.dual_system(sys, gm_tol=gm_tol),
+    }[entry]
+    with pytest.raises(ValueError, match=f"gm_tol must be > 0, got {gm_tol}"):
+        call()
 
 
 class TestPureMixedSplit:
