@@ -67,7 +67,9 @@ from qls import (
     InputCovariance,
     QLSystem,
     RationalMatrixFunction,
+    ParamFamily,
     StateSpace,
+    default_grid,
     factor_flat_gram,
     dual_system,
     flat_adjoint,
@@ -205,6 +207,14 @@ def test_qfi_rate_pair(benchmark, n, m):
     benchmark(_rate_pair, n, m, _squeezed(m))
 
 
+@pytest.mark.parametrize("g", (1e-1, 1e-2), ids=("g1e-1", "g1e-2"))
+def test_stationary_qfi_rate_freq_weak_mode(benchmark, g):
+    """The freq route on Omega = [[0, g], [g, theta]], C = [[1, 0]]: a pole damped by ~2 g^2."""
+    family = ParamFamily(evaluate=lambda th: QLSystem.passive(
+        [[1.0]], [[1.0, 0.0]], [[0.0, g], [g, th]]), fd_step=1e-7)
+    benchmark(lambda: stationary_qfi_rate_freq(dataclasses.replace(family), 0.0, _squeezed(1)))
+
+
 def test_freq_response_per_point(benchmark, sys):
     benchmark(freq_response, sys, [0.1 - 1.7j])
 
@@ -268,6 +278,10 @@ def test_is_globally_minimal(benchmark, msys):
 
 def test_pure_mixed_split(benchmark, msys):
     benchmark(pure_mixed_split, msys, INPUT)
+
+
+def test_default_grid(benchmark, msys):
+    benchmark(default_grid, msys)
 
 
 @pytest.mark.parametrize("n", MINIMALITY_SIZES, ids=lambda n: f"n{n}")

@@ -26,7 +26,6 @@ from .algebra import (
     is_symplectic,
     jmat,
     sigma_swap,
-    vacuum_basis_transform,
     williamson,
 )
 from .model import (

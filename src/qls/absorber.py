@@ -21,14 +21,7 @@ import numpy as np
 
 from .algebra import Delta, flat_adjoint
 from .model import QLSystem, check_pr, default_grid, is_hurwitz, series_product
-from .stationary import (
-    GM_TOL,
-    InputCovariance,
-    _canonical,
-    power_spectrum,
-    solve_lyapunov,
-    vacuum_covariance,
-)
+from .stationary import GM_TOL, InputCovariance, _canonical, power_spectrum, solve_lyapunov
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +72,7 @@ def dual_system(sys, gm_tol=GM_TOL):
 
     A1, C1 = sys1.A, sys1.C
     PQinv = P @ np.linalg.inv(Q)
-    rhs = PQinv @ flat_adjoint(C1) @ vacuum_covariance(m)
+    rhs = PQinv @ flat_adjoint(C1) @ InputCovariance.vacuum(m).matrix()
     # read C2 off the nonzero (first m) columns: C2^b V_vac = [[C2-^dag, 0], [-C2+^dag, 0]];
     # the other m columns of rhs are exact zeros, as V_vac's are, so C2^b V_vac = rhs exactly
     X1 = rhs[:n, :m]
@@ -115,6 +108,6 @@ def verify_absorber(sys, dual, grid=None):
     purity = float(np.max(state.symplectic_spectrum, initial=0.0))
     if grid is None:
         grid = default_grid(combined, 21)
-    dev = power_spectrum(combined, vac, grid) - vacuum_covariance(sys.m)
+    dev = power_spectrum(combined, vac, grid) - vac.matrix()
     ps_resid = float(np.max(np.linalg.norm(dev, axis=(1, 2))))
     return {"purity_residual": purity, "ps_residual": ps_resid}

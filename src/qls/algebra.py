@@ -222,26 +222,12 @@ def williamson(V, n=None):
     return WilliamsonResult(symplectic_eigenvalues=nus, transform=T.conj().T)
 
 
-def vacuum_basis_transform(N, M, tol=GM_TOL):
-    """Symplectic S with S V_vac S^dag = V(N, M), for a pure input state.
-
-    S = Delta((N^T+1)^{1/2}, M (N^dag + 1)^{-1/2}); only defined for pure
-    covariances, which is checked through the Williamson spectrum: every
-    symplectic eigenvalue must be at most tol * max(1, ||V||), by default
-    the threshold of ``InputCovariance.is_pure``.
-    """
-    N = np.atleast_2d(np.asarray(N, dtype=complex))
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
-    m = N.shape[0]
-    V = np.block([[N.T + np.eye(m), M], [M.conj().T, N]])
-    nus = williamson(V, m).symplectic_eigenvalues
-    if np.max(nus) > tol * max(1.0, np.linalg.norm(V)):
-        raise ValueError(f"input covariance is mixed (max symplectic eigenvalue {np.max(nus):.3e})")
-    return _vacuum_basis(N, M)
-
-
 def _vacuum_basis(N, M):
-    """The transform of ``vacuum_basis_transform`` without its purity check."""
+    """Symplectic S with S V_vac S^dag = V(N, M) for a pure input state (no purity check).
+
+    S = Delta((N^T+1)^{1/2}, M (N^dag + 1)^{-1/2}); read it as
+    ``InputCovariance.field_transform``, which checks purity first.
+    """
     eye = np.eye(N.shape[0])
     return Delta(_herm_sqrt(N.T + eye), M @ np.linalg.inv(_herm_sqrt(N.conj().T + eye)))
 

@@ -224,9 +224,11 @@ def cmd_qfi(args):
 def _sweep_spec(data):
     """(builder, couplings) of a sweep file; builder maps a coupling value to its family.
 
-    The builder is memoised per coupling, so each family is loaded once and
-    keeps its evaluated point.  The first family is built here, so that a
-    malformed file fails on loading.
+    The coupling is written into the base system's JSON by the rule of a
+    family dependency (``io.entry_and_partner``): off the diagonal of Omega
+    its partner entry changes too.  The builder is memoised per coupling, so
+    each family is loaded once and keeps its evaluated point.  The first
+    family is built here, so that a malformed file fails on loading.
     """
     couplings = [qio.finite_float(c, "coupling") for c in data["couplings"]]
     name, half = data.get("coupling_target", "C.minus").split(".")
@@ -236,13 +238,12 @@ def _sweep_spec(data):
     @functools.cache
     def builder(c):
         spec = dict(data["family"])
-        base = dict(spec["base"])
-        blocks = {k: dict(base[k]) for k in ("S", "C", "Omega")}
-        M = qio.matrix_from_json(blocks[name][half])
-        M[row, col] = c
-        blocks[name][half] = qio.matrix_to_json(M)
-        base.update(blocks)
-        return qio.family_from_json(dict(spec, base=base))
+        block = dict(spec["base"][name])
+        rows = [list(r) for r in block[half]]
+        for i, j, value in qio.entry_and_partner(name, half, row, col, c):
+            rows[i][j] = qio.complex_to_pair(value)
+        block[half] = rows
+        return qio.family_from_json(dict(spec, base=dict(spec["base"], **{name: block})))
 
     builder(couplings[0])
     return builder, couplings

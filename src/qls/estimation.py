@@ -138,9 +138,23 @@ def _gauss_legendre(k):
 
 
 def _panel_edges(poles, c):
-    """Panel edges in t, w = c tan t: the axis ends, each pole's peak and its half-widths."""
+    """Panel edges in t, w = c tan t: the axis ends, each pole's peak and half-widths, and graded breaks.
+
+    The graded break points |Im lambda| +/- |Re lambda| 4^j (j >= 1) run
+    out to the next peak or half-width, or to w = +/-4c, so a narrow peak's
+    Lorentzian tail is cut into panels a few of its own widths long.
+    """
     peaks, widths = np.abs(poles.imag), np.abs(poles.real)
     w = np.concatenate([peaks, peaks + widths, peaks - widths])
+    w = np.concatenate([w, -w])
+    stops = np.sort(np.concatenate([w, [-4.0 * c, 4.0 * c]]))  # |lambda| <= c: a stop each way
+    # distance from each peak to the first stop beyond its upper and beyond its lower half-width
+    up = stops[np.searchsorted(stops, peaks + widths, side="right")] - peaks
+    down = peaks - stops[np.searchsorted(stops, peaks - widths) - 1]
+    steps = np.log(np.maximum(up, down) / widths) / np.log(4.0)
+    offsets = widths[:, None] * 4.0 ** np.arange(1, np.max(steps, initial=0.0) + 1)
+    w = np.concatenate([w, (peaks[:, None] + offsets)[offsets < up[:, None]],
+                        (peaks[:, None] - offsets)[offsets < down[:, None]]])
     t = np.unique(np.round(np.arctan(np.concatenate([w, -w]) / c), 12))
     return np.concatenate([[-0.5 * np.pi], t, [0.5 * np.pi]])
 
@@ -180,7 +194,8 @@ def stationary_qfi_rate_freq(family, theta0, V):
     substitution w = c tan t, c = max |lambda| (1 at 0 modes), maps the
     whole axis onto (-pi/2, pi/2) with no tail model; the t range is split into panels at
     +/-Im(lambda) and +/-Im(lambda) +/- |Re(lambda)| for every pole lambda,
-    so each peak is resolved at its own width.  Each panel doubles its
+    and at graded breaks out from there (``_panel_edges``), so each peak and
+    its tail are resolved at the peak's own width.  Each panel doubles its
     Gauss-Legendre nodes from GL_FIRST until two rules agree to its share of
     QUAD_RTOL (1e-10) times the rate (or of 1e-13 times the integral of
     ||dXi V Xi^dag||^2, the only scale a vanishing rate leaves).

@@ -135,8 +135,8 @@ def family_from_json(data):
     """Affine parameter family: base system plus entrywise dependencies.
 
     Omega dependencies are mirrored onto the Hermitian (minus block) or
-    symmetric (plus block) partner entry so that evaluation always yields a
-    valid Hamiltonian.
+    symmetric (plus block) partner entry (``entry_and_partner``) so that
+    evaluation always yields a valid Hamiltonian.
     """
     base = system_from_json(data["base"])
     fd_step = finite_float(data.get("fd_step", 0.0), "fd_step")
@@ -152,20 +152,26 @@ def family_from_json(data):
         except IndexError:
             raise IndexError(f"dependency entry ({dep['row']}, {dep['col']}) lies outside the "
                              f"{rows} x {cols} block {dep['target']}") from None
-        deps.append((name, int(half == "plus"), i, j, pair_to_complex(dep["coefficient"])))
+        for a, b, coeff in entry_and_partner(name, half, i, j, pair_to_complex(dep["coefficient"])):
+            deps.append((name, int(half == "plus"), a, b, coeff))
 
     def evaluate(theta):
         # the base matrices are exact Delta forms, so writing each changed upper entry's
         # conjugate into its mirror entry gives the Delta of the changed blocks
         mats = {"S": np.array(base.S), "C": np.array(base.C), "Omega": np.array(base.Omega)}
         for name, idx, i, j, coeff in deps:
-            M = mats[name]
-            _add(M, idx, i, j, coeff * theta)
-            if name == "Omega" and i != j:
-                _add(M, idx, j, i, (coeff if idx else np.conj(coeff)) * theta)
+            _add(mats[name], idx, i, j, coeff * theta)
         return QLSystem(S=mats["S"], C=mats["C"], Omega=mats["Omega"])
 
     return ParamFamily(evaluate=evaluate, fd_step=fd_step)
+
+
+def entry_and_partner(name, half, i, j, value):
+    """[(i, j, value)] and, off the diagonal of Omega, the Hermitian (minus block) or
+    symmetric (plus block) partner entry (j, i) that keeps the Hamiltonian valid."""
+    if name != "Omega" or i == j:
+        return [(i, j, value)]
+    return [(i, j, value), (j, i, value if half == "plus" else np.conj(value))]
 
 
 def _add(M, idx, i, j, value):

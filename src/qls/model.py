@@ -524,15 +524,17 @@ def default_grid(sys, points=41):
     """Laplace-axis test grid s = -i w, log-spaced from the spectral structure.
 
     Frequencies span [1e-2 * gap, 1e2 * ||A||] symmetrically plus w = 0;
-    a point within 1e-6 of a pole is moved 1e-6 along the axis.  A 0-mode
-    system takes gap = 1.
+    with r = max |lambda|, the gap is floored at 1e-6 r, and a point within
+    1e-6 r of a pole is moved 1e-6 r along the axis, so the grid scales with
+    the system.  A 0-mode system takes r = gap = 1.
     """
     A = sys.A
-    gap = max(spectral_gap(sys), 1e-6) if sys.n else 1.0
+    floor = 1e-6 * (np.max(np.abs(sys.poles), initial=0.0) or 1.0)
+    gap = max(spectral_gap(sys), floor) if sys.n else 1.0
     top = max(np.linalg.norm(A), 10 * gap)
     w = np.logspace(np.log10(1e-2 * gap), np.log10(1e2 * top), points // 2)
     s = -1j * np.concatenate([-w[::-1], [0.0], w])
-    s[np.min(np.abs(s[:, None] - sys.poles), axis=1, initial=np.inf) < 1e-6] -= 1e-6j
+    s[np.min(np.abs(s[:, None] - sys.poles), axis=1, initial=np.inf) < floor] -= 1j * floor
     return s
 
 

@@ -46,9 +46,9 @@ from .model import (
     series_product,
     transfer_function,
 )
-from .stationary import _vacuum_rotated, vacuum_covariance
+from .stationary import InputCovariance, _vacuum_rotated
 
-POLE_MATCH_TOL = 1e-6   # absolute pole-location matching
+POLE_MATCH_TOL = 1e-6   # pole-location matching, relative to the data's max |p|
 PIVOT_RATIO = 0.1       # J-norm ratio below which cascade deflation leaves the damping order
 NOISE_RANK_TOL = 1e-12  # relative eigenvalue of C1^dag C1 below which a noise row is zero
 NOISE_RESTARTS = 50     # perturbed restarts of a noise-coupling polish stuck above the bound
@@ -129,7 +129,7 @@ def ps_as_rational(sys, V):
     """
     rotated, _ = _vacuum_rotated(sys, V)
     lam, _, R = _modal_residues(rotated)
-    J, vac = jmat(sys.m), vacuum_covariance(sys.m)
+    J, vac = jmat(sys.m), InputCovariance.vacuum(sys.m).matrix()
     mirror = freq_response(rotated, -lam.conj()).conj().transpose(0, 2, 1)  # Xi(-conj lambda_k)^dag
     Q = R @ vac @ mirror @ J
     residues = np.concatenate([Q, -J @ Q.conj().transpose(0, 2, 1) @ J])
@@ -150,12 +150,12 @@ def _rank_one_factor(R):
 
 
 def _pole_index(poles, p, missing):
-    """Index of the pole within POLE_MATCH_TOL max(1, |p|) of p; IdentificationError(missing) if none.
+    """Index of the pole within POLE_MATCH_TOL max |poles| of p; IdentificationError(missing) if none.
 
     The one rule pairing a pole with another; the pole's residues are then read by that index.
     """
     d = np.abs(poles - p)
-    if not np.min(d, initial=np.inf) <= POLE_MATCH_TOL * max(1.0, abs(p)):
+    if not np.min(d, initial=np.inf) <= POLE_MATCH_TOL * np.max(np.abs(poles), initial=0.0):
         raise IdentificationError(missing)
     return int(np.argmin(d))
 
@@ -242,7 +242,7 @@ def siso_cascade_identify(xi_minus, xi_plus, pole_order="damping"):
 
     ``pole_order`` is the default ``"damping"`` (descending |Re|) or a
     sequence of pole-pair representatives choosing the first stages, each
-    matched within POLE_MATCH_TOL max(1, |z|) to a pair not yet peeled.  In
+    matched by ``_pole_index`` to a pair not yet peeled.  In
     the damping order, a pair whose J-norm ratio |a| / ||w||^2 is below
     PIVOT_RATIO gives way to the pair with the largest ratio (column
     pivoting), since a nearly J-neutral pair makes the basis ill-conditioned.
@@ -316,8 +316,8 @@ def gilbert_realize(tf):
     """Minimal doubled-up state-space realization of a rational transfer function.
 
     Requires distinct poles with nonzero imaginary parts, each with its
-    conjugate among the poles (matched within POLE_MATCH_TOL max(1, |p|)),
-    and rank-one residues, mirrored so that conj(p) carries residue
+    conjugate among the poles (matched by ``_pole_index``), and rank-one
+    residues, mirrored so that conj(p) carries residue
     Sigma conj(R) Sigma.
     Returns a StateSpace with A0 diagonal; D is the constant term.
     """
@@ -330,7 +330,7 @@ def gilbert_realize(tf):
     if np.any(np.abs(poles.imag) <= 1e-9 * scale):
         raise IdentificationError("poles on the real axis are not supported")
     gap = np.abs(poles[:, None] - poles)[~np.eye(len(poles), dtype=bool)]  # between distinct entries
-    if np.any(gap <= POLE_MATCH_TOL * max(1.0, scale)):
+    if np.any(gap <= POLE_MATCH_TOL * scale):
         raise IdentificationError("repeated poles are not supported")
     partner = [_pole_index(poles, np.conj(p), f"pole {p} has no conjugate partner in the data")
                for p in poles]
@@ -355,8 +355,8 @@ def gilbert_realize(tf):
     C0 = np.hstack(C_cols + [Sig @ col.conj() for col in C_cols])
     ss = StateSpace(A=A0, B=B0, C=C0, D=tf.constant)
     # round-trip defect against the rational data
-    smax = 3.0 * max(1.0, scale)
-    for s in (1j * smax, 0.37 + 0.91j * smax, -1j * 0.23 * smax + 0.11):
+    smax = 3.0 * scale
+    for s in (1j * smax, 0.37 * scale + 0.91j * smax, -1j * 0.23 * smax + 0.11 * scale):
         ref = tf(s)
         if np.linalg.norm(ss.transfer(s) - ref) > 1e-6 * max(1.0, np.linalg.norm(ref)):
             raise IdentificationError("Gilbert realization does not reproduce the data")

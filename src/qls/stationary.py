@@ -33,22 +33,15 @@ from .model import (
 )
 
 
-def vacuum_covariance(m):
-    """V_vac = [[1_m, 0], [0, 0]] in the doubled-up field ordering."""
-    V = np.zeros((2 * m, 2 * m), dtype=complex)
-    V[:m, :m] = np.eye(m)
-    return V
-
-
 @dataclass(frozen=True, eq=False)
 class InputCovariance:
     """Stationary Gaussian field state V(N, M) = [[N^T+1, M], [M^dag, N]].
 
     N must be Hermitian and M symmetric; the state must be physical
     (V has nonnegative symplectic spectrum).  Instances are immutable: N
-    and M are read-only private copies, so ``matrix()`` and the Williamson
-    decomposition ``normal_form``, both computed once, never go stale.
-    Compared by identity.
+    and M are read-only private copies, so ``matrix()``, the Williamson
+    decomposition ``normal_form`` and, for a pure state, ``field_transform``,
+    each computed once, never go stale.  Compared by identity.
     """
 
     N: np.ndarray
@@ -84,6 +77,18 @@ class InputCovariance:
     def is_pure(self):
         nus = self.normal_form.symplectic_eigenvalues
         return bool(np.max(nus) <= GM_TOL * max(1.0, np.linalg.norm(self.matrix())))
+
+    @cached_property
+    def field_transform(self):
+        """The symplectic S_in with S_in V_vac S_in^dag = V (read-only), for a pure input.
+
+        Raises ValueError naming the largest symplectic eigenvalue when the
+        state is mixed (``is_pure`` is False).
+        """
+        if not self.is_pure:
+            raise ValueError("input covariance is mixed (max symplectic eigenvalue "
+                             f"{np.max(self.normal_form.symplectic_eigenvalues):.3e})")
+        return _frozen(_vacuum_basis(self.N, self.M))
 
     @staticmethod
     def vacuum(m):
@@ -216,9 +221,7 @@ def power_spectrum(sys, V, s):
 def _vacuum_rotated(sys, V):
     """Rotate the field so the (pure) input becomes vacuum: C -> S_in^b C etc."""
     _channels_match(V.m, sys, "input covariance")
-    if not V.is_pure:
-        raise ValueError("vacuum rotation needs a pure input covariance")
-    Sin = _vacuum_basis(V.N, V.M)
+    Sin = V.field_transform
     Sb = flat_adjoint(Sin)
     S2 = Sb @ sys.S @ Sin
     C2 = Sb @ sys.C
@@ -268,7 +271,7 @@ def _global_minimality(sys, V, gm_tol):
     state = solve_lyapunov(sys, V)
     verdict = state.pure_count(gm_tol) == 0
 
-    B = flat_adjoint(sys.C) @ sys.S @ _vacuum_basis(V.N, V.M) @ vacuum_covariance(sys.m)
+    B = flat_adjoint(sys.C) @ sys.S @ V.field_transform @ InputCovariance.vacuum(sys.m).matrix()
     control = _reducibility_margin(sys, B) > gm_tol
     if control != verdict:
         raise RuntimeError(
@@ -325,7 +328,7 @@ def ps_cascade_embedding(sys, V):
     rotated, _ = _vacuum_rotated(sys, V)
     A, C, S = rotated.A, rotated.C, rotated.S
     Cb = flat_adjoint(C)
-    Vv = vacuum_covariance(sys.m)
+    Vv = InputCovariance.vacuum(sys.m).matrix()
     SVS = S @ Vv @ flat_adjoint(S)
     A_t = np.block([[-flat_adjoint(A), np.zeros_like(A)], [Cb @ SVS @ C, A]])
     B_t = np.vstack([-Cb, -Cb @ SVS])

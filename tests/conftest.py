@@ -32,6 +32,11 @@ def cavity(kappa=2.0, omega0=1.3):
     return QLSystem.passive([[1.0]], [[np.sqrt(kappa)]], [[omega0]])
 
 
+def rescaled(sys, t):
+    """Time rescaled by t: A -> t A, C -> sqrt(t) C, Omega -> t Omega, so Xi(s) -> Xi(s / t)."""
+    return QLSystem(S=sys.S, C=np.sqrt(t) * sys.C, Omega=t * sys.Omega)
+
+
 def dpa(kappa=3.0, eps=1.0, detuning=0.0):
     return QLSystem.from_blocks(
         [[np.sqrt(kappa)]], [[0.0]], [[detuning]], [[0.5j * eps]]

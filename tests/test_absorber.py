@@ -130,12 +130,8 @@ class TestDualSystem:
         sys = gm_random_system(rng, 2)
         res = dual_system(sys)
         vac = InputCovariance.vacuum(1)
-        from qls.stationary import vacuum_covariance
-
         for s in default_grid(res.combined, 20):
-            assert np.linalg.norm(
-                power_spectrum(res.combined, vac, s) - vacuum_covariance(1)
-            ) < 1e-6
+            assert np.linalg.norm(power_spectrum(res.combined, vac, s) - vac.matrix()) < 1e-6
 
     def test_dual_spectrum_inherited(self, rng):
         for _ in range(3):
@@ -174,8 +170,6 @@ class TestVerifyAbsorber:
     @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 2)])
     def test_matches_dense_reference(self, rng, n, m):
         """Block solve and parts' spectrum against the cascade rebuilt without parts."""
-        from qls.stationary import vacuum_covariance
-
         sys = gm_random_system(rng, n, m)
         res = dual_system(sys)
         canon = canonicalize_stationary(sys)["sys"]
@@ -186,7 +180,7 @@ class TestVerifyAbsorber:
             assert dense.parts is None
             grid = default_grid(cascade, 21)
             purity = np.max(solve_lyapunov(dense, vac).symplectic_spectrum)
-            dev = power_spectrum(dense, vac, grid) - vacuum_covariance(m)
+            dev = power_spectrum(dense, vac, grid) - vac.matrix()
             rep = verify_absorber(first, second)
             assert abs(rep["purity_residual"] - purity) <= 1e-12
             assert abs(rep["ps_residual"] - np.max(np.linalg.norm(dev, axis=(1, 2)))) <= 1e-12

@@ -14,7 +14,6 @@ from qls.algebra import (
     jmat,
     lyap,
     sigma_swap,
-    vacuum_basis_transform,
     williamson,
 )
 from qls.sampling import random_pure_input, random_symplectic
@@ -303,20 +302,22 @@ def _unitary(rng, n):
 
 
 class TestVacuumBasisTransform:
+    """``InputCovariance.field_transform``: the symplectic taking vacuum to a pure input."""
+
     def test_vacuum_gives_identity(self):
-        S = vacuum_basis_transform(np.zeros((2, 2)), np.zeros((2, 2)))
+        S = InputCovariance(np.zeros((2, 2)), np.zeros((2, 2))).field_transform
         assert np.allclose(S, np.eye(4), atol=1e-12)
 
     def test_one_mode_closed_form(self):
         n = 1.2
         m = np.sqrt(n * (n + 1.0))
-        S = vacuum_basis_transform([[n]], [[m]])
+        S = InputCovariance([[n]], [[m]]).field_transform
         assert np.allclose(S, Delta([[np.sqrt(n + 1)]], [[m / np.sqrt(n + 1)]]), atol=1e-12)
 
     def test_random_pure_roundtrip(self, rng):
         for m in (1, 2):
             N, M = random_pure_input(rng, m)
-            S = vacuum_basis_transform(N, M)
+            S = InputCovariance(N, M).field_transform
             assert is_symplectic(S, tol=1e-10)
             Vvac = np.zeros((2 * m, 2 * m), dtype=complex)
             Vvac[:m, :m] = np.eye(m)
@@ -324,26 +325,19 @@ class TestVacuumBasisTransform:
             assert np.linalg.norm(S @ Vvac @ S.conj().T - V) < 1e-9
 
     def test_mixed_input_raises(self):
-        with pytest.raises(ValueError):
-            vacuum_basis_transform([[0.5]], [[0.0]])  # thermal: mixed
+        with pytest.raises(ValueError, match="max symplectic eigenvalue 5.000e-01"):
+            InputCovariance([[0.5]], [[0.0]]).field_transform  # thermal: mixed
 
     @pytest.mark.parametrize("occupation", (3e-7, 3e-8))
     def test_default_threshold_agrees_with_is_pure(self, occupation):
         # a thermal occupation N is the input's symplectic eigenvalue: mixed above GM_TOL, pure below
-        pure = InputCovariance([[occupation]], [[0.0]]).is_pure
-        assert pure == (occupation < GM_TOL)
-        if pure:
-            vacuum_basis_transform([[occupation]], [[0.0]])
+        V = InputCovariance([[occupation]], [[0.0]])
+        assert V.is_pure == (occupation < GM_TOL)
+        if V.is_pure:
+            V.field_transform
         else:
             with pytest.raises(ValueError, match="mixed"):
-                vacuum_basis_transform([[occupation]], [[0.0]])
-
-    def test_tol_sets_purity_threshold(self):
-        n = 1e-8
-        m = np.sqrt(n * (n + 1.0)) - 1e-6  # slightly mixed: nu ~ 2e-10
-        vacuum_basis_transform([[n]], [[m]])  # within the default GM_TOL relative threshold
-        with pytest.raises(ValueError, match="mixed"):
-            vacuum_basis_transform([[n]], [[m]], tol=1e-30)
+                V.field_transform
 
 
 class TestFactorFlatGram:

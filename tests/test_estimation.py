@@ -41,6 +41,16 @@ def cavity_coupling_family(a):
     )
 
 
+def weak_mode_family(g):
+    """Omega = [[0, g], [g, theta]], C = [[1, 0]]: the second mode's damping ~ 2 g^2 vanishes with g.
+
+    With the squeezed input N = 0.5 the stationary QFI rate at theta = 0 is
+    3 / g^2 + 12, a closed form that neither route can bias.
+    """
+    return ParamFamily(evaluate=lambda th: QLSystem.passive(
+        [[1.0]], [[1.0, 0.0]], [[0.0, g], [g, th]]), fd_step=1e-7)
+
+
 def random_active_family(rng, n=1, m=1, vary_coupling=True, S=None):
     base = random_qlsystem(rng, n, m)
     dOm = random_hermitian_doubled_up(rng, n, 0.5)
@@ -266,16 +276,22 @@ class TestStationaryRates:
                 rate = stationary_qfi_rate_freq if route == "freq" else stationary_qfi_rate_time
                 rate(fam, 0.0, InputCovariance.vacuum(2))
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the panels of a narrow peak carry its "
-                       "Lorentzian tail, and two coarse rules agree on a value 18 % low")
-    def test_near_instability_freq_route_closed_form(self):
-        g = 1e-4
-        fam = ParamFamily(evaluate=lambda th: QLSystem.passive(
-            [[1.0]], [[1.0, 0.0]], [[0.0, g], [g, th]]), fd_step=1e-7)
-        target = 3.0 / g**2 + 12.0
-        V = squeezed_input(0.5)
+    @pytest.mark.parametrize("g", (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6))
+    def test_near_instability_freq_route_closed_form(self, g):
+        """Graded break points resolve the narrow peak's tail: the freq route is right, not 18 % low."""
+        fam, V, target = weak_mode_family(g), squeezed_input(0.5), 3.0 / g**2 + 12.0
         assert abs(stationary_qfi_rate_time(fam, 0.0, V).value - target) <= 1e-8 * target
-        assert abs(stationary_qfi_rate_freq(fam, 0.0, V).value - target) <= 1e-8 * target
+        rep = stationary_qfi_rate_freq(fam, 0.0, V)
+        assert abs(rep.value - target) <= 1e-8 * target
+        assert rep.diagnostics["max_nodes_per_panel"] <= 32
+
+
+@pytest.mark.parametrize("c", (1.0, 1e-1, 1e-2, 1e-4, 1e-6, 1e-8))
+def test_cavity_closed_form_both_routes_down_to_weak_coupling(c):
+    N = 0.5
+    fam, V, target = cavity_omega_family(c), squeezed_input(N), 16.0 * N * (N + 1.0) / c**2
+    for rate in (stationary_qfi_rate_freq, stationary_qfi_rate_time):
+        assert abs(rate(fam, 0.0, V).value - target) <= 1e-8 * target
 
 
 def _dpsi_cases():
@@ -352,6 +368,15 @@ class TestScalingCheck:
 
         out = destabilized_scaling_check(builder, [0.5, 0.35, 0.25, 0.18], V, theta0=0.9)
         assert abs(out["slope"] - 1.0) < 0.15
+
+    def test_weak_mode_sweep_closed_form(self):
+        gs = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+        out = destabilized_scaling_check(weak_mode_family, gs, squeezed_input(0.5))
+        for g, row in zip(gs, out["rows"]):
+            assert abs(row["f"] - (3.0 / g**2 + 12.0)) <= 1e-8 * row["f"]
+        assert abs(out["slope"] - 0.9974) < 1e-4  # f = 3/g^2 + 12 bends away from tau at large g
+        tail = destabilized_scaling_check(weak_mode_family, gs[2:], squeezed_input(0.5))
+        assert abs(tail["slope"] - 1.0) < 1e-6
 
 
 class TestMultiparam:

@@ -6,7 +6,7 @@ import pytest
 
 from qls import io as qio
 from qls.cli import _spectrum_order, main
-from qls.model import default_grid, freq_response, tf_equal
+from qls.model import QLSystem, default_grid, freq_response, tf_equal
 from qls.realization import RationalMatrixFunction, ps_as_rational, tf_as_rational
 from qls.sampling import random_pure_input, random_qlsystem
 from qls.stationary import InputCovariance, power_spectrum
@@ -607,6 +607,27 @@ class TestCli:
         assert len(lines) == 5
         slope = float(lines[1].split(",")[3])
         assert abs(slope - 1.0) < 0.05
+
+    def test_sweep_off_diagonal_omega_keeps_it_hermitian(self, workdir):
+        """An Omega.minus coupling at (0, 1) also sets its Hermitian partner (1, 0)."""
+        spec = {
+            "family": {
+                "base": qio.system_to_json(QLSystem.passive([[1.0]], [[1.0, 0.0]], [[0.0, 0.3], [0.3, 0.0]])),
+                "fd_step": 1e-7,
+                "dependencies": [{"target": "Omega.minus", "row": 1, "col": 1, "coefficient": [1.0, 0.0]}],
+            },
+            "couplings": [0.1, 0.01, 0.001],
+            "coupling_target": "Omega.minus",
+            "coupling_row": 0,
+            "coupling_col": 1,
+        }
+        p = write(workdir / "sweep.json", spec)
+        v = write(workdir / "v.json", qio.input_to_json(squeezed_input(0.5)))
+        out = workdir / "sweep.csv"
+        assert main(["sweep", p, "--input", v, "-o", str(out)]) == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        for g, line in zip(spec["couplings"], rows):  # rate 3 / g^2 + 12 of test_estimation's weak mode
+            assert abs(float(line.split(",")[2]) - (3.0 / g**2 + 12.0)) <= 1e-8 * (3.0 / g**2)
 
     def test_grid_output_byte_identical_across_runs(self, workdir, rng):
         sys = random_qlsystem(rng, 2, 2)

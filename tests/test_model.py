@@ -49,6 +49,7 @@ from conftest import (
     dpa,
     eigs_close,
     gm2_system,
+    rescaled,
     squeezed_input,
     squeezing_family,
     two_mode_cascade_example,
@@ -422,11 +423,6 @@ def _duplicated(sys):
     return QLSystem.from_blocks(np.hstack([cm, cm]), np.hstack([cp, cp]), np.kron(eye, om), np.kron(eye, op))
 
 
-def _rescaled(sys, t):
-    """Time rescaled by t: A -> t A, C -> sqrt(t) C, Omega -> t Omega."""
-    return QLSystem(S=sys.S, C=np.sqrt(t) * sys.C, Omega=t * sys.Omega)
-
-
 class TestMinimalityAtScale:
     @pytest.mark.parametrize("m", (1, 2))
     @pytest.mark.parametrize("n", (8, 16, 32))
@@ -438,7 +434,7 @@ class TestMinimalityAtScale:
             for case, minimal in cases:
                 assert is_minimal(case) is minimal, (passive, case.n)
                 for t in (1e-6, 1e6):
-                    assert is_minimal(_rescaled(case, t)) is minimal, (passive, case.n, t)
+                    assert is_minimal(rescaled(case, t)) is minimal, (passive, case.n, t)
 
 
 def _detuned_copies(sys, eps, shared):
@@ -535,7 +531,7 @@ class TestScaleInvariantStability:
         systems += [random_qlsystem(rng, 3, 2, ensure_hurwitz=False) for _ in range(20)]
         verdicts = [is_hurwitz(sys) for sys in systems]
         assert True in verdicts and False in verdicts
-        assert [is_hurwitz(_rescaled(sys, t)) for sys in systems] == verdicts
+        assert [is_hurwitz(rescaled(sys, t)) for sys in systems] == verdicts
 
     @pytest.mark.parametrize("c", (1e-6, 1e-8))
     def test_weakly_coupled_cavity_is_hurwitz(self, c):
@@ -543,7 +539,7 @@ class TestScaleInvariantStability:
 
     @pytest.mark.parametrize("t", (1.0, 1e-6, 1e6))
     def test_pole_check_is_relative(self, t):
-        sys = _rescaled(cavity(2.0, 0.0), t)  # pole -t
+        sys = rescaled(cavity(2.0, 0.0), t)  # pole -t
         with pytest.raises(ValueError):
             freq_response(sys, [-t])
         Xi = freq_response(sys, [-t * (1 + 1e-9)])  # 1e-9 away, relative to the pole
@@ -688,6 +684,14 @@ class TestTfEqual:
     def test_channel_mismatch_raises(self, rng):
         with pytest.raises(ValueError):
             tf_equal(random_qlsystem(rng, 1, 1), random_qlsystem(rng, 1, 2))
+
+    @pytest.mark.parametrize("t", (1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6))
+    def test_default_grid_in_the_system_scale(self, t):
+        """The gap floor and the pole nudge are relative, so the grid stays in the band at any scale."""
+        a, b = cavity(kappa=1.0, omega0=0.3), cavity(kappa=1.0, omega0=0.6)
+        base = default_grid(a)
+        assert np.max(np.abs(default_grid(rescaled(a, t)) / t - base)) <= 1e-15 * np.max(np.abs(base))
+        assert not tf_equal(rescaled(a, t), rescaled(b, t))
 
 
 class TestValidation:

@@ -45,6 +45,7 @@ from conftest import (
     eigs_close,
     gm2_system,
     mpmath_residues,
+    rescaled,
     squeezed_input,
     two_mode_cascade_example,
 )
@@ -412,6 +413,31 @@ class TestSisoCascadeIdentify:
         order = [lam[i] for i in np.argsort(lam.real) if lam[i].imag > 0]
         with pytest.raises(IdentificationError, match=r"not symplectic \(defect .*, cond\(T\) 4\.\d+e\+06\)"):
             siso_cascade_identify(*scalar_parts(sys), pole_order=order)
+
+
+@pytest.mark.parametrize("t", (1e-9, 1e-7, 1e-5, 1e-3, 1.0, 1e3, 1e6))
+class TestRoundTripsAtScale:
+    """Pole matching and Gilbert's gap and probe points are relative to the data's max |p|."""
+
+    def test_tf(self, t):
+        sys = two_mode_cascade_example()
+        scaled = rescaled(sys, t)
+        rec = physical_from_classical(gilbert_realize(tf_as_rational(scaled)))
+        assert tf_equal(rec, scaled, t * default_grid(sys), tol=1e-12)
+
+    def test_cascade(self, t):
+        sys = two_mode_cascade_example()
+        scaled = rescaled(sys, t)
+        casc = siso_cascade_identify(*scalar_parts(scaled))
+        assert tf_equal(casc.to_system(), scaled, t * default_grid(sys), tol=1e-12)
+
+    def test_ps(self, t):
+        sys, vac = active_one_mode_example(), InputCovariance.vacuum(1)
+        grid = t * default_grid(sys)
+        scaled = rescaled(sys, t)
+        rec = ps_realize(ps_as_rational(scaled, vac))
+        dev = power_spectrum(rec, vac, grid) - power_spectrum(scaled, vac, grid)
+        assert np.max(np.linalg.norm(dev, axis=(1, 2))) <= 1e-12
 
 
 class TestGilbertRealize:

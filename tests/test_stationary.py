@@ -16,7 +16,6 @@ from qls.stationary import (
     ps_cascade_embedding,
     pure_mixed_split,
     solve_lyapunov,
-    vacuum_covariance,
 )
 
 from conftest import (
@@ -66,7 +65,7 @@ class TestInputCovariance:
 class TestSolveLyapunov:
     def test_passive_vacuum_settles_to_vacuum(self):
         st = solve_lyapunov(cavity(), InputCovariance.vacuum(1))
-        assert np.linalg.norm(st.P - vacuum_covariance(1)) < 1e-12
+        assert np.linalg.norm(st.P - InputCovariance.vacuum(1).matrix()) < 1e-12
         assert np.max(st.symplectic_spectrum) < 1e-10
 
     def test_absorber_example_entries(self):
@@ -300,7 +299,7 @@ class TestPowerSpectrum:
         sys = random_qlsystem(rng, 2, 2, passive=True)
         vac = InputCovariance.vacuum(2)
         for s in default_grid(sys, 11):
-            assert np.linalg.norm(power_spectrum(sys, vac, s) - vacuum_covariance(2)) < 1e-9
+            assert np.linalg.norm(power_spectrum(sys, vac, s) - vac.matrix()) < 1e-9
 
     def test_one_mode_example_rational_structure(self):
         # Psi(s) J of the worked one-mode system is rational with poles at
@@ -469,11 +468,10 @@ class TestSisoPassiveGm:
 
 def _controllability_margins(sys, V):
     """(modal, PBH) margins of the global-minimality cross-check's dual pair (B^dag, A^dag)."""
-    from qls.algebra import _vacuum_basis
     from qls.model import _pbh_margin, _reducibility_margin
 
     assert sys._modal is not None
-    B = flat_adjoint(sys.C) @ sys.S @ _vacuum_basis(V.N, V.M) @ vacuum_covariance(sys.m)
+    B = flat_adjoint(sys.C) @ sys.S @ V.field_transform @ InputCovariance.vacuum(sys.m).matrix()
     return _reducibility_margin(sys, B), _pbh_margin(sys.A.conj().T, B.conj().T, sys.poles.conj())
 
 
@@ -559,7 +557,7 @@ class TestPsCascadeEmbedding:
         sys = QLSystem.from_blocks([[0.0]], [[0.0]], [[0.0]], [[0.0]])
         emb = ps_cascade_embedding(sys, InputCovariance.vacuum(1))
         for s in (0.3 + 1j, -2.0j, 1.5):
-            assert np.linalg.norm(emb.transfer(s) - vacuum_covariance(1)) < 1e-12
+            assert np.linalg.norm(emb.transfer(s) - InputCovariance.vacuum(1).matrix()) < 1e-12
 
     def test_one_mode_example_matches_psj(self):
         sys = active_one_mode_example()
