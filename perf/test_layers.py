@@ -55,6 +55,11 @@ is globally minimal, so the split has no pure part); ``is_minimal_defective``
 takes the two-mode gm2 example at x = 0, whose defective drift has no usable
 eigenbasis (the PBH route).  ``nus_detect`` takes a seeded passive system with
 n = 1, 2, 8, 16 or 32 modes and two channels, channel 0 accessible.
+The ``cli_process`` cases time one whole ``python -m qls.cli`` process
+(interpreter start, imports, load, compute, emit; 7 rounds after one
+warm-up) for ``--help``, ``tf`` on the n = 2 system, ``ps`` on it with the
+squeezed input, ``realize-tf`` on that system's transfer-function
+data, ``absorber`` on it, and ``qfi --method time`` on the n = 1 family.
 """
 
 import dataclasses
@@ -169,14 +174,18 @@ def test_series_product(benchmark, sys):
     benchmark(series_product, sys, sys)
 
 
-def _json_family(n, m=1):
-    """A JSON family on the n-mode, m-channel system, one dependency on each block of C and of Omega."""
+def _family_spec(n, m=1):
+    """JSON of a family on the n-mode, m-channel system, one dependency on each block of C and of Omega."""
     entry = lambda target, c: {"target": target, "row": 0, "col": n - 1, "coefficient": [c.real, c.imag]}
-    return qio.family_from_json({
+    return {
         "base": qio.system_to_json(_system(n, m)),
         "dependencies": [entry("C.minus", 0.3 + 0.5j), entry("C.plus", 0.1 - 0.2j),
                          entry("Omega.minus", 0.7 + 0j), entry("Omega.plus", 0.2 + 0.5j)],
-    })
+    }
+
+
+def _json_family(n, m=1):
+    return qio.family_from_json(_family_spec(n, m))
 
 
 @pytest.mark.parametrize("n", (1, 2, 3), ids=lambda n: f"n{n}")
@@ -458,3 +467,42 @@ def test_dump_json_tf_payload(benchmark, points):
                                          "values": [qio.matrix_to_json(X) for X in values]}))
     else:
         benchmark(qio.dump_json, {"grid": grid, "values": values})
+
+
+CLI_PROCESSES = {  # subcommand -> its arguments, {name} standing for the input file of that name
+    "help": ["--help"],
+    "tf": ["tf", "{sys}"],
+    "ps": ["ps", "{sys}", "--input", "{input}"],
+    "realize-tf": ["realize-tf", "{rtf}"],
+    "absorber": ["absorber", "{sys}"],
+    "qfi-time": ["qfi", "{family}", "--input", "{input}", "--method", "time"],
+}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """The n = 2 system, the squeezed input, the system's transfer-function data and a
+    one-mode family with one dependency on each block of C and of Omega, as JSON files."""
+    root = tmp_path_factory.mktemp("cli")
+    payloads = {"sys": qio.system_to_json(_system(2)), "input": qio.input_to_json(INPUT),
+                "rtf": qio.rational_to_json(tf_as_rational(_system(2))), "family": _family_spec(1)}
+    for name, payload in payloads.items():
+        qio.dump_json(payload, str(root / f"{name}.json"))
+    return {name: str(root / f"{name}.json") for name in payloads} | {"out": str(root / "out.json")}
+
+
+@pytest.mark.parametrize("command", CLI_PROCESSES)
+def test_cli_process(benchmark, cli_files, command):
+    """One `python -m qls.cli` process, start to exit: interpreter, imports, load, compute, emit."""
+    import os
+    import subprocess
+    import sys as system
+
+    import qls
+
+    args = [part.format(**cli_files) for part in CLI_PROCESSES[command]] + ["-o", cli_files["out"]]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qls.__file__)))
+    # pipes, not a bare wait: with a timeout, Popen.wait polls in sleeps of up to 50 ms
+    run = lambda: subprocess.run([system.executable, "-m", "qls.cli", *args], env=env, check=True,
+                                 capture_output=True, timeout=60)
+    benchmark.pedantic(run, rounds=7, warmup_rounds=1)

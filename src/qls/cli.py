@@ -7,6 +7,8 @@ Diagnostics go to stderr as a machine-readable error object; no partial
 result file is left behind on failure.
 """
 
+# Each subcommand imports the pipeline it runs, so a process loads only its own modules.
+
 import argparse
 import dataclasses
 import functools
@@ -17,30 +19,7 @@ import numpy as np
 
 from . import io as qio
 from .io import InputError
-from .algebra import TOL_NUM, flat_unitary_residual
-from .estimation import (
-    destabilized_scaling_check,
-    stationary_qfi_rate_freq,
-    stationary_qfi_rate_time,
-)
-from .absorber import dual_system
-from .model import (
-    check_pr,
-    default_grid,
-    freq_response,
-    is_hurwitz,
-    is_minimal,
-    spectral_gap,
-)
-from .realization import (
-    IdentificationError,
-    noisy_realize,
-    physical_from_classical,
-    gilbert_realize,
-    ps_realize,
-    siso_cascade_identify,
-)
-from .stationary import GM_TOL, InputCovariance, _global_minimality, power_spectrum, pure_mixed_split
+from .algebra import GM_TOL, TOL_NUM
 
 
 def _load(path, parse, what):
@@ -57,6 +36,8 @@ def _load_system(path):
 
 def _load_input(path, m):
     """The input covariance at ``path`` (the m-channel vacuum if None); InputError unless it has m channels."""
+    from .stationary import InputCovariance
+
     if path is None:
         return InputCovariance.vacuum(m)
     V = _load(path, qio.input_from_json, "input covariance")
@@ -66,6 +47,8 @@ def _load_input(path, m):
 
 
 def _grid(sys, spec):
+    from .model import default_grid
+
     if spec is None or spec == "auto":
         return default_grid(sys)
     if isinstance(spec, str):
@@ -96,6 +79,9 @@ def _emit(args, payload):
 
 
 def cmd_validate(args):
+    from .algebra import flat_unitary_residual
+    from .model import check_pr, default_grid, freq_response, is_hurwitz, is_minimal, spectral_gap
+
     sys_ = _load_system(args.system)
     gap = spectral_gap(sys_)
     payload = {
@@ -114,12 +100,16 @@ def cmd_validate(args):
 
 
 def cmd_tf(args):
+    from .model import freq_response
+
     sys_ = _load_system(args.system)
     grid = _grid(sys_, args.grid)
     _emit(args, {"grid": grid, "values": freq_response(sys_, grid)})
 
 
 def cmd_ps(args):
+    from .stationary import power_spectrum
+
     sys_ = _load_system(args.system)
     V = _load_input(args.input, sys_.m)
     grid = _grid(sys_, args.grid)
@@ -127,6 +117,9 @@ def cmd_ps(args):
 
 
 def cmd_gm(args):
+    from .model import is_hurwitz
+    from .stationary import _global_minimality
+
     sys_ = _load_system(args.system)
     V = _load_input(args.input, sys_.m)
     if not is_hurwitz(sys_):
@@ -140,6 +133,8 @@ def cmd_gm(args):
 
 
 def cmd_split(args):
+    from .stationary import pure_mixed_split
+
     sys_ = _load_system(args.system)
     V = _load_input(args.input, sys_.m)
     out = pure_mixed_split(sys_, V, gm_tol=args.gm_tol)
@@ -153,12 +148,16 @@ def cmd_split(args):
 
 
 def cmd_realize_tf(args):
+    from .realization import gilbert_realize, physical_from_classical
+
     tf = _load(args.rational, qio.rational_from_json, "rational data")
     sys_ = physical_from_classical(gilbert_realize(tf))
     _emit(args, qio.system_to_json(sys_))
 
 
 def cmd_realize_ps(args):
+    from .realization import ps_realize
+
     ps = _load(args.rational, qio.rational_from_json, "rational data")
     sys_, details = ps_realize(ps, return_details=True)
     _emit(args, {
@@ -169,11 +168,15 @@ def cmd_realize_ps(args):
 
 
 def cmd_realize_noisy(args):
+    from .realization import noisy_realize
+
     ss = _load(args.statespace, qio.statespace_from_json, "state space")
     _emit(args, qio.system_to_json(noisy_realize(ss, args.n_noise)))
 
 
 def cmd_cascade_id(args):
+    from .realization import siso_cascade_identify
+
     xi_m, xi_p = _load(args.rational, lambda d: (qio.rational_from_json(d["xi_minus"]),
                                                  qio.rational_from_json(d["xi_plus"])), "cascade data")
     order = "damping"
@@ -192,6 +195,8 @@ def cmd_cascade_id(args):
 
 
 def cmd_absorber(args):
+    from .absorber import dual_system
+
     sys_ = _load_system(args.system)
     res = dual_system(sys_, gm_tol=args.gm_tol)
     payload = {
@@ -204,6 +209,8 @@ def cmd_absorber(args):
 
 
 def cmd_qfi(args):
+    from .estimation import stationary_qfi_rate_freq, stationary_qfi_rate_time
+
     family = _load(args.family, qio.family_from_json, "family")
     if args.fd_step is not None:
         family = dataclasses.replace(family, fd_step=args.fd_step)
@@ -250,6 +257,8 @@ def _sweep_spec(data):
 
 
 def cmd_sweep(args):
+    from .estimation import destabilized_scaling_check
+
     builder, couplings = _load(args.family, _sweep_spec, "sweep spec")
     sys0, _ = builder(couplings[0]).at(args.theta)
     V = _load_input(args.input, sys0.m)
@@ -345,7 +354,7 @@ def main(argv=None):
     except InputError as exc:
         print(qio.dump_json({"error": "input", "message": str(exc)}), file=sys.stderr)
         return 2
-    except (IdentificationError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, np.linalg.LinAlgError) as exc:  # realization.IdentificationError included
         print(qio.dump_json({"error": "numerical", "message": str(exc)}), file=sys.stderr)
         return 3
     except ValueError as exc:

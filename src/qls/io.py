@@ -12,6 +12,9 @@ descriptors: each names a target block ("C.minus", "Omega.plus", ...), an
 entry (row, col) and a complex coefficient; evaluation adds
 coefficient * theta to the entry, mirroring across the Hermitian/symmetric
 partner entry of Omega so the family stays well formed.
+
+Inputs and rational data import their classes when read, so loading a
+system loads only ``algebra`` and ``model``.
 """
 
 import json
@@ -21,8 +24,6 @@ import numpy as np
 
 from .algebra import Delta, du_blocks
 from .model import ParamFamily, QLSystem, StateSpace
-from .realization import RationalMatrixFunction
-from .stationary import InputCovariance
 
 
 class InputError(ValueError):
@@ -101,6 +102,8 @@ def input_to_json(V):
 
 
 def input_from_json(data):
+    from .stationary import InputCovariance
+
     return InputCovariance(matrix_from_json(data["N"]), matrix_from_json(data["M"]))
 
 
@@ -113,6 +116,8 @@ def rational_to_json(r):
 
 
 def rational_from_json(data):
+    from .realization import RationalMatrixFunction
+
     return RationalMatrixFunction(
         constant=matrix_from_json(data["constant"]),
         poles=tuple(pair_to_complex(p) for p in data["poles"]),
@@ -156,6 +161,8 @@ def family_from_json(data):
             deps.append((name, int(half == "plus"), a, b, coeff))
 
     def evaluate(theta):
+        if theta == 0:  # the base system, already built and validated
+            return base
         # the base matrices are exact Delta forms, so writing each changed upper entry's
         # conjugate into its mirror entry gives the Delta of the changed blocks
         mats = {"S": np.array(base.S), "C": np.array(base.C), "Omega": np.array(base.Omega)}

@@ -318,7 +318,8 @@ def gilbert_realize(tf):
     Requires distinct poles with nonzero imaginary parts, each with its
     conjugate among the poles (matched by ``_pole_index``), and rank-one
     residues, mirrored so that conj(p) carries residue
-    Sigma conj(R) Sigma.
+    Sigma conj(R) Sigma (to 1e-6 of the largest residue norm, so the check
+    holds at every time scale).
     Returns a StateSpace with A0 diagonal; D is the constant term.
     """
     poles = np.array(tf.poles)
@@ -341,10 +342,11 @@ def gilbert_realize(tf):
 
     upper = np.flatnonzero(poles.imag > 0)
     lam = poles[upper]
+    rscale = max(np.linalg.norm(R) for R in tf.residues)
     B_rows, C_cols = [], []
     for i in upper:
         R, Rbar = tf.residues[i], tf.residues[partner[i]]
-        if np.linalg.norm(Rbar - Sig @ R.conj() @ Sig) > 1e-6 * max(1.0, np.linalg.norm(R)):
+        if np.linalg.norm(Rbar - Sig @ R.conj() @ Sig) > 1e-6 * rscale:
             raise IdentificationError(f"residues at {poles[i]} and its conjugate are not mirrored")
         col, row = _rank_one_factor(R)
         ph = _canonical_row_phase(row)

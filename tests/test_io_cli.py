@@ -97,6 +97,31 @@ class TestJsonRoundtrips:
             for k in ("S", "C", "Omega"):
                 assert np.array_equal(getattr(sys, k), ref[k])
 
+    def test_family_at_zero_is_its_base(self, rng):
+        """evaluate(0) returns the loaded base, built once; the QFI rates at theta = 0 equal,
+        bit for bit, those of the same family rebuilding its base on every evaluation."""
+        from qls.estimation import stationary_qfi_rate_freq, stationary_qfi_rate_time
+        from qls.model import ParamFamily
+
+        deps = [{"target": "C.minus", "row": 0, "col": 1, "coefficient": [0.3, 0.5]},
+                {"target": "Omega.minus", "row": 0, "col": 1, "coefficient": [0.7, -0.2]},
+                {"target": "Omega.plus", "row": 1, "col": 1, "coefficient": [0.2, 0.5]}]
+        spec = {"base": qio.system_to_json(random_qlsystem(rng, 2, 1)), "dependencies": deps, "fd_step": 1e-6}
+        fam = qio.family_from_json(spec)
+        base = fam.evaluate(0.0)
+        assert fam.evaluate(-0.0) is base
+        loaded = qio.system_from_json(spec["base"])
+        assert all(np.array_equal(getattr(base, k), getattr(loaded, k)) for k in ("S", "C", "Omega"))
+
+        def rebuilt(theta):
+            sys = fam.evaluate(theta)
+            return QLSystem(S=np.array(sys.S), C=np.array(sys.C), Omega=np.array(sys.Omega))
+
+        V = squeezed_input(0.5)
+        for route in (stationary_qfi_rate_freq, stationary_qfi_rate_time):
+            reference = route(ParamFamily(evaluate=rebuilt, fd_step=fam.fd_step), 0.0, V)
+            assert route(dataclasses.replace(fam), 0.0, V).value == reference.value
+
     def test_family_entry_outside_block_raises(self):
         base = qio.system_to_json(random_qlsystem(np.random.default_rng(0), 2, 1))
         entry = {"target": "C.minus", "row": 0, "col": 2, "coefficient": [1.0, 0.0]}
@@ -201,6 +226,31 @@ def _cli_inputs(rng):
         "family": family,
         "sweep": {"family": family, "couplings": [1.0, 0.7, 0.5], "coupling_target": "C.minus"},
     }
+
+
+def _cli_files(workdir, rng):
+    """Paths of the JSON inputs of every subcommand: those of `_cli_inputs`, the absorber example
+    with a random pure input, the gm2 example at x = 0 and -1, a squeezed input and a malformed file."""
+    from conftest import gm2_system
+
+    paths = {k: write(workdir / f"{k}.json", payload) for k, payload in _cli_inputs(rng).items()}
+    paths.update(sys=write(workdir / "sys.json", qio.system_to_json(absorber_two_mode_example())),
+                 input=write(workdir / "v.json", qio.input_to_json(InputCovariance(*random_pure_input(rng, 1)))),
+                 gm2_0=write(workdir / "gm2_0.json", qio.system_to_json(gm2_system(0.0))),
+                 gm2_m1=write(workdir / "gm2_m1.json", qio.system_to_json(gm2_system(-1.0))),
+                 sq05=write(workdir / "sq05.json", qio.input_to_json(squeezed_input(0.5))),
+                 bad=str(workdir / "bad.json"))
+    with open(paths["bad"], "w") as fh:
+        fh.write("{not json")
+    return paths
+
+
+def _run_cli_probe(report, args):
+    """Run the CLI on args in a fresh interpreter: (exit code, the repr of `report` evaluated at exit)."""
+    probe = ("import atexit, runpy, sys; atexit.register(lambda: print(repr(" + report + "), file=sys.stderr)); "
+             "sys.argv[0] = 'qls'; runpy.run_module('qls.cli', run_name='__main__')")
+    out = _run_python(["-c", probe] + args, check=False)
+    return out.returncode, out.stderr.strip().splitlines()[-1]
 
 
 class TestCli:
@@ -753,22 +803,36 @@ class TestCli:
         on numpy alone: in the drift's eigenbasis, or by one LU of the
         Kronecker form for a defective drift of size up to ``algebra.KRON_MAX``.
         """
-        from conftest import gm2_system, squeezed_input
-
-        paths = {k: write(workdir / f"{k}.json", payload) for k, payload in _cli_inputs(rng).items()}
-        paths.update(sys=write(workdir / "sys.json", qio.system_to_json(absorber_two_mode_example())),
-                     input=write(workdir / "v.json",
-                                 qio.input_to_json(InputCovariance(*random_pure_input(rng, 1)))),
-                     gm2_0=write(workdir / "gm2_0.json", qio.system_to_json(gm2_system(0.0))),
-                     gm2_m1=write(workdir / "gm2_m1.json", qio.system_to_json(gm2_system(-1.0))),
-                     sq05=write(workdir / "sq05.json", qio.input_to_json(squeezed_input(0.5))))
-        probe = ("import atexit, runpy, sys; atexit.register(lambda: print("
-                 "'scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules, file=sys.stderr)); "
-                 "sys.argv[0] = 'qls'; runpy.run_module('qls.cli', run_name='__main__')")
+        paths = _cli_files(workdir, rng)
         args = [part.format(**paths) for part in command] + ["-o", str(workdir / "out.json")]
-        out = _run_python(["-c", probe] + args, check=False)
-        assert out.returncode == 0, out.stderr
-        assert out.stderr.strip().splitlines()[-1] == f"False {loads_linalg}"
+        code, loaded = _run_cli_probe("('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)", args)
+        assert code == 0, loaded
+        assert loaded == repr((False, loads_linalg))
+
+    @pytest.mark.parametrize("command, pipeline", [
+        (["--help"], ()),
+        (["validate", "{sys}"], ()),
+        (["tf", "{sys}"], ()),
+        (["validate", "{bad}"], ()),
+        (["ps", "{sys}", "--input", "{input}"], ("stationary",)),
+        (["gm", "{sys}"], ("stationary",)),
+        (["split", "{gm2_m1}", "--input", "{sq05}"], ("stationary",)),
+        (["realize-tf", "{rtf}"], ("realization", "stationary")),
+        (["realize-ps", "{rps1}"], ("realization", "stationary")),
+        (["realize-noisy", "{ss}"], ("realization", "stationary")),
+        (["cascade-id", "{pair}"], ("realization", "stationary")),
+        (["absorber", "{sys}"], ("absorber", "stationary")),
+        (["qfi", "{family}", "--input", "{sq05}"], ("estimation", "stationary")),
+        (["sweep", "{sweep}", "--input", "{sq05}"], ("estimation", "stationary")),
+    ])
+    def test_cli_loads_only_its_pipeline(self, workdir, rng, command, pipeline):
+        """A subcommand loads ``algebra``, ``model`` and ``io`` and the modules of its own
+        pipeline; none loads ``sampling``, and a malformed input file still exits 2."""
+        paths = _cli_files(workdir, rng)
+        args = [part.format(**paths) for part in command] + ["-o", str(workdir / "out.json")]
+        code, loaded = _run_cli_probe("sorted(m for m in sys.modules if m.startswith('qls.'))", args)
+        assert code == (2 if "{bad}" in command else 0), loaded
+        assert loaded == repr(sorted(f"qls.{m}" for m in ("algebra", "io", "model", *pipeline)))
 
     def test_determinism_across_runs(self, workdir):
         p = write(workdir / "sys.json", qio.system_to_json(absorber_two_mode_example()))
@@ -805,3 +869,56 @@ class TestCli:
         assert json.loads(capsys.readouterr().err)["error"] == "input"
         assert main(["tf", p]) == 0
         assert capsys.readouterr().out == _run_python(["-m", "qls.cli", "tf", p]).stdout
+
+
+class TestPackageNamespace:
+    """``import qls`` is lazy: each public name resolves from its home module on first use."""
+
+    EXPORTS = {
+        "absorber": ["AbsorberResult", "canonicalize_stationary", "dual_system", "verify_absorber"],
+        "algebra": ["Delta", "TOL_NUM", "TOL_STRUCT", "WilliamsonResult", "du_blocks", "factor_flat_gram",
+                    "flat_adjoint", "is_doubled_up", "is_symplectic", "jmat", "sigma_swap", "williamson"],
+        "estimation": ["QFIReport", "coherent_qfi", "destabilized_scaling_check", "ensemble_coupling_profile",
+                       "gauge_tangent_family", "multiparam_noon_bounds", "squeezed_coherent_qfi",
+                       "stationary_qfi_rate_freq", "stationary_qfi_rate_time"],
+        "model": ["ParamFamily", "QLSystem", "StateSpace", "check_pr", "concatenate", "default_grid",
+                  "gauge_transform", "is_hurwitz", "is_minimal", "series_product", "spectral_gap", "tf_equal",
+                  "transfer_function"],
+        "realization": ["RationalMatrixFunction", "gilbert_realize", "noisy_realize", "nus_detect",
+                        "passive_siso_cascade", "physical_from_classical", "ps_as_rational", "ps_realize",
+                        "siso_cascade_identify", "tf_as_rational"],
+        "sampling": ["random_pure_input", "random_qlsystem", "random_symplectic"],
+        "stationary": ["InputCovariance", "StationaryState", "is_globally_minimal", "power_spectrum",
+                       "ps_cascade_embedding", "pure_mixed_split", "solve_lyapunov"],
+    }
+
+    def test_all_is_pinned(self):
+        import qls
+
+        assert sorted(qls.__all__) == sorted([*self.EXPORTS, *(n for names in self.EXPORTS.values() for n in names)])
+
+    def test_each_name_is_its_home_modules_object(self):
+        import importlib
+
+        import qls
+
+        for module, names in self.EXPORTS.items():
+            home = importlib.import_module(f"qls.{module}")
+            assert getattr(qls, module) is home
+            for name in names:
+                assert getattr(qls, name) is getattr(home, name), name
+
+    def test_star_import_dir_and_unknown_names(self):
+        import qls
+
+        namespace = {}
+        exec("from qls import *", namespace)
+        assert set(qls.__all__) <= set(namespace)
+        assert set(qls.__all__) <= set(dir(qls))
+        with pytest.raises(AttributeError, match="'nonexistent'"):
+            qls.nonexistent
+
+    def test_import_loads_no_submodule_until_one_is_used(self):
+        code = ("import sys, qls; loaded = lambda: sorted(m for m in sys.modules if m.startswith('qls.')); "
+                "print(loaded(), qls.model.__name__, loaded())")
+        assert _run_python(["-c", code]).stdout.strip() == "[] qls.model ['qls.algebra', 'qls.model']"

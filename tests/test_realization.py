@@ -425,6 +425,16 @@ class TestRoundTripsAtScale:
         rec = physical_from_classical(gilbert_realize(tf_as_rational(scaled)))
         assert tf_equal(rec, scaled, t * default_grid(sys), tol=1e-12)
 
+    def test_unmirrored_residue_named(self, t):
+        """A residue off its conjugate's mirror is named at every time scale, not left to the probes."""
+        r = tf_as_rational(rescaled(two_mode_cascade_example(), t))
+        poles = np.array(r.poles)
+        i = int(np.argmax(poles.imag))
+        residues = tuple(1.5 * R if k == i else R for k, R in enumerate(r.residues))
+        with pytest.raises(IdentificationError,
+                           match=re.escape(f"residues at {poles[i]} and its conjugate are not mirrored")):
+            gilbert_realize(RationalMatrixFunction(r.constant, r.poles, residues))
+
     def test_cascade(self, t):
         sys = two_mode_cascade_example()
         scaled = rescaled(sys, t)
