@@ -43,7 +43,10 @@ construction cases time ``Delta`` on the blocks of Omega,
 exp(-i J R), and ``series_product`` of each system into itself; the
 ``family_evaluate`` cases evaluate a JSON family at the qfi workload's
 sizes n = 1, 2, 3 (one channel), with one dependency on each block of C
-and of Omega.  The ``stationary_qfi_rate`` cases take such a family at
+and of Omega, and the ``family_at`` cases take ``at(0.1)`` on a fresh
+``dataclasses.replace`` copy of such a family (``json``, which carries its
+exact tangent) and of a family with its evaluate alone (``callable``, a
+central difference).  The ``stationary_qfi_rate`` cases take such a family at
 the qfi workload's sizes, n = 1, 2, 3 and m = 1, 2, at theta = 0.1 with
 every channel squeezed alike, and time both routes, ``freq`` and ``time``,
 each on a ``dataclasses.replace`` copy that keeps no evaluated point;
@@ -191,6 +194,16 @@ def _json_family(n, m=1):
 @pytest.mark.parametrize("n", (1, 2, 3), ids=lambda n: f"n{n}")
 def test_family_evaluate(benchmark, n):
     benchmark(_json_family(n).evaluate, 0.1)
+
+
+@pytest.mark.parametrize("kind", ("json", "callable"))
+@pytest.mark.parametrize("n", (1, 2, 3), ids=lambda n: f"n{n}")
+def test_family_at(benchmark, n, kind):
+    """``at(0.1)`` on a fresh copy of a JSON family, and of a family with only its evaluate."""
+    family = _json_family(n)
+    if kind == "callable":
+        family = ParamFamily(evaluate=family.evaluate, fd_step=family.fd_step)
+    benchmark(lambda: dataclasses.replace(family).at(0.1))
 
 
 QFI = [(n, m) for n in (1, 2, 3) for m in (1, 2)]  # the qfi workload's family sizes

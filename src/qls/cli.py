@@ -10,7 +10,6 @@ result file is left behind on failure.
 # Each subcommand imports the pipeline it runs, so a process loads only its own modules.
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -212,8 +211,6 @@ def cmd_qfi(args):
     from .estimation import stationary_qfi_rate_freq, stationary_qfi_rate_time
 
     family = _load(args.family, qio.family_from_json, "family")
-    if args.fd_step is not None:
-        family = dataclasses.replace(family, fd_step=args.fd_step)
     sys0, _ = family.at(args.theta)
     V = _load_input(args.input, sys0.m)
     if args.method == "time":
@@ -333,7 +330,6 @@ def build_parser():
     sp.add_argument("--input", default=None)
     sp.add_argument("--method", default="time", choices=["time", "freq"])
     sp.add_argument("--theta", type=float, default=0.0)
-    sp.add_argument("--fd-step", type=float, default=None, help="finite-difference step override")
 
     sp = add("sweep", cmd_sweep, help="QFI-versus-stabilisation-time coupling sweep (CSV)")
     sp.add_argument("family", help="JSON with family, couplings and coupling target")

@@ -13,9 +13,10 @@ rule on w = c tan t, or in the time domain from the modified-generator form
 
 with B solving A^dag B + B A + X = 0 for the Hermitian generator
 X = dOmega/2 + Im(dC^dag J C)/2.  Both read the system and its tangent
-(dS, dC, dOmega) from ``ParamFamily.at``, built once per theta, and
-calibrate to the closed form 16 N (N+1) / c^2 for a vacuum-squeezed-driven
-cavity at zero detuning.
+(dS, dC, dOmega) from ``ParamFamily.at``, built once per theta (exact for
+a family that carries its tangent, such as a JSON family), take pure
+inputs only, and calibrate to the closed form 16 N (N+1) / c^2 for a
+vacuum-squeezed-driven cavity at zero detuning.
 
 Time-dependent inputs: coherent and squeezed-coherent probe formulas, the
 destabilisation scaling diagnostic, and the multi-parameter entangled-probe
@@ -60,7 +61,7 @@ def coherent_qfi(family, theta0, omega, alpha, optimize_omega=False, grid=None):
     m = len(alpha)
     sys0, tangent = family.at(theta0)
     _channels_match(m, sys0, "alpha", "family")
-    diagnostics = {"fd_step": family.step(theta0)}
+    diagnostics = _tangent_diagnostics(family, theta0)
     if optimize_omega:
         if grid is None:
             raise ValueError("optimize_omega requires a frequency grid")
@@ -76,6 +77,13 @@ def coherent_qfi(family, theta0, omega, alpha, optimize_omega=False, grid=None):
     diagnostics["omega_opt"] = float(omegas[k])
     diagnostics["grid_values"] = values.tolist()
     return QFIReport(value=float(values[k]), method="coherent", diagnostics=diagnostics)
+
+
+def _tangent_diagnostics(family, theta):
+    """How ``family.at(theta)`` took its tangent: "exact", or "central_difference" with its fd_step."""
+    if family.tangent is not None:
+        return {"tangent": "exact"}
+    return {"tangent": "central_difference", "fd_step": family.step(theta)}
 
 
 def squeezed_coherent_qfi(dlambda=None, L=None, E=1.0):
@@ -202,7 +210,9 @@ def stationary_qfi_rate_freq(family, theta0, V):
     RuntimeError is raised when a panel has not converged at GL_MAX nodes,
     e.g. when a theta-dependent S keeps dPsi from decaying at large |w|.
     Diagnostics carry the summed rule differences, the most nodes any panel
-    used and the panel count.
+    used, the panel count and how the tangent was taken
+    (``_tangent_diagnostics``).  A mixed V raises ValueError
+    (``InputCovariance.check_pure``): the density is the pure-state one.
 
     The system and tangent come from ``family.at(theta0)``, and the tangent
     evaluator (``model._tangent_response``) is built once for every rule.
@@ -214,6 +224,7 @@ def stationary_qfi_rate_freq(family, theta0, V):
     """
     sys0, tangent = family.at(theta0)
     _channels_match(V.m, sys0, "input covariance", "family")
+    V.check_pure()
     if not is_hurwitz(sys0):
         raise ValueError("family must be Hurwitz at theta0")
     respond = _tangent_response(sys0, tangent)
@@ -254,7 +265,7 @@ def stationary_qfi_rate_freq(family, theta0, V):
         value=float(vals.sum()),
         method="stationary_freq",
         diagnostics={"quad_error": quad_error, "max_nodes_per_panel": k,
-                     "panels": len(half), "fd_step": family.step(theta0)},
+                     "panels": len(half), **_tangent_diagnostics(family, theta0)},
     )
 
 
@@ -269,10 +280,12 @@ def stationary_qfi_rate_time(family, theta0, V):
     where P is the stationary covariance (``solve_lyapunov``), V is the
     input as the modes see it, S V S^dag, and P - J implements the normal
     ordering of the quadratic expectation.  Theta-dependent scattering is
-    not supported.
+    not supported, and a mixed V raises ValueError
+    (``InputCovariance.check_pure``).
     """
     sys0, (dS, dC, dOm) = family.at(theta0)
     _channels_match(V.m, sys0, "input covariance", "family")
+    V.check_pure()
     h = family.step(theta0)
     if h * np.linalg.norm(dS) > 1e-12 * max(1.0, np.linalg.norm(sys0.S)):
         raise ValueError("theta-dependent scattering is not supported in the time domain")
@@ -298,7 +311,7 @@ def stationary_qfi_rate_time(family, theta0, V):
     return QFIReport(
         value=float(val.real),
         method="stationary_time",
-        diagnostics={"fd_step": h, "B_residual": float(
+        diagnostics={**_tangent_diagnostics(family, theta0), "B_residual": float(
             np.linalg.norm(A.conj().T @ B + B @ A + X)
         )},
     )
@@ -310,7 +323,7 @@ def gauge_tangent_family(sys, R):
     R must be Hermitian and doubled-up; the tangent dC = -i C J R,
     dOmega = i (R J Omega - Omega J R), i.e. dA = i [J R, A], changes nothing
     observable, so any QFI rate along this family vanishes.  Returns a
-    ParamFamily centred at theta = 0.
+    ParamFamily centred at theta = 0 that carries this tangent.
     """
     R = np.asarray(R, dtype=complex)
     Jn = jmat(sys.n)
@@ -321,7 +334,7 @@ def gauge_tangent_family(sys, R):
     def evaluate(theta):
         return QLSystem(S=sys.S, C=C0 + theta * dC, Omega=Om0 + theta * dOm)
 
-    return ParamFamily(evaluate=evaluate, fd_step=1e-6)
+    return ParamFamily(evaluate=evaluate, tangent=(np.zeros_like(sys.S), dC, dOm))
 
 
 def destabilized_scaling_check(family_builder, couplings, V, theta0=0.0):
@@ -334,7 +347,8 @@ def destabilized_scaling_check(family_builder, couplings, V, theta0=0.0):
     to tau).
 
     Returns {"rows": [{coupling, tau, f}], "slope": fitted slope}.  Raises
-    ValueError when the couplings give fewer than two distinct tau.
+    ValueError when the couplings give fewer than two distinct tau, and for
+    a mixed V, as the time route does.
     """
     rows = []
     for c in couplings:

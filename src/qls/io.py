@@ -141,7 +141,9 @@ def family_from_json(data):
 
     Omega dependencies are mirrored onto the Hermitian (minus block) or
     symmetric (plus block) partner entry (``entry_and_partner``) so that
-    evaluation always yields a valid Hamiltonian.
+    evaluation always yields a valid Hamiltonian; a diagonal entry of
+    Omega_- takes only a real coefficient.  The family carries its exact
+    tangent: the coefficients, added by the same rule to zero Delta forms.
     """
     base = system_from_json(data["base"])
     fd_step = finite_float(data.get("fd_step", 0.0), "fd_step")
@@ -157,8 +159,11 @@ def family_from_json(data):
         except IndexError:
             raise IndexError(f"dependency entry ({dep['row']}, {dep['col']}) lies outside the "
                              f"{rows} x {cols} block {dep['target']}") from None
-        for a, b, coeff in entry_and_partner(name, half, i, j, pair_to_complex(dep["coefficient"])):
-            deps.append((name, int(half == "plus"), a, b, coeff))
+        coeff = pair_to_complex(dep["coefficient"])
+        if name == "Omega" and half == "minus" and i == j and coeff.imag:
+            raise ValueError(f"Omega.minus diagonal entry ({i}, {i}) needs a real coefficient, got {coeff}")
+        for a, b, value in entry_and_partner(name, half, i, j, coeff):
+            deps.append((name, int(half == "plus"), a, b, value))
 
     def evaluate(theta):
         if theta == 0:  # the base system, already built and validated
@@ -170,7 +175,11 @@ def family_from_json(data):
             _add(mats[name], idx, i, j, coeff * theta)
         return QLSystem(S=mats["S"], C=mats["C"], Omega=mats["Omega"])
 
-    return ParamFamily(evaluate=evaluate, fd_step=fd_step)
+    tangent = {k: np.zeros_like(getattr(base, k)) for k in ("S", "C", "Omega")}
+    for name, idx, i, j, coeff in deps:
+        _add(tangent[name], idx, i, j, coeff)
+    return ParamFamily(evaluate=evaluate, fd_step=fd_step,
+                       tangent=(tangent["S"], tangent["C"], tangent["Omega"]))
 
 
 def entry_and_partner(name, half, i, j, value):

@@ -559,14 +559,18 @@ class ParamFamily:
     and tangent of the last theta asked (one slot, excluded from equality
     and repr), and every QFI route reads them from there, so a second route
     at the same theta builds no system.  ``dataclasses.replace`` gives a
-    family with an empty slot.  ``fd_step`` is the central finite-difference
-    step used for derivatives; it defaults to 1e-6 * max(1, |theta|) at
-    evaluation time when zero.  Raises ValueError when it is negative or
-    not finite.
+    family with an empty slot.  A family affine in theta may carry its
+    exact ``tangent`` (dS, dC, dOmega), kept read-only, excluded from
+    equality and repr and kept by ``replace``; ``io.family_from_json``
+    supplies one.  Without it the tangent is a central difference of step
+    ``fd_step``, which defaults to 1e-6 * max(1, |theta|) at evaluation
+    time when zero.  Raises ValueError when ``fd_step`` is negative or not
+    finite.
     """
 
     evaluate: Callable[[float], QLSystem]
     fd_step: float = 0.0
+    tangent: tuple = field(default=None, compare=False, repr=False)
     _point: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -574,6 +578,8 @@ class ParamFamily:
             raise ValueError(f"fd_step must be >= 0 (0 takes the default step), got {self.fd_step}")
         if not np.isfinite(self.fd_step):
             raise ValueError(f"fd_step must be finite, got {self.fd_step}")
+        if self.tangent is not None:
+            object.__setattr__(self, "tangent", tuple(_frozen(d) for d in self.tangent))
 
     def step(self, theta):
         if self.fd_step > 0:
@@ -581,11 +587,13 @@ class ParamFamily:
         return 1e-6 * max(1.0, abs(theta))
 
     def derivatives(self, theta):
-        """Central finite differences (dS, dC, dOmega) at theta.
+        """The tangent (dS, dC, dOmega) at theta: the exact one when the family carries it.
 
-        Two evaluations; exact up to rounding for families affine in theta,
-        such as those loaded from JSON.
+        Otherwise central finite differences of step ``step(theta)``, two
+        evaluations.
         """
+        if self.tangent is not None:
+            return self.tangent
         h = self.step(theta)
         hi, lo = self.evaluate(theta + h), self.evaluate(theta - h)
         return tuple((getattr(hi, k) - getattr(lo, k)) / (2 * h) for k in ("S", "C", "Omega"))
@@ -594,15 +602,24 @@ class ParamFamily:
         """(system, tangent) at theta: ``evaluate(theta)`` and ``derivatives(theta)``.
 
         Computed once and kept until another theta is asked; the tangent's
-        arrays are read-only, as the system's are.  Three evaluations on a
-        new point, none on the kept one.  Raises ValueError when theta is
-        not finite.
+        arrays are read-only, as the system's are.  On a new point a family
+        with an exact tangent makes one evaluation, and otherwise three;
+        the kept point makes none.  With an exact tangent whose dS is
+        nonzero, S +/- h dS (h = ``step(theta)``) must pass
+        ``is_symplectic``, as the systems at theta +/- h of a difference
+        must.  Raises ValueError when theta is not finite or S +/- h dS is
+        not symplectic.
         """
         if not np.isfinite(theta):
             raise ValueError(f"theta = {theta} is not finite")
         if self._point is None or self._point[0] != theta:
             system, tangent = self.evaluate(theta), self.derivatives(theta)
-            for d in tangent:
-                d.flags.writeable = False
+            if self.tangent is None:
+                for d in tangent:
+                    d.flags.writeable = False
+            elif tangent[0].any():  # the check of S that the builds at theta +/- h would make
+                hdS = self.step(theta) * tangent[0]
+                if not (is_symplectic(system.S + hdS) and is_symplectic(system.S - hdS)):
+                    raise ValueError("S is not symplectic")
             object.__setattr__(self, "_point", (theta, system, tangent))
         return self._point[1:]

@@ -78,16 +78,19 @@ class InputCovariance:
         nus = self.normal_form.symplectic_eigenvalues
         return bool(np.max(nus) <= GM_TOL * max(1.0, np.linalg.norm(self.matrix())))
 
+    def check_pure(self):
+        """Raise ValueError naming the largest symplectic eigenvalue when ``is_pure`` is False."""
+        if not self.is_pure:
+            raise ValueError("input covariance is mixed (max symplectic eigenvalue "
+                             f"{np.max(self.normal_form.symplectic_eigenvalues):.3e})")
+
     @cached_property
     def field_transform(self):
         """The symplectic S_in with S_in V_vac S_in^dag = V (read-only), for a pure input.
 
-        Raises ValueError naming the largest symplectic eigenvalue when the
-        state is mixed (``is_pure`` is False).
+        Raises ValueError (``check_pure``) when the state is mixed.
         """
-        if not self.is_pure:
-            raise ValueError("input covariance is mixed (max symplectic eigenvalue "
-                             f"{np.max(self.normal_form.symplectic_eigenvalues):.3e})")
+        self.check_pure()
         return _frozen(_vacuum_basis(self.N, self.M))
 
     @staticmethod

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,7 @@ class TestStationaryRates:
         assert abs(rep.value) < 1e-12
 
     def test_gauge_tangent_nullity(self, rng):
+        # the family carries its closed-form tangent, so D = dC + 2 i C J B cancels to rounding
         for _ in range(3):
             sys = random_qlsystem(rng, 2, 1)
             R = random_hermitian_doubled_up(rng, 2)
@@ -163,7 +165,59 @@ class TestStationaryRates:
             V = squeezed_input(0.3)
             rep = stationary_qfi_rate_time(fam, 0.0, V)
             scale = np.linalg.norm(sys.C) ** 2 + np.linalg.norm(sys.Omega) ** 2
-            assert abs(rep.value) < 1e-6 * scale
+            assert rep.diagnostics["tangent"] == "exact"
+            assert abs(rep.value) < 1e-12 * scale
+
+    @pytest.mark.xfail(strict=True, raises=RuntimeError,
+                       reason="the convergence floor 1e-13 * integral ||dXi V Xi^dag||^2 vanishes with dXi")
+    def test_gauge_tangent_nullity_freq_route(self, rng):
+        sys = random_qlsystem(rng, 2, 1)
+        fam = gauge_tangent_family(sys, random_hermitian_doubled_up(rng, 2))
+        rep = stationary_qfi_rate_freq(fam, 0.0, squeezed_input(0.3))
+        scale = np.linalg.norm(sys.C) ** 2 + np.linalg.norm(sys.Omega) ** 2
+        assert abs(rep.value) < 1e-12 * scale
+
+    @pytest.mark.parametrize("route", (stationary_qfi_rate_freq, stationary_qfi_rate_time), ids=("freq", "time"))
+    @pytest.mark.parametrize("eps", (0.1, 0.5, 2.0))
+    def test_mixed_input_raises(self, route, eps):
+        """Squeezing r = 0.6 plus thermal noise eps on N: the pure-state formulas do not apply.
+
+        At eps > 0 the time route used to return 5.321, 9.178 and 35.04 and the
+        freq route 4.557 whatever eps, both without a word.
+        """
+        r = 0.6
+        V = InputCovariance([[np.sinh(r) ** 2 + eps]], [[np.sinh(r) * np.cosh(r)]])
+        nu = np.max(V.normal_form.symplectic_eigenvalues)
+        message = f"input covariance is mixed (max symplectic eigenvalue {nu:.3e})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            route(cavity_omega_family(np.sqrt(2.0)), 0.0, V)
+        if route is stationary_qfi_rate_time:
+            with pytest.raises(ValueError, match="^input covariance is mixed"):
+                destabilized_scaling_check(cavity_omega_family, [np.sqrt(2.0), 1.0], V)
+
+    @pytest.mark.parametrize("route", (stationary_qfi_rate_freq, stationary_qfi_rate_time), ids=("freq", "time"))
+    def test_pure_squeezed_input_rate(self, route):
+        """The eps = 0 end of ``test_mixed_input_raises``: 16 N (N + 1) / c^2 = 4 sinh^2(1.2) / 2."""
+        r = 0.6
+        V = InputCovariance([[np.sinh(r) ** 2]], [[np.sinh(r) * np.cosh(r)]])
+        rate = route(cavity_omega_family(np.sqrt(2.0)), 0.0, V).value
+        assert abs(rate - 2.0 * np.sinh(2 * r) ** 2) <= 1e-9 * rate  # 4.5569
+
+    @pytest.mark.parametrize("route", (stationary_qfi_rate_freq, stationary_qfi_rate_time, coherent_qfi),
+                             ids=("freq", "time", "coherent"))
+    def test_diagnostics_say_how_the_tangent_was_taken(self, route):
+        """"exact" for a family carrying its tangent, else "central_difference" with its fd_step."""
+        from qls.io import family_from_json, system_to_json
+
+        spec = {"base": system_to_json(cavity(1.3**2, 0.0)), "fd_step": 1e-6,
+                "dependencies": [{"target": "Omega.minus", "row": 0, "col": 0, "coefficient": [1.0, 0.0]}]}
+        args = (0.5, [1.0]) if route is coherent_qfi else (squeezed_input(0.5),)
+        exact = route(family_from_json(spec), 0.0, *args)
+        difference = route(cavity_omega_family(1.3), 0.0, *args)
+        assert exact.diagnostics["tangent"] == "exact" and "fd_step" not in exact.diagnostics
+        assert difference.diagnostics["tangent"] == "central_difference"
+        assert difference.diagnostics["fd_step"] == 1e-6
+        assert abs(exact.value - difference.value) <= 1e-8 * exact.value
 
     def test_time_freq_agreement_random_families(self, rng):
         for k in range(4):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import types
 
 import numpy as np
 import pytest
@@ -82,7 +83,7 @@ class TestJsonRoundtrips:
         fam = qio.family_from_json(spec)
         base = qio.system_from_json(spec["base"])
 
-        def reference(theta):  # entries added to copies of the blocks, then assembled by Delta
+        def reference(theta, base=base):  # entries added to copies of the blocks, then assembled by Delta
             blocks = {k: [b.copy() for b in du_blocks(getattr(base, k))] for k in ("S", "C", "Omega")}
             for d in deps:
                 name, half = d["target"].split(".")
@@ -92,10 +93,48 @@ class TestJsonRoundtrips:
                     blocks[name][idx][j, i] += (c if idx else np.conj(c)) * theta
             return {k: Delta(*v) for k, v in blocks.items()}
 
+        zero = types.SimpleNamespace(S=0 * base.S, C=0 * base.C, Omega=0 * base.Omega)
+        tangent = reference(1.0, zero)  # the coefficients, added to zero blocks
+        assert all(np.array_equal(d, tangent[k]) for d, k in zip(fam.tangent, ("S", "C", "Omega")))
         for theta in (0.0, 0.37, -1.3e-6):
             sys, ref = fam.evaluate(theta), reference(theta)
             for k in ("S", "C", "Omega"):
                 assert np.array_equal(getattr(sys, k), ref[k])
+            assert fam.at(theta)[1] is fam.tangent  # S +/- h dS passes the symplectic check
+
+    def test_family_scattering_dependency_keeps_the_symplectic_check(self, rng):
+        """At theta = 0 a JSON family builds no system, yet an S dependency that breaks
+        symplecticity at theta +/- h still raises from ``at``, as the difference builds did."""
+        dep = {"target": "S.minus", "row": 0, "col": 0, "coefficient": [0.1, 0.0]}
+        fam = qio.family_from_json({"base": qio.system_to_json(random_qlsystem(rng, 2, 1)), "dependencies": [dep]})
+        with pytest.raises(ValueError, match="^S is not symplectic$"):
+            fam.at(0.0)
+
+    def test_family_diagonal_omega_minus_needs_a_real_coefficient(self, rng):
+        """An imaginary part would make Omega_- non-Hermitian at every theta != 0."""
+        dep = {"target": "Omega.minus", "row": 1, "col": 1, "coefficient": [0.5, 1e-3]}
+        with pytest.raises(ValueError, match=r"^Omega.minus diagonal entry \(1, 1\) needs a real coefficient"):
+            qio.family_from_json({"base": qio.system_to_json(random_qlsystem(rng, 2, 1)), "dependencies": [dep]})
+
+    @pytest.mark.parametrize("n, m", [(n, m) for m in (1, 2) for n in (1, 2, 3, 4)])
+    def test_family_rates_agree_across_routes(self, n, m):
+        """With the exact tangent the time and freq routes agree to 1e-12 (2.8e-13 measured over
+        40 seeded families; difference tangents moved both routes by up to 2.4e-9)."""
+        from qls.estimation import stationary_qfi_rate_freq, stationary_qfi_rate_time
+
+        rng = np.random.default_rng([n, m, 32])
+        deps = []
+        for target, scale in (("C.minus", 0.3), ("C.plus", 0.1), ("Omega.minus", 0.5), ("Omega.plus", 0.2)):
+            i, j = int(rng.integers(m if target[0] == "C" else n)), int(rng.integers(n))
+            c = scale * complex(*rng.standard_normal(2))
+            c = c.real if target == "Omega.minus" and i == j else c
+            deps.append({"target": target, "row": i, "col": j, "coefficient": [c.real, c.imag]})
+        fam = qio.family_from_json({"base": qio.system_to_json(random_qlsystem(rng, n, m)), "dependencies": deps})
+        V = InputCovariance(*random_pure_input(rng, m))
+        for theta in (0.0, 0.05):
+            ft = stationary_qfi_rate_time(fam, theta, V).value
+            ff = stationary_qfi_rate_freq(fam, theta, V).value
+            assert abs(ff - ft) <= 1e-12 * abs(ft)
 
     def test_family_at_zero_is_its_base(self, rng):
         """evaluate(0) returns the loaded base, built once; the QFI rates at theta = 0 equal,
@@ -119,7 +158,7 @@ class TestJsonRoundtrips:
 
         V = squeezed_input(0.5)
         for route in (stationary_qfi_rate_freq, stationary_qfi_rate_time):
-            reference = route(ParamFamily(evaluate=rebuilt, fd_step=fam.fd_step), 0.0, V)
+            reference = route(ParamFamily(evaluate=rebuilt, fd_step=fam.fd_step, tangent=fam.tangent), 0.0, V)
             assert route(dataclasses.replace(fam), 0.0, V).value == reference.value
 
     def test_family_entry_outside_block_raises(self):
@@ -497,7 +536,7 @@ class TestCli:
         assert data["purity_residual"] < 1e-6
 
     @pytest.mark.parametrize("kind", ["system", "input", "rational", "grid", "couplings", "fd_step",
-                                      "--theta", "--fd-step", "--gm-tol", "--tol"])
+                                      "--theta", "--gm-tol", "--tol"])
     def test_non_finite_number_exits_2(self, workdir, rng, capsys, kind):
         """json and argparse's float() read NaN and Infinity; every reader rejects them and names the value."""
         nan, inf = float("nan"), float("inf")
@@ -519,7 +558,6 @@ class TestCli:
             "couplings": (["sweep", p["bad_sweep"]], "nan"),
             "fd_step": (["qfi", p["bad_fam"]], "inf"),
             "--theta": (["qfi", p["fam"], "--theta", "nan"], "nan"),
-            "--fd-step": (["qfi", p["fam"], "--fd-step=-inf"], "-inf"),
             "--gm-tol": (["gm", p["sys"], "--gm-tol", "nan"], "nan"),
             "--tol": (["validate", p["sys"], "--tol", "inf"], "inf"),
         }[kind]
@@ -534,18 +572,38 @@ class TestCli:
 
     @pytest.mark.parametrize("source", ["json", "flag"])
     def test_negative_fd_step_exits_2(self, workdir, rng, capsys, source):
-        """A negative step is named, not replaced by the default."""
+        """A negative family fd_step is named, not replaced by the default; ``qls qfi`` has no
+        --fd-step flag (a JSON family differentiates exactly), so argparse rejects one."""
         family = _cli_inputs(rng)["family"]
+        out = workdir / "out.json"
         if source == "json":
             args = ["qfi", write(workdir / "fam.json", dict(family, fd_step=-1e-3))]
+            assert main(args + ["-o", str(out)]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "input"
+            assert "fd_step must be >= 0" in err["message"] and "-0.001" in err["message"]
         else:
-            args = ["qfi", write(workdir / "fam.json", family), "--fd-step", "-1"]
-        out = workdir / "out.json"
-        assert main(args + ["-o", str(out)]) == 2
+            args = ["qfi", write(workdir / "fam.json", family), "--fd-step", "1e-3"]
+            with pytest.raises(SystemExit) as exit_:
+                main(args + ["-o", str(out)])
+            assert exit_.value.code == 2
+            assert "unrecognized arguments: --fd-step" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["qfi-time", "qfi-freq", "sweep"])
+    def test_mixed_input_to_a_qfi_rate_exits_2(self, workdir, rng, capsys, command):
+        """A thermal part on the squeezed input: the rate formulas hold for pure inputs only."""
+        V = InputCovariance([[0.5 + 0.1]], [[np.sqrt(0.75)]])
+        nu = f"{np.max(V.normal_form.symplectic_eigenvalues):.3e}"
+        inputs = _cli_inputs(rng)
+        v = write(workdir / "v.json", qio.input_to_json(V))
+        args = {"qfi-time": ["qfi", write(workdir / "fam.json", inputs["family"]), "--method", "time"],
+                "qfi-freq": ["qfi", write(workdir / "fam.json", inputs["family"]), "--method", "freq"],
+                "sweep": ["sweep", write(workdir / "sweep.json", inputs["sweep"])]}[command]
+        out = workdir / "out"
+        assert main(args + ["--input", v, "-o", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "input"
-        assert "fd_step must be >= 0" in err["message"]
-        assert ("-0.001" if source == "json" else "-1.0") in err["message"]
+        assert err == {"error": "input", "message": f"input covariance is mixed (max symplectic eigenvalue {nu})"}
         assert not out.exists()
 
     @pytest.mark.parametrize("gm_tol", ["0", "-1"])
@@ -564,7 +622,7 @@ class TestCli:
         assert not out.exists()
 
     def test_sweep_loads_each_family_once(self, workdir, rng, monkeypatch):
-        """One load and one evaluated point (three evaluations) per coupling, and the same CSV."""
+        """One load and one evaluation per coupling (the exact tangent takes none), and the same CSV."""
         from qls import cli
 
         spec = dict(_cli_inputs(rng)["sweep"], couplings=[1.0, 0.8, 0.6, 0.5])
@@ -584,7 +642,7 @@ class TestCli:
         monkeypatch.setattr(cli.qio, "family_from_json", counted)
         counted_out = workdir / "counted.csv"
         assert main(["sweep", p, "--input", v, "-o", str(counted_out)]) == 0
-        assert (len(loads), len(evaluations)) == (4, 12)
+        assert (len(loads), len(evaluations)) == (4, 4)
         assert counted_out.read_bytes() == out.read_bytes()
 
     @pytest.mark.parametrize("couplings", [[1.0], [0.7, 0.7]], ids=("one", "repeated"))
@@ -627,10 +685,12 @@ class TestCli:
         p = write(workdir / "fam.json", fam)
         v = write(workdir / "v.json", qio.input_to_json(squeezed_input(N)))
         target = 16.0 * N * (N + 1) / c**2
+        keys = {"time": {"tangent", "B_residual"}, "freq": {"tangent", "quad_error", "max_nodes_per_panel", "panels"}}
         for method, tol in (("time", 1e-8), ("freq", 1e-8)):
             assert main(["qfi", p, "--input", v, "--method", method]) == 0
             out = json.loads(capsys.readouterr().out)
             assert abs(out["value"] - target) < tol * target
+            assert set(out["diagnostics"]) == keys[method] and out["diagnostics"]["tangent"] == "exact"
 
     def test_sweep_csv(self, workdir):
         from conftest import squeezed_input

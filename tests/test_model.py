@@ -850,6 +850,22 @@ class TestParamFamily:
         assert calls[3:] == [0.1, 0.1 + 1e-4, 0.1 - 1e-4]
         assert fam == dataclasses.replace(fam) and "_point" not in repr(fam)
 
+    def test_exact_tangent_takes_one_evaluation(self):
+        """A carried tangent is read-only, kept by ``replace``, left out of equality and repr, and
+        returned by ``at`` and ``derivatives`` with no difference taken."""
+        fam, calls = self._counting()
+        dS, dC, dOm = np.zeros((2, 2)), Delta([[0.3]], [[0.0]]), Delta([[1.0]], [[0.0]])
+        exact = dataclasses.replace(fam, tangent=(dS, dC, dOm))
+        dC[0, 0] = 7.0  # the family holds its own copy
+        sys0, tangent = exact.at(0.1)
+        assert calls == [0.1] and tangent is exact.tangent and exact.derivatives(0.2) is tangent
+        assert all(not d.flags.writeable for d in tangent) and tangent[1][0, 0] == 0.3
+        assert all(np.allclose(d, e, atol=1e-9) for d, e in zip(tangent, fam.derivatives(0.1)))
+        wrapped = []  # a counting wrapper, as a traced benchmark run installs one
+        counted = dataclasses.replace(exact, evaluate=lambda th: wrapped.append(th) or exact.evaluate(th))
+        assert all(np.array_equal(d, e) for d, e in zip(counted.at(0.1)[1], tangent)) and wrapped == [0.1]
+        assert exact == fam and "tangent" not in repr(exact)
+
     @pytest.mark.parametrize("step", (np.inf, -np.inf, np.nan))
     def test_non_finite_fd_step_is_named(self, step):
         with pytest.raises(ValueError, match=f"^fd_step must be .*got {step}$"):
