@@ -12,7 +12,9 @@ channel per size, a squeezed input, a generic flat Gram
 matrix and, for ``physical_from_classical``, the system's realization in a
 seeded non-symplectic basis.  The ``dump_json`` cases time the emit stage
 of ``qls tf`` on the transfer function of a seeded 4-mode, 2-channel
-system (2m = 4).  The absorber cases take the n = 32 system, its coherent
+system (2m = 4) and of the 1-mode, 1-channel one (2m = 2), and the list
+path on the system file of the n = 32, m = 2 system.  The absorber cases
+take the n = 32 system, its coherent
 absorber and their pure 64-mode cascade (a 2n = 128 covariance); the
 cascade Lyapunov case solves the cascade of each size's system into its
 absorber.  The Lyapunov cases come cached (one system, its
@@ -469,10 +471,10 @@ def test_noisy_realize(benchmark, n, n_noise):
     benchmark(noisy_realize, _accessible_block(n, n_noise), n_noise)
 
 
-@pytest.mark.parametrize("points", (301, 25), ids=lambda k: f"K{k}")
-def test_dump_json_tf_payload(benchmark, points):
+@pytest.mark.parametrize("points, n, m", ((301, 4, 2), (25, 4, 2), (301, 1, 1)), ids=("K301", "K25", "n1K301"))
+def test_dump_json_tf_payload(benchmark, points, n, m):
     grid = -1j * np.linspace(-5.0, 5.0, points)
-    values = freq_response(_system(4, 2), grid)
+    values = freq_response(_system(n, m), grid)
     try:
         qio.dump_json({"grid": grid, "values": values})
     except TypeError:  # a dump_json that takes lists only: time the conversion its `tf` does too
@@ -480,6 +482,11 @@ def test_dump_json_tf_payload(benchmark, points):
                                          "values": [qio.matrix_to_json(X) for X in values]}))
     else:
         benchmark(qio.dump_json, {"grid": grid, "values": values})
+
+
+def test_dump_json_system_payload(benchmark):
+    """A list payload, written by the standard encoder: the system file of the n = 32, m = 2 system."""
+    benchmark(qio.dump_json, qio.system_to_json(_system(32, 2)))
 
 
 CLI_PROCESSES = {  # subcommand -> its arguments, {name} standing for the input file of that name

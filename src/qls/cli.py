@@ -236,8 +236,7 @@ def _sweep_spec(data):
     """
     couplings = [qio.finite_float(c, "coupling") for c in data["couplings"]]
     name, half = data.get("coupling_target", "C.minus").split(".")
-    row = int(data.get("coupling_row", 0))
-    col = int(data.get("coupling_col", 0))
+    row, col = (qio.entry_index(data.get(key, 0), key) for key in ("coupling_row", "coupling_col"))
 
     @functools.cache
     def builder(c):

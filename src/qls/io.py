@@ -19,6 +19,8 @@ system loads only ``algebra`` and ``model``.
 
 import json
 import math
+import operator
+import reprlib
 
 import numpy as np
 
@@ -31,10 +33,14 @@ class InputError(ValueError):
 
 
 def finite_float(x, what):
-    """float(x); InputError naming the value unless it is finite (json and float() accept NaN and Infinity)."""
-    value = float(x)
+    """float(x); InputError naming the value unless it is finite (json and float() accept NaN and
+    Infinity, and json reads integers of any length)."""
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value):
-        raise InputError(f"{what} must be a finite number, got {x!r}")
+        raise InputError(f"{what} must be a finite number, got {reprlib.repr(x)}")
     return value
 
 
@@ -51,9 +57,9 @@ def pair_to_complex(p):
             z = complex(re, im)
             if math.isfinite(z.real) and math.isfinite(z.imag):
                 return z
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
-    raise InputError(f"expected an [re, im] pair of two finite numbers, got {p!r}")
+    raise InputError(f"expected an [re, im] pair of two finite numbers, got {reprlib.repr(p)}")
 
 
 def _pairs(a):
@@ -149,16 +155,17 @@ def family_from_json(data):
     fd_step = finite_float(data.get("fd_step", 0.0), "fd_step")
     shapes = {"S": (base.m, base.m), "C": (base.m, base.n), "Omega": (base.n, base.n)}
     deps = []  # (block name, 0 minus / 1 plus, row, col, coefficient), parsed once
-    for dep in data.get("dependencies", []):
+    for k, dep in enumerate(data.get("dependencies", [])):
         if dep["target"] not in _FAMILY_TARGETS:
             raise ValueError(f"unknown dependency target {dep['target']!r}")
         name, half = dep["target"].split(".")
         rows, cols = shapes[name]
+        row, col = (entry_index(dep[key], f"dependency {k} ({dep['target']}) {key}") for key in ("row", "col"))
         try:  # numpy's indexing of the block: negative indices count from its end
-            i, j = range(rows)[int(dep["row"])], range(cols)[int(dep["col"])]
+            i, j = range(rows)[row], range(cols)[col]
         except IndexError:
-            raise IndexError(f"dependency entry ({dep['row']}, {dep['col']}) lies outside the "
-                             f"{rows} x {cols} block {dep['target']}") from None
+            raise IndexError(f"dependency entry ({reprlib.repr(row)}, {reprlib.repr(col)}) lies outside "
+                             f"the {rows} x {cols} block {dep['target']}") from None
         coeff = pair_to_complex(dep["coefficient"])
         if name == "Omega" and half == "minus" and i == j and coeff.imag:
             raise ValueError(f"Omega.minus diagonal entry ({i}, {i}) needs a real coefficient, got {coeff}")
@@ -180,6 +187,16 @@ def family_from_json(data):
         _add(tangent[name], idx, i, j, coeff)
     return ParamFamily(evaluate=evaluate, fd_step=fd_step,
                        tangent=(tangent["S"], tangent["C"], tangent["Omega"]))
+
+
+def entry_index(value, what):
+    """value as a Python int; ValueError naming it unless it is an integer (not a bool, a float or a string)."""
+    if type(value) is not bool:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {reprlib.repr(value)}")
 
 
 def entry_and_partner(name, half, i, j, value):
@@ -205,7 +222,10 @@ def dump_json(obj, path=None):
     """Deterministic JSON text (sorted keys, two-space indent, no NaN or infinity).
 
     numpy arrays inside dicts are written in bulk as the [re, im] lists of
-    ``matrix_to_json``, in the same bytes as the standard encoder on that form.
+    ``matrix_to_json``, in the same bytes as the standard encoder on that form:
+    one indented template per array, filled by one %-format, so each float
+    costs its ``repr`` and no per-list join.  Other values, lists included,
+    go through the standard encoder.
     """
     text = _json_text(obj, 0)
     if path is not None:
@@ -227,17 +247,21 @@ def _json_text(obj, depth):
 
 
 def _array_text(pairs, depth):
-    """Indented JSON of the nested lists of a float array: one repr map, then one join per list."""
+    """Indented JSON of the nested lists of a float array, filled by one %-format.
+
+    The layout of one entry of each axis, with a ``%r`` hole per float, is
+    built once and repeated along that axis by one join; ``%r`` of a float is
+    ``float.__repr__``, as the standard encoder writes it.
+    """
     if not np.isfinite(pairs).all():
         raise ValueError("Out of range float values are not JSON compliant")
     if pairs.size == 0:
         return _json_text(pairs.tolist(), depth)
-    items = list(map(float.__repr__, pairs.ravel().tolist()))
+    layout = "%r"
     for level in reversed(range(pairs.ndim)):
-        size, pad = pairs.shape[level], "\n" + "  " * (depth + level + 1)
-        tail = "\n" + "  " * (depth + level) + "]"
-        items = ["[" + pad + ("," + pad).join(items[i:i + size]) + tail for i in range(0, len(items), size)]
-    return items[0]
+        pad, tail = "\n" + "  " * (depth + level + 1), "\n" + "  " * (depth + level) + "]"
+        layout = "[" + pad + ("," + pad).join([layout] * pairs.shape[level]) + tail
+    return layout % tuple(pairs.ravel().tolist())
 
 
 def load_json(path):

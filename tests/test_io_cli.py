@@ -170,6 +170,19 @@ class TestJsonRoundtrips:
         positive = qio.family_from_json({"base": base, "dependencies": [dict(entry, col=1)]})
         assert np.array_equal(negative.evaluate(0.3).C, positive.evaluate(0.3).C)
 
+    @pytest.mark.parametrize("text, shown", [("0.7", "0.7"), ("true", "True"), ("1e400", "inf"), ('"0"', "'0'")],
+                             ids=["fraction", "bool", "overflow", "string"])
+    @pytest.mark.parametrize("key", ["row", "col"])
+    def test_family_entry_index_must_be_an_integer(self, key, text, shown):
+        """int() read 0.7 as entry 0 and true as entry 1, and overflowed on 1e400 (json reads inf)."""
+        base = qio.system_to_json(random_qlsystem(np.random.default_rng(0), 2, 1))
+        entries = [{"target": "C.minus", "row": 0, "col": 1, "coefficient": [1.0, 0.0]},
+                   {"target": "Omega.plus", "row": 0, "col": 1, "coefficient": [1.0, 0.0], key: "?"}]
+        spec = json.dumps({"base": base, "dependencies": entries}).replace('"?"', text)
+        message = rf"^dependency 1 \(Omega.plus\) {key} must be an integer, got {shown}$"
+        with pytest.raises(ValueError, match=message):
+            qio.family_from_json(json.loads(spec))
+
     def test_determinism(self, rng):
         sys = random_qlsystem(rng, 1, 1)
         a = qio.dump_json(qio.system_to_json(sys))
@@ -202,12 +215,31 @@ class TestDumpJsonArrays:
         plain = {"list": [1, [2.5, {}], []], "empty": {}, "k\u00e9y": "a\nb", "none": None}
         payload = {"grid": grid, "values": stack, "pi": 3.14,
                    "nested": dict(plain, matrix=matrix, row=np.zeros(0, dtype=complex),
-                                  rows=np.zeros((3, 0, 2), dtype=complex))}
+                                  rows=np.zeros((3, 0, 2), dtype=complex), stack=np.zeros((0, 2, 2), dtype=complex))}
         lists = {"grid": [qio.complex_to_pair(s) for s in grid],
                  "values": [qio.matrix_to_json(X) for X in stack], "pi": 3.14,
-                 "nested": dict(plain, matrix=qio.matrix_to_json(matrix), row=[], rows=[[], [], []])}
+                 "nested": dict(plain, matrix=qio.matrix_to_json(matrix), row=[], rows=[[], [], []], stack=[])}
         assert lists["values"] == _pair_lists(stack)
         assert lists["nested"]["matrix"] == _pair_lists(matrix)
+        assert qio.dump_json(payload) == _std_text(lists)
+
+    SPECIAL = (-0.0, 5e-324, 2.2e-310, 1e-5, 1e-4, 1e16, 1e22, 1.7976931348623157e308)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (1, 3), (4, 2), (1, 2, 2), (3, 1, 4), (6, 2, 2)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_equals_standard_encoder_on_seeded_arrays(self, shape, depth):
+        """Seeded arrays of ndim 1-3 (a leading axis of 1 among them), nested 0, 1 and 2 dicts
+        deep, mixing magnitudes 1e-30 to 1e30 with signed zero, subnormals, the points where
+        repr switches to exponent form and the largest float, each with both signs."""
+        rng = np.random.default_rng([depth, *shape])
+        size = int(np.prod(shape))
+        randoms = rng.standard_normal(2 * size) * 10.0 ** rng.integers(-30, 31, 2 * size)
+        floats = rng.permutation(np.concatenate([self.SPECIAL, np.negative(self.SPECIAL), randoms]))
+        a = (floats[:size] + 1j * floats[size:2 * size]).reshape(shape)
+        payload, lists = {"values": a, "pi": 3.14}, {"values": _pair_lists(a), "pi": 3.14}
+        for level in range(depth):
+            payload, lists = ({"inner": p, "list": [level, 2.5]} for p in (payload, lists))
         assert qio.dump_json(payload) == _std_text(lists)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
@@ -570,6 +602,57 @@ class TestCli:
             assert err["message"] == f"{kind} must be a finite number, got {value}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["system", "input", "rational", "grid", "couplings", "fd_step"])
+    def test_oversized_integer_exits_2(self, workdir, rng, capsys, kind):
+        """json reads an integer literal of any length; one past the float range is named, shortened."""
+        big = 10**400
+        inputs = _cli_inputs(rng)
+        sys_json = qio.system_to_json(cavity())
+        bad_sys = json.loads(json.dumps(sys_json))
+        bad_sys["Omega"]["minus"][0][0] = [big, 0]
+        p = {name: write(workdir / f"{name}.json", data) for name, data in (
+            ("sys", sys_json), ("bad_sys", bad_sys),
+            ("bad_input", {"N": [[[0, big]]], "M": [[[0.0, 0.0]]]}),
+            ("bad_tf", dict(inputs["rtf"], poles=[[-1.0, -big]] + inputs["rtf"]["poles"][1:])),
+            ("bad_sweep", dict(inputs["sweep"], couplings=[1.0, big])),
+            ("bad_fam", dict(inputs["family"], fd_step=big)))}
+        args = {
+            "system": ["tf", p["bad_sys"]],
+            "input": ["ps", p["sys"], "--input", p["bad_input"]],
+            "rational": ["realize-tf", p["bad_tf"]],
+            "grid": ["tf", p["sys"], "--grid", json.dumps([[0.0, 1.0], [0.0, big]])],
+            "couplings": ["sweep", p["bad_sweep"]],
+            "fd_step": ["qfi", p["bad_fam"]],
+        }[kind]
+        out = workdir / "out.json"
+        assert main(args + ["-o", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"
+        assert "finite number" in err["message"] and "0...0" in err["message"]
+        assert len(err["message"]) < 400
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["0.7", "true", "1e400", '"0"'])
+    @pytest.mark.parametrize("where", ["family", "sweep"])
+    def test_non_integer_entry_index_exits_2(self, workdir, rng, capsys, where, text):
+        """A dependency's row, or a sweep's coupling_row, is an integer: int() read 0.7 as 0 and
+        true as 1, and overflowed on 1e400."""
+        inputs = _cli_inputs(rng)
+        if where == "family":
+            family = json.loads(json.dumps(inputs["family"]))
+            family["dependencies"][0]["row"] = "?"
+            path, args = workdir / "fam.json", ["qfi", str(workdir / "fam.json"), "--method", "time"]
+            payload, key = family, "dependency 0 (Omega.minus) row"
+        else:
+            path, args = workdir / "sweep.json", ["sweep", str(workdir / "sweep.json")]
+            payload, key = dict(inputs["sweep"], coupling_row="?"), "coupling_row"
+        path.write_text(json.dumps(payload).replace('"?"', text))
+        out = workdir / "out.json"
+        assert main(args + ["-o", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input" and f"{key} must be an integer" in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["json", "flag"])
     def test_negative_fd_step_exits_2(self, workdir, rng, capsys, source):
         """A negative family fd_step is named, not replaced by the default; ``qls qfi`` has no
@@ -772,6 +855,13 @@ class TestCli:
             assert main(args + ["-o", out]) == 0
             expected = _std_text({"grid": _pair_lists(grid), "values": _pair_lists(values)})
             assert open(out).read() == expected + "\n"
+
+    def test_tf_on_an_empty_grid_writes_empty_lists(self, workdir):
+        """An empty --grid gives a (0, 2m, 2m) value stack, written as the encoder writes []."""
+        p = write(workdir / "sys.json", qio.system_to_json(cavity()))
+        out = str(workdir / "out.json")
+        assert main(["tf", p, "--grid", "[]", "-o", out]) == 0
+        assert open(out).read() == _std_text({"grid": [], "values": []}) + "\n"
 
     @pytest.mark.parametrize("bad", [["1.0", 0.0], [0.0, True], [1.0], [0, 1, 5]],
                              ids=["string", "bool", "short", "long"])
