@@ -6,8 +6,9 @@ either in the frequency domain,
     f = (1/2 pi) integral f(w) dw,   f(w) = -Tr(J dPsi/dtheta J dPsi/dtheta),
 
 with dPsi = dXi V Xi^dag + h.c. from the exact resolvent derivative of the
-transfer function (``model.freq_response``) and a composite Gauss-Legendre
-rule on w = c tan t, or in the time domain from the modified-generator form
+transfer function (``model.freq_response``) and composite rules on
+w = c tan t, a Gauss-Kronrod (8, 17) pair first and Gauss-Legendre rules of
+32, 64, ... nodes after it, or in the time domain from the modified-generator form
 
     f = 4 E_ss[ a^dag D^dag J V J D a ],   D = dC - 2 i C J B,
 
@@ -32,7 +33,7 @@ from .algebra import jmat, lyap
 from .model import ParamFamily, QLSystem, _tangent_response, freq_response, is_hurwitz, spectral_gap
 from .stationary import _channels_match, _eigenbasis, solve_lyapunov
 
-GL_FIRST = 8      # Gauss-Legendre nodes per panel of the first frequency rule
+GL_FIRST = 8      # Gauss nodes per panel of the first frequency rule, held by its 17 Kronrod nodes
 GL_MAX = 1024     # nodes per panel past which the frequency integral has not converged
 QUAD_RTOL = 1e-10  # relative accuracy the frequency integral is refined to
 
@@ -145,6 +146,47 @@ def _gauss_legendre(k):
     return x, w
 
 
+@lru_cache(maxsize=None)
+def _gauss_kronrod():
+    """The 2 GL_FIRST + 1 Kronrod nodes (ascending) on [-1, 1], their weights, and the GL_FIRST-node
+    Gauss weights on the same nodes, zero at the added ones (cached and shared, so read-only).
+
+    Laurie's algorithm (Math. Comp. 66, 1133, 1997) for the Legendre weight
+    (alpha_k = 0): the recurrence coefficients beta_0 = 2,
+    beta_k = k^2 / (4 k^2 - 1) up to k = 3n/2 are extended to k = 2n by a
+    recurrence on mixed moments, and the nodes and weights are the
+    eigenvalues and 2 v_0^2 of the Jacobi-Kronrod matrix, tridiagonal of
+    order 2n + 1.  The Gauss nodes are every second node, and the rule is
+    exact to degree 3n + 1.
+    """
+    n = GL_FIRST
+    b = np.zeros(2 * n + 1)
+    k = np.arange(1, (3 * n + 1) // 2 + 1)
+    b[0], b[k] = 2.0, k**2 / (4.0 * k**2 - 1.0)
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        j = n - 1 - m + k
+        s[j + 1] = np.cumsum(b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1])
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+        s, t = t, s
+    off = np.sqrt(b[1:])
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = 2.0 * v[0] ** 2
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])  # mirrored exactly, with x = 0 in the middle
+    g = np.zeros_like(w)
+    g[1::2] = _gauss_legendre(n)[1]
+    x.flags.writeable = w.flags.writeable = g.flags.writeable = False
+    return x, w, g
+
+
 def _panel_edges(poles, c):
     """Panel edges in t, w = c tan t: the axis ends, each pole's peak and half-widths, and graded breaks.
 
@@ -203,19 +245,24 @@ def stationary_qfi_rate_freq(family, theta0, V):
     whole axis onto (-pi/2, pi/2) with no tail model; the t range is split into panels at
     +/-Im(lambda) and +/-Im(lambda) +/- |Re(lambda)| for every pole lambda,
     and at graded breaks out from there (``_panel_edges``), so each peak and
-    its tail are resolved at the peak's own width.  Each panel doubles its
-    Gauss-Legendre nodes from GL_FIRST until two rules agree to its share of
+    its tail are resolved at the peak's own width.  The first level is one
+    evaluator call on the 17 Kronrod nodes of every panel
+    (``_gauss_kronrod``): the Kronrod sum is accepted where it agrees with
+    the embedded 8-node Gauss sum on the same nodes to the panel's share of
     QUAD_RTOL (1e-10) times the rate (or of 1e-13 times the integral of
-    ||dXi V Xi^dag||^2, the only scale a vanishing rate leaves).
+    ||dXi V Xi^dag||^2, the only scale a vanishing rate leaves).  The other
+    panels go on to Gauss-Legendre rules of 32, 64, ... nodes, each
+    compared with the level before it to the same tolerance.
     RuntimeError is raised when a panel has not converged at GL_MAX nodes,
     e.g. when a theta-dependent S keeps dPsi from decaying at large |w|.
-    Diagnostics carry the summed rule differences, the most nodes any panel
-    used, the panel count and how the tangent was taken
-    (``_tangent_diagnostics``).  A mixed V raises ValueError
-    (``InputCovariance.check_pure``): the density is the pure-state one.
+    Diagnostics carry the summed rule differences, the largest rule any
+    panel used (17, 32, ...), the panel count, the number of nodes evaluated
+    and how the tangent was taken (``_tangent_diagnostics``).  A mixed V
+    raises ValueError (``InputCovariance.check_pure``): the density is the
+    pure-state one.
 
     The system and tangent come from ``family.at(theta0)``, and the tangent
-    evaluator (``model._tangent_response``) is built once for every rule.
+    evaluator (``model._tangent_response``) is built once for every level.
     Its nodes skip ``freq_response``'s pole check, which cannot fire once
     the family is Hurwitz: every pole has Re lambda < -STAB_TOL max |lambda|
     (``is_hurwitz``), and every node s = -i w is finite, since w = c tan t
@@ -234,20 +281,27 @@ def stationary_qfi_rate_freq(family, theta0, V):
     edges = _panel_edges(sys0.poles, c)
     half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
 
-    def rule(panels, k):
-        """Panel integrals of f and of ||dXi V Xi^dag||^2 with k nodes each."""
-        x, wx = _gauss_legendre(k)
+    def densities(panels, x):
+        """f and ||dXi V Xi^dag||^2 at each panel's nodes x, times dw/dt / 2 pi and the half-width."""
         t = mid[panels, None] + half[panels, None] * x
-        weights = half[panels, None] * wx * c / np.cos(t) ** 2 / (2.0 * np.pi)
+        jac = half[panels, None] * c / np.cos(t) ** 2 / (2.0 * np.pi)
         dPsi, G = _dpsi(respond, Vm, c * np.tan(t.ravel()))
         f = _fisher_density(dPsi, jd).reshape(t.shape)
         g = np.sum(np.abs(G) ** 2, axis=(1, 2)).reshape(t.shape)
-        return np.sum(weights * f, axis=1), np.sum(weights * g, axis=1)
+        return jac * f, jac * g
 
-    k, active = GL_FIRST, np.arange(len(half))
-    vals, scales = rule(active, k)
-    quad_error = 0.0
-    while active.size:
+    x, wk, wg = _gauss_kronrod()
+    active = np.arange(len(half))
+    f, g = densities(active, x)
+    vals, scales = f @ wk, g @ wk
+    diff = np.abs(vals - f @ wg)  # K17 against the embedded G8
+    k, evaluations, quad_error = 2 * GL_FIRST, f.size, 0.0  # the next level doubles 2 GL_FIRST
+    while True:
+        tol = (QUAD_RTOL * abs(vals.sum()) + 1e-13 * scales.sum()) / len(half)
+        quad_error += float(diff[diff <= tol].sum())
+        active = active[diff > tol]
+        if not active.size:
+            break
         if k == GL_MAX:
             raise RuntimeError(
                 f"frequency integral did not converge: {active.size} of {len(half)} panels "
@@ -255,17 +309,16 @@ def stationary_qfi_rate_freq(family, theta0, V):
                 f"{vals.sum():.6e}); dPsi may not decay at large |w|"
             )
         k *= 2
-        new, scales[active] = rule(active, k)
-        diff = np.abs(new - vals[active])
-        vals[active] = new
-        tol = (QUAD_RTOL * abs(vals.sum()) + 1e-13 * scales.sum()) / len(half)
-        quad_error += float(diff[diff <= tol].sum())
-        active = active[diff > tol]
+        x, wx = _gauss_legendre(k)
+        f, g = densities(active, x)
+        new, scales[active] = f @ wx, g @ wx
+        diff, vals[active] = np.abs(new - vals[active]), new
+        evaluations += f.size
     return QFIReport(
         value=float(vals.sum()),
         method="stationary_freq",
-        diagnostics={"quad_error": quad_error, "max_nodes_per_panel": k,
-                     "panels": len(half), **_tangent_diagnostics(family, theta0)},
+        diagnostics={"quad_error": quad_error, "max_nodes_per_panel": len(x), "panels": len(half),
+                     "evaluations": evaluations, **_tangent_diagnostics(family, theta0)},
     )
 
 
@@ -383,19 +436,29 @@ def multiparam_noon_bounds(Jac, N):
         strategy 1:      d^2 H / (N^2 |Jac|^2)
         strategy 2 min:  (2 d H - K + sqrt(4 d H (d H - K))) / (4 N^2 |Jac|^2)
 
-    Returns the two traces, the optimal alpha^2 and their ratio.
+    Both are formed from P / |Jac| = Jac^-T, so no determinant is taken and
+    the traces scale as 1/s^2 under Jac -> s Jac.  The parameters are not
+    identifiable, and ValueError is raised, when the smallest singular value
+    of Jac is at most 1e-12 times the largest, a verdict that does not
+    depend on the scale of Jac.  A Jacobian that is not a finite square
+    matrix, or a budget N that is not positive and finite, raises ValueError
+    too.  Returns the two traces, the optimal alpha^2 and their ratio.
     """
     Jac = np.atleast_2d(np.asarray(Jac, dtype=float))
     d = Jac.shape[0]
-    det = np.linalg.det(Jac)
-    if abs(det) < 1e-12 * max(1.0, np.linalg.norm(Jac) ** d):
+    if Jac.shape != (d, d) or not np.all(np.isfinite(Jac)):
+        raise ValueError(f"Jacobian must be a finite square matrix, got shape {Jac.shape}")
+    if not N > 0 or not np.isfinite(N):
+        raise ValueError(f"photon budget N must be positive and finite, got {N}")
+    sv = np.linalg.svd(Jac, compute_uv=False)
+    if not sv[-1] > 1e-12 * sv[0]:  # also the zero matrix
         raise ValueError("singular Jacobian: parameters are not identifiable")
-    cof = np.linalg.inv(Jac).T * det
-    H = float(np.linalg.norm(cof, "fro") ** 2)
-    K = d * float(np.sum((cof - cof.mean(axis=1, keepdims=True)) ** 2))
-    strategy1 = d * d * H / (N * N * det * det)
+    P = np.linalg.inv(Jac).T  # cof(Jac) / |Jac|: H and K below are over |Jac|^2
+    H = float(np.linalg.norm(P, "fro") ** 2)
+    K = d * float(np.sum((P - P.mean(axis=1, keepdims=True)) ** 2))
+    strategy1 = d * d * H / (N * N)
     disc = np.sqrt(max(4.0 * d * H * (d * H - K), 0.0))
-    strategy2 = (2.0 * d * H - K + disc) / (4.0 * N * N * det * det)
+    strategy2 = (2.0 * d * H - K + disc) / (4.0 * N * N)
     if K > 0:
         alpha2 = (2.0 * d * H - disc) / (2.0 * d * K)
     else:

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from qls.algebra import Delta, du_blocks, jmat
+from qls import estimation
 from qls.estimation import (
+    GL_FIRST,
     _dpsi,
     _fisher_density,
+    _gauss_kronrod,
     _gauss_legendre,
     coherent_qfi,
     destabilized_scaling_check,
@@ -340,6 +343,23 @@ class TestStationaryRates:
         assert rep.diagnostics["max_nodes_per_panel"] <= 32
 
 
+    def test_cavity_takes_one_kronrod_level(self, monkeypatch):
+        """Every panel of the cavity converges on its first 17 nodes: one evaluator call in all."""
+        calls = []
+
+        def counted(respond, Vm, omegas):
+            calls.append(len(omegas))
+            return _dpsi(respond, Vm, omegas)
+
+        monkeypatch.setattr(estimation, "_dpsi", counted)
+        rep = stationary_qfi_rate_freq(cavity_omega_family(1.0), 0.0, squeezed_input(0.5))
+        assert abs(rep.value - 12.0) <= 1e-8 * 12.0  # 16 N (N + 1) / c^2
+        panels = rep.diagnostics["panels"]
+        assert calls == [17 * panels]
+        assert rep.diagnostics["evaluations"] == 17 * panels
+        assert rep.diagnostics["max_nodes_per_panel"] == 17
+
+
 @pytest.mark.parametrize("c", (1.0, 1e-1, 1e-2, 1e-4, 1e-6, 1e-8))
 def test_cavity_closed_form_both_routes_down_to_weak_coupling(c):
     N = 0.5
@@ -467,6 +487,38 @@ class TestMultiparam:
         with pytest.raises(ValueError):
             multiparam_noon_bounds(np.zeros((2, 2)), N=1.0)
 
+    @pytest.mark.parametrize("Jac, N, match", [
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 1.0, "square"),
+        ([[1.0, np.nan], [0.0, 1.0]], 1.0, "finite"),
+        (np.eye(2), 0.0, "positive"),
+        (np.eye(2), -2.0, "positive"),
+        (np.eye(2), np.inf, "positive"),
+    ], ids=["non-square", "nan", "N0", "N-negative", "N-inf"])
+    def test_malformed_input_rejected(self, Jac, N, match):
+        with pytest.raises(ValueError, match=match):
+            multiparam_noon_bounds(Jac, N)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_verdict_and_bounds_are_scale_invariant(self, d):
+        """Jac s for s = 1e-9 ... 1e9: one verdict, the same alpha and ratio, traces as 1 / s^2."""
+        rng = np.random.default_rng([d, 36])
+        J, N = rng.standard_normal((d, d)) + 2.0 * np.eye(d), 3.0
+        ref = multiparam_noon_bounds(J, N)
+        u = rng.standard_normal((d, 1))
+        rank1 = u @ rng.standard_normal((1, d))
+        for s in 10.0 ** np.arange(-9, 10):
+            out = multiparam_noon_bounds(J * s, N)
+            for key in ("alpha_opt_sq", "ratio"):
+                assert out[key] == pytest.approx(ref[key], rel=1e-12)
+            for key in ("trace_cr_strategy1", "trace_cr_strategy2_min"):
+                assert out[key] * s * s == pytest.approx(ref[key], rel=1e-12)
+            if d > 1:
+                with pytest.raises(ValueError, match="singular Jacobian"):
+                    multiparam_noon_bounds(rank1 * s, N)
+        # the old absolute floor called 1e-7 I singular while it accepted 1e-6 I
+        assert multiparam_noon_bounds(1e-7 * np.eye(2), 10)["ratio"] == pytest.approx(
+            multiparam_noon_bounds(np.eye(2), 10)["ratio"], rel=1e-12)
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_closed_form_matches_triple_sum(self, d):
         """The bounds from K as d times the row variances equal those from the triple sum of K."""
@@ -511,6 +563,33 @@ def test_gauss_legendre_rules_are_shared_read_only():
     for arr in (x, w):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_gauss_kronrod_rule_is_shared_read_only():
+    rule = _gauss_kronrod()
+    assert _gauss_kronrod() is rule
+    for arr in rule:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_gauss_kronrod_rule_exact_to_degree_25():
+    x, wk, wg = _gauss_kronrod()
+    assert len(x) == 2 * GL_FIRST + 1
+    for d in range(27):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        err = abs(wk @ x**d - exact)
+        assert err <= 1e-15 if d <= 3 * GL_FIRST + 1 else err > 1e-12, d
+    # the embedded Gauss rule: GL_FIRST nodes, exact to degree 2 GL_FIRST - 1
+    xg, w8 = _gauss_legendre(GL_FIRST)
+    assert np.max(np.abs(x[1::2] - xg)) <= 1e-15
+    assert np.array_equal(wg[1::2], w8) and not np.any(wg[::2])
+
+
+def test_gauss_kronrod_weights_positive_and_symmetric():
+    x, wk, _ = _gauss_kronrod()
+    assert np.all(np.diff(x) > 0) and np.all(wk > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(wk, wk[::-1])
 
 
 @pytest.mark.parametrize("k", [8 * 2**j for j in range(8)])  # GL_FIRST, doubled up to GL_MAX

@@ -768,7 +768,8 @@ class TestCli:
         p = write(workdir / "fam.json", fam)
         v = write(workdir / "v.json", qio.input_to_json(squeezed_input(N)))
         target = 16.0 * N * (N + 1) / c**2
-        keys = {"time": {"tangent", "B_residual"}, "freq": {"tangent", "quad_error", "max_nodes_per_panel", "panels"}}
+        keys = {"time": {"tangent", "B_residual"}, "freq": {"tangent", "quad_error", "max_nodes_per_panel", "panels",
+                                                           "evaluations"}}
         for method, tol in (("time", 1e-8), ("freq", 1e-8)):
             assert main(["qfi", p, "--input", v, "--method", method]) == 0
             out = json.loads(capsys.readouterr().out)
